@@ -37,7 +37,9 @@ class _Run:
     def record(self, obj: dict):
         self.records.append(obj)
 
-    def flush(self):
+    def finish(self, ok: bool, label: str, code: int | None = None):
+        """Write the records and the stderr summary line, then exit with
+        `code`, or by `ok` when no code is given."""
         if self.emit == "csv":
             keys = sorted({k for r in self.records for k in r})
             buf = io.StringIO()
@@ -51,10 +53,18 @@ class _Run:
         else:
             for r in self.records:
                 click.echo(json.dumps(r, sort_keys=True))
+        click.echo(f"# {label}: {'PASS' if ok else 'FAIL'}", err=True)
+        sys.exit(code if code is not None else EXIT_PASS if ok else EXIT_FAIL)
 
 
-def _summary(ok: bool, label: str):
-    click.echo(f"# {label}: {'PASS' if ok else 'FAIL'}", err=True)
+def _module_source(fn):
+    """The --preset / --module pair; _load_module takes exactly one."""
+    fn = click.option("--module", "module_file", type=click.Path())(fn)
+    return click.option("--preset", type=click.Choice(mod.PRESET_NAMES))(fn)
+
+
+_emit = click.option("--emit", type=click.Choice(["json", "csv"]),
+                     default="json")
 
 
 def _parse_range(text: str) -> tuple:
@@ -114,7 +124,7 @@ def main():
               help="rank of mu for the solenoidal variant")
 @click.option("--h-box", type=int, default=2, show_default=True,
               help="sup-norm bound for the solenoidal step h")
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
     """Verify the quadratic differentiator identity."""
     run = _Run(emit)
@@ -133,18 +143,15 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
         raise click.UsageError(str(e))
     for rec in report.records:
         run.record(rec.to_json())
-    run.flush()
-    _summary(report.passed, f"identity m={m} r={r} mode={mode}")
-    sys.exit(EXIT_PASS if report.passed else EXIT_FAIL)
+    run.finish(report.passed, f"identity m={m} r={r} mode={mode}")
 
 
 @main.command("annihilator")
-@click.option("--preset", type=click.Choice(mod.PRESET_NAMES))
-@click.option("--module", "module_file", type=click.Path())
+@_module_source
 @click.option("--m", "m", type=int, required=True,
               help="differentiator order")
 @click.option("--window", type=int, default=3, show_default=True)
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_annihilator(preset, module_file, m, window, emit):
     """Certify whether the order-m differentiators kill a module."""
     M = _load_module(preset, module_file)
@@ -153,17 +160,14 @@ def cmd_annihilator(preset, module_file, m, window, emit):
     run = _Run(emit)
     cert = mod.annihilates(m, M, window=window)
     run.record(cert.to_json())
-    run.flush()
-    _summary(cert.annihilates, f"annihilator m={m} on {M.name}")
-    sys.exit(EXIT_PASS if cert.annihilates else EXIT_FAIL)
+    run.finish(cert.annihilates, f"annihilator m={m} on {M.name}")
 
 
 @main.command("module-check")
-@click.option("--preset", type=click.Choice(mod.PRESET_NAMES))
-@click.option("--module", "module_file", type=click.Path())
+@_module_source
 @click.option("--window", type=int, default=2, show_default=True)
 @click.option("--aw", is_flag=True, help="also assert AW-compatibility")
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_module_check(preset, module_file, window, aw, emit):
     """Run the symbolic/window module-axiom suite on a module."""
     M = _load_module(preset, module_file)
@@ -176,18 +180,15 @@ def cmd_module_check(preset, module_file, window, aw, emit):
         run.record(awrep.to_json())
         ok = ok and awrep.passed
     run.record(mod.weight_report(M, radius=window + 2))
-    run.flush()
-    _summary(ok, f"module-check {M.name}")
-    sys.exit(EXIT_PASS if ok else EXIT_FAIL)
+    run.finish(ok, f"module-check {M.name}")
 
 
 @main.command("acover")
-@click.option("--preset", type=click.Choice(mod.PRESET_NAMES))
-@click.option("--module", "module_file", type=click.Path())
+@_module_source
 @click.option("--window", type=int, default=7, show_default=True,
               help="weight window radius for rank certification")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_acover(preset, module_file, window, seed, emit):
     """Build the A-cover, certify cuspidality, and check pi."""
     M = _load_module(preset, module_file)
@@ -223,21 +224,17 @@ def cmd_acover(preset, module_file, window, seed, emit):
         ok = ok and psr["passed"]
     except cover_mod.InconclusiveError as e:
         run.record({"kind": "inconclusive", "detail": str(e)})
-        run.flush()
-        _summary(False, f"acover {M.name} (inconclusive)")
-        sys.exit(EXIT_INCONCLUSIVE)
+        run.finish(False, f"acover {M.name} (inconclusive)", EXIT_INCONCLUSIVE)
     except (cover_mod.CoverError, ModuleError) as e:
         raise click.UsageError(str(e))
-    run.flush()
-    _summary(ok, f"acover {M.name}")
-    sys.exit(EXIT_PASS if ok else EXIT_FAIL)
+    run.finish(ok, f"acover {M.name}")
 
 
 @main.command("derham")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--beta", default=None, help="comma-separated rationals")
 @click.option("--window", type=int, default=2, show_default=True)
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_derham(n, beta, window, emit):
     """Homology table of the de Rham complex plus chain checks."""
     if n < 1:
@@ -251,9 +248,7 @@ def cmd_derham(n, beta, window, emit):
                     "ranks": ranks})
     chain = mod.check_de_rham_chain(n, bvec, mbox=min(window, 2))
     run.record(chain.to_json())
-    run.flush()
-    _summary(chain.passed, f"derham n={n} beta={beta or '0'}")
-    sys.exit(EXIT_PASS if chain.passed else EXIT_FAIL)
+    run.finish(chain.passed, f"derham n={n} beta={beta or '0'}")
 
 
 def _load_jets_rep(path: str) -> mod.JPlusRepData:
@@ -275,7 +270,7 @@ def _load_jets_rep(path: str) -> mod.JPlusRepData:
               help="jet-algebra representation JSON")
 @click.option("--beta", required=True)
 @click.option("--window", type=int, default=2, show_default=True)
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_jets(rep_file, beta, window, emit):
     """Build the jets module from a representation file and check it."""
     rho = _load_jets_rep(rep_file)
@@ -287,10 +282,7 @@ def cmd_jets(rep_file, beta, window, emit):
     run.record({"kind": "jets", "module": mod.module_to_json(M)})
     run.record(axioms.to_json())
     run.record(aw.to_json())
-    run.flush()
-    ok = axioms.passed and aw.passed
-    _summary(ok, f"jets n={rho.n} dim={rho.dim}")
-    sys.exit(EXIT_PASS if ok else EXIT_FAIL)
+    run.finish(axioms.passed and aw.passed, f"jets n={rho.n} dim={rho.dim}")
 
 
 @main.command("twist")
@@ -299,7 +291,7 @@ def cmd_jets(rep_file, beta, window, emit):
 @click.option("--g", "gtext", required=True,
               help="unimodular integer matrix, rows separated by ';'")
 @click.option("--window", type=int, default=1, show_default=True)
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_twist(module_file, gtext, window, emit):
     """Twist a W_n module by a torus automorphism."""
     M = _load_module(None, module_file)
@@ -316,16 +308,13 @@ def cmd_twist(module_file, gtext, window, emit):
     axioms = mod.check_module_axioms(T, window=window)
     run.record({"kind": "twist", "module": mod.module_to_json(T)})
     run.record(axioms.to_json())
-    run.flush()
-    _summary(axioms.passed, "twist")
-    sys.exit(EXIT_PASS if axioms.passed else EXIT_FAIL)
+    run.finish(axioms.passed, "twist")
 
 
 @main.command("dual")
-@click.option("--preset", type=click.Choice(mod.PRESET_NAMES))
-@click.option("--module", "module_file", type=click.Path())
+@_module_source
 @click.option("--window", type=int, default=2, show_default=True)
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
+@_emit
 def cmd_dual(preset, module_file, window, emit):
     """Graded dual of a module, with axiom check and double-dual round trip."""
     M = _load_module(preset, module_file)
@@ -338,10 +327,7 @@ def cmd_dual(preset, module_file, window, emit):
     run.record({"kind": "dual", "module": mod.module_to_json(D)})
     run.record(axioms.to_json())
     run.record({"kind": "double_dual", "round_trip": round_trip})
-    run.flush()
-    ok = axioms.passed and round_trip
-    _summary(ok, f"dual {M.name}")
-    sys.exit(EXIT_PASS if ok else EXIT_FAIL)
+    run.finish(axioms.passed and round_trip, f"dual {M.name}")
 
 
 if __name__ == "__main__":

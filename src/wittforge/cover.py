@@ -18,6 +18,7 @@ raises InconclusiveError — never a silent wrong answer.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 from . import linalg
 from .lie import Rank1Algebra, WnAlgebra
 from .modules import (ActionTerm, ModuleError, ModuleVector, PolyWeightModule,
-                      act, eval_poly)
+                      act)
 from .scalars import PolyContext, PolyScalar, is_zero_scalar, scalar_str
 
 
@@ -58,9 +59,16 @@ def base_degree(M: PolyWeightModule) -> int:
 
 def degree_ceiling(initial: int) -> int:
     env = os.environ.get("WITTFORGE_DEGREE_CEILING")
-    if env is not None:
-        return int(env)
-    return 4 * initial
+    if env is None:
+        return 4 * initial
+    try:
+        ceiling = int(env)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise CoverError(f"WITTFORGE_DEGREE_CEILING must be a positive "
+                         f"integer, got {env!r}")
+    return ceiling
 
 
 class QuasiPolyVector:
@@ -155,20 +163,34 @@ def _constraint_modes(M: PolyWeightModule, w: int, p: int) -> set:
     return out
 
 
-def _interpolate(values: Mapping[int, object]) -> PolyScalar:
-    """Exact Lagrange interpolation through the given (mode, value) pairs."""
-    mvar = _MCTX.sym("m")
-    total = _MCTX.zero()
-    nodes = sorted(values)
-    for xi in nodes:
-        num = _MCTX.const(values[xi])
-        den = Fraction(1)
-        for xj in nodes:
-            if xj == xi:
-                continue
-            num = num * (mvar - Fraction(xj))
-            den = den * Fraction(xi - xj)
-        total = total + num * (1 / den)
+def _interpolate(samples: Mapping[tuple, object],
+                 nodes: Sequence[Sequence[int]], ctx: PolyContext) -> PolyScalar:
+    """Exact tensor-product Lagrange interpolation, one node list per symbol
+    of ctx, through samples keyed by integer points. The samples on the grid
+    nodes[0] x nodes[1] x ... fix the polynomial; every other sample must
+    agree with it, or DegreeBoundError is raised."""
+    numerators = {}  # (symbol, node) -> product of (symbol - other node)
+    total = ctx.zero()
+    for point in itertools.product(*nodes):
+        val = samples[point]
+        if is_zero_scalar(val):
+            continue
+        term = ctx.const(1)
+        for sym, axis, xi in zip(ctx.symbols, nodes, point):
+            if (sym, xi) not in numerators:
+                x = ctx.sym(sym)
+                numerators[(sym, xi)] = math.prod(
+                    (x - xj for xj in axis if xj != xi), start=ctx.const(1))
+            term = term * numerators[(sym, xi)]
+            val = val / math.prod(xi - xj for xj in axis if xj != xi)
+        total = total + term * val
+    for point, val in samples.items():
+        on_grid = all(xi in axis for xi, axis in zip(point, nodes))
+        if not on_grid and not is_zero_scalar(
+                total.specialize(dict(zip(ctx.symbols, point))) - val):
+            raise DegreeBoundError(
+                f"samples are not polynomial of degree "
+                f"{[len(axis) - 1 for axis in nodes]}: mismatch at {point}")
     return total
 
 
@@ -197,15 +219,9 @@ def qpv_from_function(M: PolyWeightModule, w: int,
         return out
 
     table = {m: components(m) for m in samples}
-    poly = {}
-    for lab in M.fiber:
-        p = _interpolate({m: table[m][lab] for m in samples[:degree + 1]})
-        for m in samples[degree + 1:]:
-            got = p.specialize({"m": Fraction(m)})
-            if not is_zero_scalar(got - table[m][lab]):
-                raise DegreeBoundError(
-                    f"degree bound {degree} too small for label {lab!r}")
-        poly[lab] = p
+    poly = {lab: _interpolate({(m,): table[m][lab] for m in samples},
+                              [samples[:degree + 1]], _MCTX)
+            for lab in M.fiber}
     overrides = {}
     for m in sorted(exc):
         comp = components(m)
@@ -329,33 +345,28 @@ def _from_coordinates(M: PolyWeightModule, w: int, row, degree: int,
     return QuasiPolyVector(M, w, poly, overrides)
 
 
-def span_basis(vectors: Sequence[QuasiPolyVector]):
-    """Row-echelon basis of the span, with the shared coordinate frame."""
+def span_basis(vectors: Sequence[QuasiPolyVector]) -> list:
+    """Row-echelon basis of the span."""
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
-        return [], (0, [])
+        return []
     M = vectors[0].module
     w = vectors[0].weight
     degree, modes = _common_frame(vectors)
     rows = [_coordinates(_extend_overrides(v, modes), degree, modes)
             for v in vectors]
     ech, pivots = linalg.row_echelon(rows)
-    basis = [_from_coordinates(M, w, r, degree, modes)
-             for r in ech[:len(pivots)]]
-    return basis, (degree, modes)
+    return [_from_coordinates(M, w, r, degree, modes)
+            for r in ech[:len(pivots)]]
 
 
-def coords_in_basis(v: QuasiPolyVector, basis, frame):
-    """Coefficients of v over the echelon basis, or None if outside."""
-    degree, modes = frame
-    vdeg, vmodes = _common_frame([v])
-    if vdeg > degree or any(m not in modes for m in vmodes):
-        # target needs slots the basis does not span
-        degree = max(degree, vdeg)
-        modes = sorted(set(modes) | set(vmodes))
-    rows = [_coordinates(_extend_overrides(b, modes), degree, modes)
-            for b in basis]
-    target = _coordinates(_extend_overrides(v, modes), degree, modes)
+def expand_in_family(v: QuasiPolyVector, family: Sequence[QuasiPolyVector]):
+    """Coefficients of v over a linearly independent family, or None if v
+    is outside its span."""
+    deg, modes = _common_frame(list(family) + [v])
+    rows = [_coordinates(_extend_overrides(b, modes), deg, modes)
+            for b in family]
+    target = _coordinates(_extend_overrides(v, modes), deg, modes)
     return linalg.solve_in_span(rows, target)
 
 
@@ -366,7 +377,6 @@ def coords_in_basis(v: QuasiPolyVector, basis, frame):
 class CoverWeightSpace:
     weight: int
     basis: list
-    frame: tuple
     witnesses: dict = field(default_factory=dict)  # PsiGenerator -> coords
 
     @property
@@ -409,10 +419,10 @@ def _generator_pool(M: PolyWeightModule, w: int) -> list:
 def cover_basis(M: PolyWeightModule, w: int) -> CoverWeightSpace:
     gens = _generator_pool(M, w)
     vectors = [psi_evaluate(M, g) for g in gens]
-    basis, frame = span_basis(vectors)
-    space = CoverWeightSpace(w, basis, frame)
+    basis = span_basis(vectors)
+    space = CoverWeightSpace(w, basis)
     for g, v in zip(gens, vectors):
-        coords = coords_in_basis(v, basis, frame)
+        coords = expand_in_family(v, basis)
         if coords is None:
             raise CoverError(f"generator {g} escaped its own span")
         space.witnesses[g] = coords
@@ -480,14 +490,14 @@ def induced_action(C: CoverModule, p: int, w: int) -> ActionMatrices:
     lie_cols, a_cols = [], []
     for b in src.basis:
         eb = lie_action(b, p)
-        coords = coords_in_basis(eb, tgt.basis, tgt.frame)
+        coords = expand_in_family(eb, tgt.basis)
         if coords is None:
             raise CoverError(
                 f"e_{p} image of a weight-{w} basis vector is outside the "
                 f"weight-{w + p} cover basis")
         lie_cols.append(coords)
         tb = a_action(b, p)
-        coords = coords_in_basis(tb, tgt.basis, tgt.frame)
+        coords = expand_in_family(tb, tgt.basis)
         if coords is None:
             raise CoverError(
                 f"t^{p} image of a weight-{w} basis vector is outside the "
@@ -543,8 +553,9 @@ def cuspidality_certificate(C: CoverModule, window: Sequence[int]
 
 
 def pi_surjectivity_check(C: CoverModule, w: int, kbox: int = 4) -> dict:
-    """Compare the rank of pi on the weight-w cover basis against the rank
-    of the algebra's action landing in the weight-w space of M."""
+    """Check that the algebra's action landing in the weight-w space of M
+    (generators e_k with |k| <= kbox) lies in the span of pi on the
+    weight-w cover basis; both ranks are reported."""
     M = C.module
     space = C.weight_space(w)
     labels = list(M.fiber)
@@ -552,16 +563,18 @@ def pi_surjectivity_check(C: CoverModule, w: int, kbox: int = 4) -> dict:
     def as_row(vec: ModuleVector):
         return [vec.terms.get(((w,), lab), Fraction(0)) for lab in labels]
 
-    pi_rows = [as_row(pi_map(b)) for b in space.basis]
-    pi_rank = linalg.rank(pi_rows) if pi_rows else 0
+    ech, pivots = linalg.row_echelon([as_row(pi_map(b)) for b in space.basis])
+    pi_span = ech[:len(pivots)]
     act_rows = []
     for k in range(-kbox, kbox + 1):
         for lab in M.labels_at((w - k,)):
             v = act(M.algebra.basis((k,)), M.basis_vector((w - k,), lab))
             act_rows.append(as_row(v))
-    act_rank = linalg.rank(act_rows) if act_rows else 0
-    return {"weight": w, "pi_rank": pi_rank, "action_rank": act_rank,
-            "surjective_onto_action": pi_rank >= act_rank}
+    return {"weight": w, "pi_rank": len(pivots),
+            "action_rank": linalg.rank(act_rows),
+            "surjective_onto_action": all(
+                linalg.solve_in_span(pi_span, row) is not None
+                for row in act_rows)}
 
 
 def pi_homomorphism_check(C: CoverModule, w: int, pbox: int = 2) -> bool:
@@ -581,59 +594,17 @@ def pi_homomorphism_check(C: CoverModule, w: int, pbox: int = 2) -> bool:
 # -- emission as a weight module ------------------------------------------------
 
 
-def _bivariate_interpolate(samples: Mapping, dm: int, ds: int,
-                           ctx: PolyContext) -> PolyScalar:
-    """Exact interpolation of f(p, w) on a (dm+1) x (ds+1) grid of samples,
-    keyed (p, w); extra samples are used as verification points."""
-    mvar, svar = ctx.sym("m"), ctx.sym("s")
-    ps = sorted({p for p, _ in samples})
-    ws = sorted({w for _, w in samples})
-    grid_p, grid_w = ps[:dm + 1], ws[:ds + 1]
-    total = ctx.zero()
-    for pi in grid_p:
-        for wi in grid_w:
-            num = ctx.const(samples[(pi, wi)])
-            den = Fraction(1)
-            for pj in grid_p:
-                if pj != pi:
-                    num = num * (mvar - Fraction(pj))
-                    den = den * Fraction(pi - pj)
-            for wj in grid_w:
-                if wj != wi:
-                    num = num * (svar - Fraction(wj))
-                    den = den * Fraction(wi - wj)
-            total = total + num * (1 / den)
-    for (p, w), val in samples.items():
-        got = total.specialize({"m": Fraction(p), "s": Fraction(w)})
-        if not is_zero_scalar(got - val):
-            raise DegreeBoundError(
-                f"induced action entry is not polynomial of degree "
-                f"({dm},{ds}) at sample ({p},{w})")
-    return total
-
-
-def emit_induced_module(C: CoverModule, degree: int | None = None,
-                        verify: int = 2) -> PolyWeightModule:
+def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     """Package the induced Lie action as a PolyWeightModule with fiber
     b1..br: entries are interpolated in (generator exponent, weight) on a
     sample grid away from the source module's exceptional weights and
     verified on the spare samples."""
-    M = C.module
-    d = degree if degree is not None else base_degree(M) + 2
-    ceiling = degree_ceiling(d)
-    while True:
-        try:
-            return _emit_at_degree(C, d, verify)
-        except DegreeBoundError:
-            if d >= ceiling:
-                raise InconclusiveError(
-                    f"induced action not polynomial up to the degree "
-                    f"ceiling {ceiling}")
-            d = min(2 * d, ceiling)
+    return _adaptive(C.module, lambda d: _emit_at_degree(C, d))
 
 
-def _emit_at_degree(C: CoverModule, d: int, verify: int) -> PolyWeightModule:
+def _emit_at_degree(C: CoverModule, d: int) -> PolyWeightModule:
     M = C.module
+    verify = 2
     exc = sorted(abs(off[0]) for off in M.exceptional_offsets())
     start = (exc[-1] if exc else 0) + 1 + d + verify
     ws = list(range(start, start + d + 1 + verify))
@@ -654,7 +625,8 @@ def _emit_at_degree(C: CoverModule, d: int, verify: int) -> PolyWeightModule:
     terms = []
     for isrc in range(rank):
         for itgt in range(rank):
-            poly = _bivariate_interpolate(samples[(isrc, itgt)], d, d, ctx)
+            poly = _interpolate(samples[(isrc, itgt)],
+                                [ps[:d + 1], ws[:d + 1]], ctx)
             if not poly.is_zero():
                 terms.append(ActionTerm(1, labels[isrc], labels[itgt], poly))
     return PolyWeightModule(M.algebra, M.beta, labels, terms,
@@ -738,16 +710,6 @@ def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
 
 
 # -- the adjoint-module cover in closed-form coordinates ------------------------
-
-
-def expand_in_family(v: QuasiPolyVector, family: Sequence[QuasiPolyVector]):
-    """Coefficients of v over an arbitrary (not necessarily echelon) family,
-    or None if v is outside its span."""
-    deg, modes = _common_frame(list(family) + [v])
-    rows = [_coordinates(_extend_overrides(b, modes), deg, modes)
-            for b in family]
-    target = _coordinates(_extend_overrides(v, modes), deg, modes)
-    return linalg.solve_in_span(rows, target)
 
 
 def adjoint_cover_frame(V: PolyWeightModule, j: int) -> list:

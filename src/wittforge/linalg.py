@@ -94,15 +94,9 @@ def matrix_mul(a, b):
              for col in zip(*b)] for row in a]
 
 
-def matrix_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        if any(x != y for x, y in zip(ra, rb)):
-            return False
-    return True
+def matrix_add(a, b, c=1):
+    """a + c*b, entrywise."""
+    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def int_matrix_det(m) -> int:

@@ -34,28 +34,6 @@ class ModuleError(Exception):
     pass
 
 
-def eval_poly(poly: PolyScalar, mapping: Mapping[str, object]):
-    """Evaluate a polynomial by substituting every symbol from `mapping`.
-
-    Values may be base scalars or PolyScalars of some other context; the
-    result type follows the values. Every symbol actually used must be
-    mapped.
-    """
-    total = None
-    for expo, coef in poly.terms.items():
-        term = coef
-        for sym, e in zip(poly.ctx.symbols, expo):
-            if not e:
-                continue
-            if sym not in mapping:
-                raise ModuleError(f"no value for symbol {sym!r}")
-            term = term * mapping[sym] ** e
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
-
-
 @dataclass(frozen=True)
 class Constraint:
     """Affine condition sum_i m_coeffs[i]*m_i + sum_i s_coeffs[i]*s_i == const,
@@ -109,6 +87,18 @@ class PolyWeightModule:
         for t in self.terms:
             if t.src not in self.fiber or t.tgt not in self.fiber:
                 raise ModuleError(f"action term uses unknown fiber label: {t}")
+            if not 1 <= t.direction <= self.n:
+                raise ModuleError(f"action term direction {t.direction} is "
+                                  f"not in 1..{self.n}")
+            c = t.constraint
+            if c is not None and not len(c.m_coeffs) == len(c.s_coeffs) == self.n:
+                raise ModuleError(f"constraint coefficients must have arity "
+                                  f"{self.n}: {c}")
+        unknown = ({lab for _, labels in self.punctures for lab in labels}
+                   | set(self.restricted_support)) - set(self.fiber)
+        if unknown:
+            raise ModuleError(f"punctures or restricted support use unknown "
+                              f"fiber labels: {sorted(unknown)}")
         self._by_dir_src: dict = {}
         for t in self.terms:
             self._by_dir_src.setdefault((t.direction, t.src), []).append(t)
@@ -283,7 +273,7 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
                 for sym in term.poly.symbols_used():
                     if sym not in mapping:
                         mapping[sym] = term.poly.ctx.sym(sym)
-                coeff = eval_poly(term.poly, mapping)
+                coeff = term.poly.specialize(mapping)
                 if is_zero_scalar(coeff):
                     continue
                 key = (new_off, term.tgt)
@@ -298,9 +288,10 @@ def apply_uea(u: UEAElement, M: PolyWeightModule, weight,
 
     `u` lives over a symbolic rank-1 algebra; `weight` is the absolute
     weight of the starting vector (a scalar, typically a fresh symbol).
-    Constraint terms and punctures are excluded: results are the generic
-    coefficients, keyed by (absolute weight, src label, tgt label).
-    Returns a dict (src, tgt, weight) is folded as: {src: {(weight, tgt): coeff}}.
+    Constraint terms and punctures are excluded, so the results are the
+    generic coefficients. Returns {src: {(weight, tgt): coeff}}: for each
+    generically supported source label, the nonzero coefficients of the
+    image, keyed by absolute weight and target label.
     """
     if M.n != 1:
         raise ModuleError("symbolic UEA application is rank-1 only")
@@ -327,7 +318,7 @@ def apply_uea(u: UEAElement, M: PolyWeightModule, weight,
                         for sym in term.poly.symbols_used():
                             if sym not in mapping:
                                 mapping[sym] = _lift_symbol(sym, mval)
-                        cc = eval_poly(term.poly, mapping)
+                        cc = term.poly.specialize(mapping)
                         if is_zero_scalar(cc):
                             continue
                         key = (w + mval, term.tgt)
@@ -350,27 +341,14 @@ def _lift_symbol(name: str, like):
 # -- gl_n and jet-algebra representation data ---------------------------------
 
 
-def _zero_matrix(dim):
-    return tuple((Fraction(0),) * dim for _ in range(dim))
-
-
 def _mat(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _mat_mul(a, b):
-    dim = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(dim)), Fraction(0))
-                       for j in range(dim)) for i in range(dim))
-
-
-def _mat_add(a, b, sign=1):
-    return tuple(tuple(x + sign * y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def _mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
+def _check_square(matrices: Mapping, dim: int):
+    for key, m in matrices.items():
+        if len(m) != dim or any(len(row) != dim for row in m):
+            raise ModuleError(f"matrix {key} is not {dim} x {dim}")
 
 
 class GLnRepData:
@@ -390,20 +368,21 @@ class GLnRepData:
         for p in range(1, n + 1):
             for a in range(1, n + 1):
                 m = matrices.get((p, a))
-                self.matrices[(p, a)] = _mat(m) if m is not None else _zero_matrix(dim)
+                self.matrices[(p, a)] = _mat(m if m is not None else [[0] * dim] * dim)
         self._validate()
 
     def _validate(self):
         n = self.n
+        _check_square(self.matrices, self.dim)
         for p, q, r, s in itertools.product(range(1, n + 1), repeat=4):
-            lhs = _mat_add(_mat_mul(self.matrices[(p, q)], self.matrices[(r, s)]),
-                           _mat_mul(self.matrices[(r, s)], self.matrices[(p, q)]), -1)
-            rhs = _zero_matrix(self.dim)
+            a, b = self.matrices[(p, q)], self.matrices[(r, s)]
+            res = linalg.matrix_add(linalg.matrix_mul(a, b),
+                                    linalg.matrix_mul(b, a), -1)
             if q == r:
-                rhs = _mat_add(rhs, self.matrices[(p, s)])
+                res = linalg.matrix_add(res, self.matrices[(p, s)], -1)
             if s == p:
-                rhs = _mat_add(rhs, self.matrices[(r, q)], -1)
-            if lhs != rhs:
+                res = linalg.matrix_add(res, self.matrices[(r, q)])
+            if any(any(row) for row in res):
                 raise ModuleError(
                     f"gl_{n} relations fail for [E_{p}{q}, E_{r}{s}]")
 
@@ -481,25 +460,26 @@ class JPlusRepData:
     def rho(self, k: tuple, j: int):
         if any(x < 0 for x in k) or sum(k) < 1:
             raise ModuleError(f"invalid jet exponent {k}")
-        return self.matrices.get((k, j), _zero_matrix(self.dim))
+        return self.matrices.get((k, j), _mat([[0] * self.dim] * self.dim))
 
     def _validate(self):
+        _check_square(self.matrices, self.dim)
         exps = [k for k in itertools.product(range(self.cutoff + 1), repeat=self.n)
                 if 1 <= sum(k) <= self.cutoff]
         for k, l in itertools.product(exps, repeat=2):
             for i, j in itertools.product(range(1, self.n + 1), repeat=2):
                 a, b = self.rho(k, i), self.rho(l, j)
-                lhs = _mat_add(_mat_mul(a, b), _mat_mul(b, a), -1)
-                rhs = _zero_matrix(self.dim)
+                res = linalg.matrix_add(linalg.matrix_mul(a, b),
+                                        linalg.matrix_mul(b, a), -1)
                 if l[i - 1]:
                     e_i = tuple(int(t == i - 1) for t in range(self.n))
                     kl = tuple(x + y - z for x, y, z in zip(k, l, e_i))
-                    rhs = _mat_add(rhs, _mat_scale(Fraction(l[i - 1]), self.rho(kl, j)))
+                    res = linalg.matrix_add(res, self.rho(kl, j), -l[i - 1])
                 if k[j - 1]:
                     e_j = tuple(int(t == j - 1) for t in range(self.n))
                     kl = tuple(x + y - z for x, y, z in zip(k, l, e_j))
-                    rhs = _mat_add(rhs, _mat_scale(Fraction(-k[j - 1]), self.rho(kl, i)))
-                if lhs != rhs:
+                    res = linalg.matrix_add(res, self.rho(kl, i), k[j - 1])
+                if any(any(row) for row in res):
                     raise ModuleError(
                         f"jet relations fail for [t^{k} d_{i}, t^{l} d_{j}]")
 
@@ -743,12 +723,8 @@ def graded_dual(M: PolyWeightModule) -> PolyWeightModule:
     terms = []
     for t in M.terms:
         ctx = t.poly.ctx
-        mapping = {}
-        for sym in t.poly.symbols_used():
-            mapping[sym] = ctx.sym(sym)
-        for ms, ss in zip(msyms, ssyms):
-            mapping[ss] = -ctx.sym(ss) - ctx.sym(ms)
-        poly = -eval_poly(t.poly, mapping)
+        poly = -t.poly.substitute({ss: -ctx.sym(ss) - ctx.sym(ms)
+                                   for ms, ss in zip(msyms, ssyms)})
         constraint = None
         if t.constraint is not None:
             c = t.constraint
@@ -784,17 +760,10 @@ def twist(M: PolyWeightModule, g: LatticeAutomorphism) -> PolyWeightModule:
     terms = []
     for t in M.terms:
         ctx = t.poly.ctx
-        mapping = {sym: ctx.sym(sym) for sym in t.poly.symbols_used()}
-        for i in range(n):
-            gm = ctx.zero()
-            gs = ctx.zero()
-            for j in range(n):
-                if g.matrix[i][j]:
-                    gm = gm + g.matrix[i][j] * ctx.sym(msyms[j])
-                    gs = gs + g.matrix[i][j] * ctx.sym(ssyms[j])
-            mapping[msyms[i]] = gm
-            mapping[ssyms[i]] = gs
-        base = eval_poly(t.poly, mapping)
+        base = t.poly.substitute({
+            syms[i]: sum((g.matrix[i][j] * ctx.sym(syms[j]) for j in range(n)),
+                         ctx.zero())
+            for syms in (msyms, ssyms) for i in range(n)})
         constraint = None
         if t.constraint is not None:
             c = t.constraint
@@ -883,7 +852,7 @@ def _generic_action_matrix(M: PolyWeightModule, direction: int,
             for sym in t.poly.symbols_used():
                 if sym not in mapping:
                     raise ModuleError(f"unmapped symbol {sym!r}")
-            val = eval_poly(t.poly, mapping)
+            val = t.poly.specialize(mapping)
             key = (src, t.tgt)
             out[key] = out.get(key, 0) + val
     return out

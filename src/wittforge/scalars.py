@@ -442,47 +442,31 @@ class PolyScalar:
 
     # -- substitution -----------------------------------------------------
 
-    def specialize(self, assignment: Mapping[str, BaseScalar]) -> BaseScalar:
-        """Full evaluation at base-field values; every used symbol must be
-        assigned."""
-        missing = self.symbols_used() - set(assignment)
-        if missing:
-            raise MissingSymbolError(
-                f"no value for symbol(s): {', '.join(sorted(missing))}"
-            )
-        vals = []
-        for name in self.ctx.symbols:
-            v = assignment.get(name, 0)
-            vals.append(Fraction(v) if isinstance(v, int) else v)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for i, p in enumerate(e):
-                if p:
-                    term = term * vals[i] ** p
-            total = total + term
-        return total
+    def specialize(self, mapping: Mapping[str, object]):
+        """Evaluate by substituting every used symbol from `mapping`.
+
+        Values may be base scalars or PolyScalars of any context; the result
+        type follows the values, and a constant polynomial gives its base
+        coefficient.
+        """
+        total = None
+        for expo, coeff in self.terms.items():
+            term = coeff
+            for sym, e in zip(self.ctx.symbols, expo):
+                if not e:
+                    continue
+                if sym not in mapping:
+                    raise MissingSymbolError(f"no value for symbol {sym!r}")
+                term = term * mapping[sym] ** e
+            total = term if total is None else total + term
+        return Fraction(0) if total is None else total
 
     def substitute(self, mapping: Mapping[str, "PolyScalar | BaseScalar"]) -> "PolyScalar":
-        """Replace symbols by polynomials (in this same context)."""
-        images = {}
-        for name, val in mapping.items():
-            if name not in self.ctx._index:
-                raise MissingSymbolError(name)
-            images[name] = self.ctx.const(val) if not isinstance(val, PolyScalar) else self._coerce(val)
-        result = self.ctx.zero()
-        for e, c in self.terms.items():
-            term = self.ctx.const(c)
-            for i, p in enumerate(e):
-                if not p:
-                    continue
-                name = self.ctx.symbols[i]
-                base = images.get(name, None)
-                if base is None:
-                    base = self.ctx.sym(name)
-                term = term * base ** p
-            result = result + term
-        return result
+        """Replace some symbols by polynomials of this same context (or by
+        scalars); the others stay."""
+        full = {name: self.ctx.sym(name) for name in self.symbols_used()}
+        full.update(mapping)
+        return self.ctx.const(self.specialize(full))
 
     # -- text form --------------------------------------------------------
 

@@ -94,6 +94,22 @@ class TestModuleCheck:
         res = invoke("module-check", "--module", str(f))
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["terms"][1].update(direction=5),
+        lambda d: d["punctures"].append({"offset": [1], "labels": ["x"]}),
+        lambda d: d["restricted_support"].update(x=[[0]]),
+        lambda d: d["terms"][1]["constraint"].update(m_coeffs=["1", "0"]),
+        lambda d: d["terms"][1]["constraint"].update(s_coeffs=[]),
+    ], ids=["direction", "puncture_label", "support_label",
+            "constraint_m_arity", "constraint_s_arity"])
+    def test_invalid_module_exits_two(self, tmp_path, corrupt):
+        data = module_to_json(build_preset("virasoro_adjoint"))
+        corrupt(data)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        res = invoke("module-check", "--module", str(f))
+        assert res.exit_code == 2
+
 
 class TestACover:
     def test_punctured(self):
@@ -111,6 +127,14 @@ class TestACover:
         res = invoke("acover", "--preset", "feigin_fuks_length2",
                      "--window", "1")
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("ceiling", ["abc", "0", "-3", "2.5"])
+    def test_bad_degree_ceiling_exits_two(self, monkeypatch, ceiling):
+        monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", ceiling)
+        res = invoke("acover", "--preset", "punctured_functions",
+                     "--window", "1")
+        assert res.exit_code == 2
+        assert "WITTFORGE_DEGREE_CEILING" in res.output
 
 
 class TestDeRham:
@@ -146,6 +170,14 @@ class TestJets:
         res = invoke("jets", "--rep", str(f), "--beta", "0")
         assert res.exit_code == 2
 
+    def test_non_square_rep_exits_two(self, tmp_path):
+        rep = {"n": 1, "dim": 2, "cutoff": 1,
+               "matrices": [{"k": [1], "j": 1, "matrix": [[0, 1]]}]}
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps(rep))
+        res = invoke("jets", "--rep", str(f), "--beta", "1/2")
+        assert res.exit_code == 2
+
 
 class TestTwistAndDual:
     def test_twist(self, tmp_path):
@@ -169,6 +201,28 @@ class TestTwistAndDual:
     def test_dual(self):
         res = invoke("dual", "--preset", "virasoro_adjoint")
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("command", ["dual", "twist"])
+    def test_constant_action_term(self, tmp_path, command):
+        # a constant coefficient makes the module fail its axioms, which
+        # must be reported as records, not as a crash
+        from fractions import Fraction
+        from wittforge.modules import natural_rep, tensor_field
+        if command == "dual":
+            data = module_to_json(build_preset("punctured_functions"))
+            extra = ()
+        else:
+            data = module_to_json(tensor_field(natural_rep(2),
+                                               (Fraction(0), Fraction(0))))
+            extra = ("--g", "1,1;0,1")
+        data["terms"].append({"direction": 1, "src": data["fiber"][0],
+                              "tgt": data["fiber"][0], "poly": "1"})
+        f = tmp_path / "const.json"
+        f.write_text(json.dumps(data))
+        res = invoke(command, "--module", str(f), *extra)
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code in (0, 1)
+        assert json_lines(res.stdout)
 
 
 class TestSummaryLine:
