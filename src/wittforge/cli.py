@@ -63,6 +63,9 @@ def _module_source(fn):
     return click.option("--preset", type=click.Choice(mod.PRESET_NAMES))(fn)
 
 
+# A window radius; a negative one would sample nothing and still report.
+_WINDOW = click.IntRange(min=0)
+
 _emit = click.option("--emit", type=click.Choice(["json", "csv"]),
                      default="json")
 
@@ -143,14 +146,15 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
         raise click.UsageError(str(e))
     for rec in report.records:
         run.record(rec.to_json())
-    run.finish(report.passed, f"identity m={m} r={r} mode={mode}")
+    label = "solenoidal" if solenoidal else mode
+    run.finish(report.passed, f"identity m={m} r={r} mode={label}")
 
 
 @main.command("annihilator")
 @_module_source
 @click.option("--m", "m", type=int, required=True,
               help="differentiator order")
-@click.option("--window", type=int, default=3, show_default=True)
+@click.option("--window", type=_WINDOW, default=3, show_default=True)
 @_emit
 def cmd_annihilator(preset, module_file, m, window, emit):
     """Certify whether the order-m differentiators kill a module."""
@@ -165,7 +169,7 @@ def cmd_annihilator(preset, module_file, m, window, emit):
 
 @main.command("module-check")
 @_module_source
-@click.option("--window", type=int, default=2, show_default=True)
+@click.option("--window", type=_WINDOW, default=2, show_default=True)
 @click.option("--aw", is_flag=True, help="also assert AW-compatibility")
 @_emit
 def cmd_module_check(preset, module_file, window, aw, emit):
@@ -185,7 +189,7 @@ def cmd_module_check(preset, module_file, window, aw, emit):
 
 @main.command("acover")
 @_module_source
-@click.option("--window", type=int, default=7, show_default=True,
+@click.option("--window", type=_WINDOW, default=7, show_default=True,
               help="weight window radius for rank certification")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_emit
@@ -233,7 +237,7 @@ def cmd_acover(preset, module_file, window, seed, emit):
 @main.command("derham")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--beta", default=None, help="comma-separated rationals")
-@click.option("--window", type=int, default=2, show_default=True)
+@click.option("--window", type=_WINDOW, default=2, show_default=True)
 @_emit
 def cmd_derham(n, beta, window, emit):
     """Homology table of the de Rham complex plus chain checks."""
@@ -269,7 +273,7 @@ def _load_jets_rep(path: str) -> mod.JPlusRepData:
 @click.option("--rep", "rep_file", type=click.Path(), required=True,
               help="jet-algebra representation JSON")
 @click.option("--beta", required=True)
-@click.option("--window", type=int, default=2, show_default=True)
+@click.option("--window", type=_WINDOW, default=2, show_default=True)
 @_emit
 def cmd_jets(rep_file, beta, window, emit):
     """Build the jets module from a representation file and check it."""
@@ -290,7 +294,7 @@ def cmd_jets(rep_file, beta, window, emit):
               help="W_n module JSON")
 @click.option("--g", "gtext", required=True,
               help="unimodular integer matrix, rows separated by ';'")
-@click.option("--window", type=int, default=1, show_default=True)
+@click.option("--window", type=_WINDOW, default=1, show_default=True)
 @_emit
 def cmd_twist(module_file, gtext, window, emit):
     """Twist a W_n module by a torus automorphism."""
@@ -313,7 +317,7 @@ def cmd_twist(module_file, gtext, window, emit):
 
 @main.command("dual")
 @_module_source
-@click.option("--window", type=int, default=2, show_default=True)
+@click.option("--window", type=_WINDOW, default=2, show_default=True)
 @_emit
 def cmd_dual(preset, module_file, window, emit):
     """Graded dual of a module, with axiom check and double-dual round trip."""

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import linalg
-from .lie import Rank1Algebra, WnAlgebra
+from .lie import WnAlgebra
 from .modules import (ActionTerm, ModuleError, ModuleVector, PolyWeightModule,
                       act)
 from .scalars import PolyContext, PolyScalar, is_zero_scalar, scalar_str

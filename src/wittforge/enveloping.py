@@ -116,8 +116,10 @@ def _find_descent(mono: Monomial, strategy: str):
     return None
 
 
-def _nf_monomial(algebra: Rank1Algebra, mono: Monomial, strategy: str) -> dict:
-    cache = _NF_CACHE.setdefault((algebra, strategy), {})
+def _nf_monomial(algebra: Rank1Algebra, mono: Monomial, strategy: str,
+                 cache: dict) -> dict:
+    """Normal form of one monomial, memoized in `cache`, the entry of
+    _NF_CACHE for (algebra, strategy)."""
 
     def rec(m: Monomial) -> dict:
         hit = cache.get(m)
@@ -150,9 +152,13 @@ def pbw_normal_form(x: UEAElement, strategy: str = "leftmost") -> UEAElement:
     """
     if strategy not in ("leftmost", "rightmost"):
         raise AlgebraError(f"unknown strategy {strategy!r}")
+    cache = _NF_CACHE.setdefault((x.algebra, strategy), {})
     terms: dict = {}
     for m, c in x.terms.items():
-        for mm, cc in _nf_monomial(x.algebra, m, strategy).items():
+        nf = cache.get(m)
+        if nf is None:
+            nf = _nf_monomial(x.algebra, m, strategy, cache)
+        for mm, cc in nf.items():
             val = terms.get(mm, 0) + c * cc
             terms[mm] = val
     return UEAElement(x.algebra, terms)
@@ -210,10 +216,13 @@ class IdentityReport:
 
 def _identity_lhs(algebra, m, r, k, s, p, q, h=None) -> UEAElement:
     """Double alternating sum of anticommutator differences of
-    differentiators (the left side of the quadratic identity)."""
+    differentiators (the left side of the quadratic identity).
+
+    The four concatenation products of every (i, j) term are summed into
+    one dict, and one element is built from it at the end."""
     if h is None:
         h = tuple(int(j == 0) for j in range(algebra.lattice.rank))
-    total = UEAElement(algebra, {})
+    terms: dict = {}
     for i in range(m + 1):
         for j in range(r + 1):
             sign = (-1) ** (i + j) * comb(m, i) * comb(r, j)
@@ -222,10 +231,13 @@ def _identity_lhs(algebra, m, r, k, s, p, q, h=None) -> UEAElement:
             om2 = differentiator(algebra, r, add_points(q, ih), add_points(p, jh), h)
             om3 = differentiator(algebra, m, sub_points(k, ih), sub_points(q, jh), h)
             om4 = differentiator(algebra, r, add_points(s, ih), add_points(p, jh), h)
-            part = (multiply(om1, om2) + multiply(om2, om1)
-                    - multiply(om3, om4) - multiply(om4, om3))
-            total = total + part.scale(sign)
-    return total
+            for x, y, c in ((om1, om2, sign), (om2, om1, sign),
+                            (om3, om4, -sign), (om4, om3, -sign)):
+                for mx, cx in x.terms.items():
+                    for my, cy in y.terms.items():
+                        mono = mx + my
+                        terms[mono] = terms.get(mono, 0) + c * cx * cy
+    return UEAElement(algebra, terms)
 
 
 def _identity_rhs(algebra, m, r, k, s, p, q, h=None) -> UEAElement:

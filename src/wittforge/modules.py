@@ -23,11 +23,11 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .enveloping import UEAElement, differentiator
-from .lie import (AlgebraError, LatticeAutomorphism, LieElement, Rank1Algebra,
-                  WnAlgebra, bracket, symbolic_witt_algebra, witt_algebra)
-from .scalars import (ContextMismatchError, PolyContext, PolyScalar,
-                      QuadExtScalar, format_rational, is_zero_scalar,
-                      parse_poly, parse_rational, parse_scalar, scalar_str)
+from .lie import (LatticeAutomorphism, LieElement, WnAlgebra, bracket,
+                  symbolic_witt_algebra, witt_algebra)
+from .scalars import (PolyContext, PolyScalar, QuadExtScalar, format_rational,
+                      is_zero_scalar, parse_poly, parse_rational, parse_scalar,
+                      scalar_str)
 
 
 class ModuleError(Exception):
@@ -281,8 +281,7 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     return ModuleVector(M, out)
 
 
-def apply_uea(u: UEAElement, M: PolyWeightModule, weight,
-              ctx: PolyContext | None = None) -> dict:
+def apply_uea(u: UEAElement, M: PolyWeightModule, weight) -> dict:
     """Generic symbolic application of an enveloping-algebra element to a
     fiber vector of symbolic weight.
 
@@ -1170,6 +1169,13 @@ def module_to_json(M: PolyWeightModule) -> dict:
     }
 
 
+def _text(value, field: str) -> str:
+    """A scalar field of a module file, which must be written as a string."""
+    if not isinstance(value, str):
+        raise ModuleError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def module_from_json(data: Mapping) -> PolyWeightModule:
     n = int(data["algebra"]["n"])
     if data["algebra"]["type"] == "wn":
@@ -1183,23 +1189,23 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
         msyms, ssyms = ("m",), ("s",)
     extra = set()
     for t in data["terms"]:
-        for tok in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", t["poly"]):
+        poly = _text(t["poly"], "poly")
+        for tok in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", poly):
             if tok != "sqrt" and tok not in msyms and tok not in ssyms:
                 extra.add(tok)
     ctx = PolyContext(tuple(sorted(extra)) + msyms + ssyms)
-    beta = []
-    for b in data["beta"]:
-        val = parse_scalar(b, ctx)
-        beta.append(val)
+    beta = [parse_scalar(_text(b, "beta"), ctx) for b in data["beta"]]
     terms = []
     for t in data["terms"]:
         c = t.get("constraint")
         constraint = None
         if c is not None:
             constraint = Constraint(
-                m_coeffs=tuple(parse_rational(x) for x in c["m_coeffs"]),
-                s_coeffs=tuple(parse_rational(x) for x in c["s_coeffs"]),
-                const=parse_rational(c["const"]))
+                m_coeffs=tuple(parse_rational(_text(x, "m_coeffs"))
+                               for x in c["m_coeffs"]),
+                s_coeffs=tuple(parse_rational(_text(x, "s_coeffs"))
+                               for x in c["s_coeffs"]),
+                const=parse_rational(_text(c["const"], "const")))
         terms.append(ActionTerm(int(t["direction"]), t["src"], t["tgt"],
                                 parse_poly(t["poly"], ctx), constraint))
     return PolyWeightModule(

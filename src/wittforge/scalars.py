@@ -2,12 +2,18 @@
 over them, and a quadratic extension Q(sqrt(d)).
 
 All values are immutable; operations are pure. Polynomials are kept in a
-canonical sparse form (no zero coefficients, graded-lex term order on the
-declared symbol order) so that equality is decidable by direct comparison.
+canonical sparse form so that equality is decidable by direct comparison:
+every key of `PolyScalar.terms` is an exponent tuple of the context's arity,
+and every value is a nonzero Fraction or QuadExtScalar, never an int.
+`PolyScalar.__init__` establishes this for outside input; ring operations
+whose results keep it by construction return through `PolyScalar._clean`.
+Products of polynomials whose coefficients are all integral multiply plain
+int numerators and wrap the sums back into Fractions.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -48,8 +54,8 @@ class QuadExtScalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d: int = 19):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
         object.__setattr__(self, "d", int(d))
 
     def __setattr__(self, name, value):
@@ -67,6 +73,8 @@ class QuadExtScalar:
         return NotImplemented
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExtScalar(self.a + other, self.b, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -87,9 +95,15 @@ class QuadExtScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExtScalar(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not o.b:
+            return QuadExtScalar(self.a * o.a, self.b * o.a, self.d)
+        if not self.b:
+            return QuadExtScalar(self.a * o.a, self.a * o.b, self.d)
         return QuadExtScalar(
             self.a * o.a + self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
@@ -252,6 +266,18 @@ class PolyScalar:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _clean(cls, ctx: PolyContext, terms: dict) -> "PolyScalar":
+        """Wrap `terms` without re-validating it. The caller guarantees the
+        canonical form: exponent tuples of the context's arity and nonzero
+        Fraction/QuadExtScalar values, as the ring operations produce from
+        canonical operands. Outside input goes through __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
 
@@ -272,23 +298,31 @@ class PolyScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         terms = dict(self.terms)
         for expo, coeff in o.terms.items():
             c = terms.get(expo)
             if c is None:
                 terms[expo] = coeff
+                continue
+            if (type(c) is Fraction and type(coeff) is Fraction
+                    and c.denominator == 1 == coeff.denominator):
+                c = Fraction(c.numerator + coeff.numerator)
             else:
                 c = c + coeff
-                if c:
-                    terms[expo] = c
-                else:
-                    del terms[expo]
-        return PolyScalar(self.ctx, terms)
+            if c:
+                terms[expo] = c
+            else:
+                del terms[expo]
+        return PolyScalar._clean(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar(self.ctx, {e: -c for e, c in self.terms.items()})
+        return PolyScalar._clean(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -300,24 +334,29 @@ class PolyScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, QuadExtScalar)):
+            # a scalar factor keeps every exponent and the term order
+            if not other:
+                return self.ctx.zero()
+            if type(other) is int and _integral(self.terms):
+                terms = {e: Fraction(c.numerator * other)
+                         for e, c in self.terms.items()}
+            else:
+                terms = {e: c * other for e, c in self.terms.items()}
+            return PolyScalar._clean(self.ctx, terms)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = terms.get(e)
-                if prev is None:
-                    terms[e] = c
-                else:
-                    c = prev + c
-                    if c:
-                        terms[e] = c
-                    else:
-                        del terms[e]
-        return PolyScalar(self.ctx, terms)
+        left, right = self.terms, o.terms
+        if _integral(left) and _integral(right):
+            # Fraction arithmetic normalizes by a gcd on every operation;
+            # integral coefficients multiply and add as plain ints.
+            terms = _mul_terms({e: c.numerator for e, c in left.items()},
+                               {e: c.numerator for e, c in right.items()})
+            terms = {e: Fraction(c) for e, c in terms.items()}
+        else:
+            terms = _mul_terms(left, right)
+        return PolyScalar._clean(self.ctx, terms)
 
     __rmul__ = __mul__
 
@@ -500,6 +539,32 @@ class PolyScalar:
 
     def __repr__(self):
         return f"PolyScalar({self!s})"
+
+
+def _integral(terms: dict) -> bool:
+    return all(type(c) is Fraction and c.denominator == 1
+               for c in terms.values())
+
+
+def _mul_terms(left: dict, right: dict) -> dict:
+    """Sparse product of two term dicts whose values form a ring without
+    zero divisors; a sum that cancels is deleted as soon as it does."""
+    terms: dict = {}
+    get = terms.get
+    add = operator.add
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            prev = get(e)
+            if prev is None:
+                terms[e] = c1 * c2
+            else:
+                c = prev + c1 * c2
+                if c:
+                    terms[e] = c
+                else:
+                    del terms[e]
+    return terms
 
 
 def _grlex_key(expo: tuple) -> tuple:

@@ -44,6 +44,12 @@ class TestVerifyIdentity:
                      "--solenoidal", "--n", "2", "--h-box", "1")
         assert res.exit_code == 0
 
+    def test_solenoidal_summary_names_its_mode(self):
+        res = invoke("verify-identity", "--m", "2", "--r", "2",
+                     "--solenoidal", "--n", "1", "--h-box", "1")
+        assert res.exit_code == 0
+        assert "# identity m=2 r=2 mode=solenoidal: PASS" in res.stderr
+
 
 class TestAnnihilator:
     def test_passing_order(self):
@@ -100,8 +106,11 @@ class TestModuleCheck:
         lambda d: d["restricted_support"].update(x=[[0]]),
         lambda d: d["terms"][1]["constraint"].update(m_coeffs=["1", "0"]),
         lambda d: d["terms"][1]["constraint"].update(s_coeffs=[]),
+        lambda d: d.update(beta=[0]),
+        lambda d: d["terms"][1]["constraint"].update(const=0),
     ], ids=["direction", "puncture_label", "support_label",
-            "constraint_m_arity", "constraint_s_arity"])
+            "constraint_m_arity", "constraint_s_arity", "numeric_beta",
+            "numeric_constraint"])
     def test_invalid_module_exits_two(self, tmp_path, corrupt):
         data = module_to_json(build_preset("virasoro_adjoint"))
         corrupt(data)
@@ -223,6 +232,36 @@ class TestTwistAndDual:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code in (0, 1)
         assert json_lines(res.stdout)
+
+
+def _window_args(command, tmp_path):
+    """Arguments that make `command` valid apart from its --window."""
+    from fractions import Fraction
+    from wittforge.modules import natural_rep, tensor_field
+    if command == "jets":
+        rep = {"n": 1, "dim": 2, "cutoff": 1,
+               "matrices": [{"k": [1], "j": 1, "matrix": [[0, 1], [0, 0]]}]}
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps(rep))
+        return ("--rep", str(f), "--beta", "1/2")
+    if command == "twist":
+        M = tensor_field(natural_rep(2), (Fraction(0), Fraction(0)))
+        f = tmp_path / "tf.json"
+        f.write_text(json.dumps(module_to_json(M)))
+        return ("--module", str(f), "--g", "1,1;0,1")
+    return {"annihilator": ("--preset", "punctured_functions", "--m", "3"),
+            "module-check": ("--preset", "punctured_functions"),
+            "acover": ("--preset", "punctured_functions"),
+            "derham": ("--n", "2"),
+            "dual": ("--preset", "virasoro_adjoint")}[command]
+
+
+@pytest.mark.parametrize("command", ["annihilator", "module-check", "acover",
+                                     "derham", "jets", "twist", "dual"])
+def test_negative_window_exits_two(tmp_path, command):
+    res = invoke(command, *_window_args(command, tmp_path), "--window", "-1")
+    assert res.exit_code == 2
+    assert "--window" in res.output
 
 
 class TestSummaryLine:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittforge.scalars import (ContextMismatchError, MissingSymbolError,
-                               PolyContext, QuadExtScalar, format_rational,
-                               parse_poly, parse_rational, parse_scalar)
+                               PolyContext, PolyScalar, QuadExtScalar,
+                               format_rational, parse_poly, parse_rational,
+                               parse_scalar)
 
 CTX = PolyContext(("a", "b", "c"))
 
@@ -14,13 +15,42 @@ def rationals():
     return st.fractions(min_value=-50, max_value=50, max_denominator=7)
 
 
+def quadexts():
+    return st.builds(QuadExtScalar, rationals(),
+                     st.one_of(st.just(0), rationals()), st.just(19))
+
+
+EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+
+
 @st.composite
-def polys(draw):
-    terms = draw(st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
-        rationals(), max_size=4))
-    from wittforge.scalars import PolyScalar
+def polys(draw, coeffs=rationals()):
+    terms = draw(st.dictionaries(EXPONENTS, coeffs, max_size=4))
     return PolyScalar(CTX, terms)
+
+
+# integral, fractional and Q(sqrt(19)) coefficients
+MIXED_POLYS = st.one_of(polys(st.integers(-9, 9).map(Fraction)), polys(),
+                        polys(quadexts()))
+
+
+def _pair(c):
+    """A coefficient as (a, b) for a + b*sqrt(19)."""
+    if isinstance(c, QuadExtScalar):
+        return c.a, c.b
+    return Fraction(c), Fraction(0)
+
+
+def _reference_product(p, q):
+    """Schoolbook product on dicts of Fraction pairs."""
+    out: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            (a1, b1), (a2, b2) = _pair(c1), _pair(c2)
+            e = tuple(x + y for x, y in zip(e1, e2))
+            a, b = out.get(e, (Fraction(0), Fraction(0)))
+            out[e] = (a + a1 * a2 + 19 * b1 * b2, b + a1 * b2 + b1 * a2)
+    return {e: ab for e, ab in out.items() if ab != (0, 0)}
 
 
 class TestRationals:
@@ -47,6 +77,41 @@ class TestQuadExt:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             1 / QuadExtScalar(0, 0, 19)
+
+
+class TestProductPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(MIXED_POLYS, MIXED_POLYS)
+    def test_product_matches_reference(self, p, q):
+        prod = p * q
+        assert {e: _pair(c) for e, c in prod.terms.items()} \
+            == _reference_product(p, q)
+        for expo, c in prod.terms.items():
+            assert type(c) in (Fraction, QuadExtScalar) and c
+            assert len(expo) == len(CTX.symbols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(MIXED_POLYS, st.one_of(st.integers(-5, 5), rationals(), quadexts()))
+    def test_scalar_factor_matches_reference(self, p, k):
+        for prod in (p * k, k * p):
+            assert {e: _pair(c) for e, c in prod.terms.items()} \
+                == _reference_product(p, CTX.const(k))
+            assert all(type(c) in (Fraction, QuadExtScalar) and c
+                       for c in prod.terms.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(quadexts(), quadexts(), st.booleans())
+    def test_quadext_product_with_rational_factor(self, x, y, rational_side):
+        # b == 0 on one side (or a plain rational) takes the short form
+        if rational_side:
+            y = QuadExtScalar(y.a, 0, 19)
+        full = QuadExtScalar(x.a * y.a + 19 * x.b * y.b,
+                             x.a * y.b + x.b * y.a, 19)
+        for prod in (x * y, y * x):
+            assert prod == full and hash(prod) == hash(full)
+        if rational_side:
+            for prod in (x * y.a, y.a * x):
+                assert prod == full and hash(prod) == hash(full)
 
 
 class TestPolyRing:
