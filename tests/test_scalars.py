@@ -53,6 +53,15 @@ def _reference_product(p, q):
     return {e: ab for e, ab in out.items() if ab != (0, 0)}
 
 
+def _reference_sum(p, q):
+    out: dict = {}
+    for poly in (p, q):
+        for e, c in poly.terms.items():
+            (a, b), (a1, b1) = out.get(e, (0, 0)), _pair(c)
+            out[e] = (a + a1, b + b1)
+    return {e: ab for e, ab in out.items() if ab != (0, 0)}
+
+
 class TestRationals:
     def test_format_round_trip(self):
         for x in [Fraction(0), Fraction(3), Fraction(-7, 2), Fraction(22, 7)]:
@@ -82,13 +91,13 @@ class TestQuadExt:
 class TestProductPaths:
     @settings(max_examples=150, deadline=None)
     @given(MIXED_POLYS, MIXED_POLYS)
-    def test_product_matches_reference(self, p, q):
-        prod = p * q
-        assert {e: _pair(c) for e, c in prod.terms.items()} \
-            == _reference_product(p, q)
-        for expo, c in prod.terms.items():
-            assert type(c) in (Fraction, QuadExtScalar) and c
-            assert len(expo) == len(CTX.symbols)
+    def test_sum_and_product_match_reference(self, p, q):
+        for result, reference in ((p * q, _reference_product(p, q)),
+                                  (p + q, _reference_sum(p, q))):
+            assert {e: _pair(c) for e, c in result.terms.items()} == reference
+            for expo, c in result.terms.items():
+                assert type(c) in (Fraction, QuadExtScalar) and c
+                assert len(expo) == len(CTX.symbols)
 
     @settings(max_examples=100, deadline=None)
     @given(MIXED_POLYS, st.one_of(st.integers(-5, 5), rationals(), quadexts()))
