@@ -9,6 +9,7 @@ records (deterministic ordering) plus a short summary line. Exit codes:
 from __future__ import annotations
 
 import csv as _csv
+import functools
 import io
 import json
 import sys
@@ -102,8 +103,20 @@ def _load_module(preset: str | None, module_file: str | None):
             data = json.load(f)
         return mod.module_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ModuleError, ScalarError) as e:
+            ZeroDivisionError, ModuleError, ScalarError) as e:
         raise click.UsageError(f"cannot load module file: {e}")
+
+
+def _module_errors(fn):
+    """A ModuleError from a checker is a usage error (exit 2), never a
+    refutation (exit 1)."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ModuleError as e:
+            raise click.UsageError(str(e))
+    return wrapper
 
 
 @click.group()
@@ -156,6 +169,7 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
               help="differentiator order")
 @click.option("--window", type=_WINDOW, default=3, show_default=True)
 @_emit
+@_module_errors
 def cmd_annihilator(preset, module_file, m, window, emit):
     """Certify whether the order-m differentiators kill a module."""
     M = _load_module(preset, module_file)
@@ -172,6 +186,7 @@ def cmd_annihilator(preset, module_file, m, window, emit):
 @click.option("--window", type=_WINDOW, default=2, show_default=True)
 @click.option("--aw", is_flag=True, help="also assert AW-compatibility")
 @_emit
+@_module_errors
 def cmd_module_check(preset, module_file, window, aw, emit):
     """Run the symbolic/window module-axiom suite on a module."""
     M = _load_module(preset, module_file)
@@ -265,7 +280,7 @@ def _load_jets_rep(path: str) -> mod.JPlusRepData:
                                 int(data["cutoff"]), mats,
                                 labels=data.get("labels"))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ModuleError) as e:
+            ZeroDivisionError, ModuleError) as e:
         raise click.UsageError(f"cannot load representation file: {e}")
 
 
@@ -275,6 +290,7 @@ def _load_jets_rep(path: str) -> mod.JPlusRepData:
 @click.option("--beta", required=True)
 @click.option("--window", type=_WINDOW, default=2, show_default=True)
 @_emit
+@_module_errors
 def cmd_jets(rep_file, beta, window, emit):
     """Build the jets module from a representation file and check it."""
     rho = _load_jets_rep(rep_file)
@@ -296,6 +312,7 @@ def cmd_jets(rep_file, beta, window, emit):
               help="unimodular integer matrix, rows separated by ';'")
 @click.option("--window", type=_WINDOW, default=1, show_default=True)
 @_emit
+@_module_errors
 def cmd_twist(module_file, gtext, window, emit):
     """Twist a W_n module by a torus automorphism."""
     M = _load_module(None, module_file)
@@ -304,10 +321,7 @@ def cmd_twist(module_file, gtext, window, emit):
         g = LatticeAutomorphism(rows)
     except (ValueError, AlgebraError) as e:
         raise click.UsageError(f"bad --g: {e}")
-    try:
-        T = mod.twist(M, g)
-    except ModuleError as e:
-        raise click.UsageError(str(e))
+    T = mod.twist(M, g)
     run = _Run(emit)
     axioms = mod.check_module_axioms(T, window=window)
     run.record({"kind": "twist", "module": mod.module_to_json(T)})
@@ -319,6 +333,7 @@ def cmd_twist(module_file, gtext, window, emit):
 @_module_source
 @click.option("--window", type=_WINDOW, default=2, show_default=True)
 @_emit
+@_module_errors
 def cmd_dual(preset, module_file, window, emit):
     """Graded dual of a module, with axiom check and double-dual round trip."""
     M = _load_module(preset, module_file)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -112,26 +112,6 @@ class QuasiPolyVector:
         return not self.poly and all(is_zero_scalar(v)
                                      for v in self.overrides.values())
 
-    def __add__(self, other: "QuasiPolyVector") -> "QuasiPolyVector":
-        if other.module is not self.module or other.weight != self.weight:
-            raise CoverError("mismatched quasi-polynomial vectors")
-        poly = dict(self.poly)
-        for lab, p in other.poly.items():
-            poly[lab] = poly[lab] + p if lab in poly else p
-        modes = self.override_modes() | other.override_modes()
-        overrides = {}
-        for m in modes:
-            for lab in self.module.fiber:
-                overrides[(m, lab)] = self.component(m, lab) + \
-                    other.component(m, lab)
-        return QuasiPolyVector(self.module, self.weight, poly, overrides)
-
-    def scale(self, c) -> "QuasiPolyVector":
-        return QuasiPolyVector(
-            self.module, self.weight,
-            {lab: c * p for lab, p in self.poly.items()},
-            {k: c * v for k, v in self.overrides.items()})
-
     def __repr__(self):
         parts = [f"{lab}: {p}" for lab, p in sorted(self.poly.items())]
         ov = {k: scalar_str(v) for k, v in sorted(self.overrides.items())
@@ -140,27 +120,29 @@ class QuasiPolyVector:
                 f" overrides={ov})")
 
 
-def _forced_modes(M: PolyWeightModule, w: int) -> set:
-    """Modes where the fiber of M at offset w+m is not generic."""
-    return {off[0] - w for off in M.exceptional_offsets()}
-
-
-def _constraint_modes(M: PolyWeightModule, w: int, p: int) -> set:
-    """Modes m where some constraint term can fire when the degree-p
-    generator acts on the value at offset w+m."""
+def _constraint_modes(M: PolyWeightModule, gen: tuple, src: tuple) -> set:
+    """Integer modes m where some constraint term fires when the generator
+    of exponent gen[0] + gen[1]*m acts on the vector at offset
+    src[0] + src[1]*m."""
     out = set()
     for t in M.terms:
         c = t.constraint
         if c is None:
             continue
         cm, cs = c.m_coeffs[0], c.s_coeffs[0]
-        if cs == 0:
+        # cm*(gen0 + gen1*m) + cs*(beta + src0 + src1*m) == const
+        slope = cm * gen[1] + cs * src[1]
+        if slope == 0:
             continue  # mode-independent; the generic samples see it
-        # cm*p + cs*(beta + w + m) == const
-        m = (Fraction(c.const) - cm * p - cs * (M.beta[0] + w)) / cs
+        m = (Fraction(c.const) - cm * gen[0] - cs * (M.beta[0] + src[0])) / slope
         if m.denominator == 1:
             out.add(int(m))
     return out
+
+
+def _first_clear_mode(modes) -> int:
+    """The first positive integer beyond |m| for every m in `modes`."""
+    return max((abs(m) for m in modes), default=0) + 1
 
 
 def _interpolate(samples: Mapping[tuple, object],
@@ -203,8 +185,8 @@ def qpv_from_function(M: PolyWeightModule, w: int,
     from the forced/extra modes. Interpolations are confirmed on `verify`
     additional samples; disagreement raises DegreeBoundError.
     """
-    exc = _forced_modes(M, w) | set(extra_modes)
-    start = max((abs(m) for m in exc), default=0) + 1
+    exc = {off[0] - w for off in M.exceptional_offsets()} | set(extra_modes)
+    start = _first_clear_mode(exc)
     samples = list(range(start, start + degree + 1 + verify))
 
     def components(m):
@@ -271,18 +253,7 @@ def psi_evaluate(M: PolyWeightModule, g: PsiGenerator) -> QuasiPolyVector:
     def fn(m):
         return act(M.algebra.basis((g.k + m,)), u)
 
-    extra = set()
-    for t in M.terms:
-        c = t.constraint
-        if c is None:
-            continue
-        cm, cs = c.m_coeffs[0], c.s_coeffs[0]
-        if cm == 0:
-            continue
-        # cm*(k+m) + cs*(beta + j) == const
-        m = (Fraction(c.const) - cs * (M.beta[0] + g.j)) / cm - g.k
-        if m.denominator == 1:
-            extra.add(int(m))
+    extra = _constraint_modes(M, (g.k, 1), (g.j, 0))
     return _adaptive(M, lambda d: qpv_from_function(M, w, fn, d, extra))
 
 
@@ -377,7 +348,6 @@ def expand_in_family(v: QuasiPolyVector, family: Sequence[QuasiPolyVector]):
 class CoverWeightSpace:
     weight: int
     basis: list
-    witnesses: dict = field(default_factory=dict)  # PsiGenerator -> coords
 
     @property
     def rank(self) -> int:
@@ -407,7 +377,7 @@ def _generator_pool(M: PolyWeightModule, w: int) -> list:
     coefficient family) plus every exceptional j."""
     d = base_degree(M)
     exc_offsets = sorted(off[0] for off in M.exceptional_offsets())
-    start = max((abs(j) for j in exc_offsets), default=0) + 1
+    start = _first_clear_mode(exc_offsets)
     js = list(range(start, start + d + 2)) + exc_offsets
     gens = []
     for j in js:
@@ -420,13 +390,10 @@ def cover_basis(M: PolyWeightModule, w: int) -> CoverWeightSpace:
     gens = _generator_pool(M, w)
     vectors = [psi_evaluate(M, g) for g in gens]
     basis = span_basis(vectors)
-    space = CoverWeightSpace(w, basis)
     for g, v in zip(gens, vectors):
-        coords = expand_in_family(v, basis)
-        if coords is None:
+        if expand_in_family(v, basis) is None:
             raise CoverError(f"generator {g} escaped its own span")
-        space.witnesses[g] = coords
-    return space
+    return CoverWeightSpace(w, basis)
 
 
 # -- induced action ------------------------------------------------------------
@@ -446,8 +413,7 @@ def lie_action(theta: QuasiPolyVector, p: int) -> QuasiPolyVector:
     for m0 in theta.override_modes():
         extra.add(m0)
         extra.add(m0 - p)
-    for m0 in _constraint_modes(M, w + p, p):
-        extra.add(m0)
+    extra |= _constraint_modes(M, (p, 0), (w + p, 1))
     deg_hint = base_degree(M) + max(
         (pp.total_degree() for pp in theta.poly.values()), default=0) + 1
 
@@ -605,8 +571,8 @@ def emit_induced_module(C: CoverModule) -> PolyWeightModule:
 def _emit_at_degree(C: CoverModule, d: int) -> PolyWeightModule:
     M = C.module
     verify = 2
-    exc = sorted(abs(off[0]) for off in M.exceptional_offsets())
-    start = (exc[-1] if exc else 0) + 1 + d + verify
+    start = _first_clear_mode(off[0] for off in M.exceptional_offsets()) \
+        + d + verify
     ws = list(range(start, start + d + 1 + verify))
     ps = list(range(-(d // 2) - 1, d // 2 + d % 2 + 1 + verify))
     rank = C.rank(ws[0])

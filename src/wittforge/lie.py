@@ -44,11 +44,6 @@ class IndexLattice:
     def rank(self) -> int:
         return len(self.generator_names)
 
-    def point(self, *coords: int) -> tuple:
-        if len(coords) != self.rank:
-            raise AlgebraError(f"expected {self.rank} coordinates, got {coords}")
-        return tuple(int(c) for c in coords)
-
     def zero(self) -> tuple:
         return (0,) * self.rank
 

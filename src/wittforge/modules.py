@@ -9,7 +9,8 @@ weight components and labels supported on finitely many weights.
 
 Symbolic checkers turn the module axioms into polynomial identities in the
 generator exponents and the weight; constraint lines and punctures are
-swept concretely on a finite window.
+swept concretely on one shared window, `PolyWeightModule.window`: the
+weights within a radius of zero or of an exceptional weight.
 """
 
 from __future__ import annotations
@@ -167,6 +168,17 @@ class PolyWeightModule:
         for supp in self.restricted_support.values():
             out |= supp
         return out
+
+    def window(self, radius: int) -> list:
+        """Sorted (offset, label, basis vector) cells of the concrete sweep:
+        the nonzero components at offsets within `radius` (in every
+        coordinate) of zero or of an exceptional offset."""
+        ring = list(itertools.product(range(-radius, radius + 1), repeat=self.n))
+        offsets = {tuple(o + d for o, d in zip(off, delta))
+                   for off in self.exceptional_offsets() | {(0,) * self.n}
+                   for delta in ring}
+        return [(off, lab, self.basis_vector(off, lab))
+                for off in sorted(offsets) for lab in self.labels_at(off)]
 
     # -- vectors -------------------------------------------------------------
 
@@ -833,6 +845,33 @@ def _generic_labels(M: PolyWeightModule) -> list:
     return [lab for lab in M.fiber if M.restricted_support.get(lab) is None]
 
 
+def _symbolic_frame(M: PolyWeightModule, names: Sequence[str]):
+    """Context of a symbolic check: the module's parameters followed by the
+    checker's own symbols `names`. Returns the context, the parameter
+    mapping and the checker symbols as polynomials."""
+    params = M.param_symbols()
+    clash = sorted(set(params) & set(names))
+    if clash:
+        raise ModuleError(f"parameter names collide with checker symbols: {clash}")
+    ctx = PolyContext(params + tuple(names))
+    return ctx, {p: ctx.sym(p) for p in params}, [ctx.sym(x) for x in names]
+
+
+def _window_generators(M: PolyWeightModule, window: int):
+    """Exponents and generators of the concrete sweep: exponents in
+    [-window, window] for rank 1 and in [-1, 1]^n for W_n, each generator
+    in every direction. Returns (exponents, generators)."""
+    if M.n == 1:
+        exps = [(k,) for k in range(-window, window + 1)]
+    else:
+        exps = list(itertools.product(range(-1, 2), repeat=M.n))
+    if isinstance(M.algebra, WnAlgebra):
+        gens = [M.algebra.basis(e, a) for e in exps for a in range(1, M.n + 1)]
+    else:
+        gens = [M.algebra.basis(e) for e in exps]
+    return exps, gens
+
+
 def _generic_action_matrix(M: PolyWeightModule, direction: int,
                            mapping_base: Mapping, mvals, svals) -> dict:
     """Generic-slice action matrix {(src, tgt): poly} of the degree-m
@@ -890,15 +929,9 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     """
     rep = CheckReport("module_axioms", M.name or repr(M))
     n = M.n
-    params = M.param_symbols()
-    msyms = tuple(f"gm{i+1}" for i in range(n))
-    psyms = tuple(f"gp{i+1}" for i in range(n))
-    wsyms = tuple(f"gw{i+1}" for i in range(n))
-    ctx = PolyContext(tuple(params) + msyms + psyms + wsyms)
-    base = {p: ctx.sym(p) for p in params}
-    mv = [ctx.sym(x) for x in msyms]
-    pv = [ctx.sym(x) for x in psyms]
-    wv = [ctx.sym(x) for x in wsyms]
+    _, base, syms = _symbolic_frame(
+        M, [f"{g}{i+1}" for g in ("gm", "gp", "gw") for i in range(n)])
+    mv, pv, wv = syms[:n], syms[n:2 * n], syms[2 * n:]
     labels = _generic_labels(M)
     mp = [a + b for a, b in zip(mv, pv)]
     wp = [a + b for a, b in zip(wv, pv)]
@@ -927,41 +960,18 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
             for key, res in _matrix_residues(lhs, rhs):
                 rep.symbolic_failures.append((a, b) + key + (res,))
             rep.symbolic_checked += 1
-            if n == 1:
-                break
-        if n == 1:
-            break
 
-    # concrete window
-    is_wn = isinstance(M.algebra, WnAlgebra)
-    if n == 1:
-        exps = [(k,) for k in range(-window, window + 1)]
-    else:
-        exps = list(itertools.product(range(-1, 2), repeat=n))
-    offsets = set()
-    for off in M.exceptional_offsets() | {(0,) * n}:
-        ring = itertools.product(range(-window, window + 1), repeat=n) \
-            if n > 1 else [(d,) for d in range(-window, window + 1)]
-        for d in ring:
-            offsets.add(tuple(o + x for o, x in zip(off, d)))
-    gens = []
-    for e in exps:
-        if is_wn:
-            for a in range(1, n + 1):
-                gens.append(M.algebra.basis(e, a))
-        else:
-            gens.append(M.algebra.basis(e))
+    _, gens = _window_generators(M, window)
+    cells = M.window(window)
     for x, y in itertools.product(gens, repeat=2):
         z = bracket(x, y)
-        for off in sorted(offsets):
-            for lab in M.labels_at(off):
-                v = M.basis_vector(off, lab)
-                lhs_v = act(z, v)
-                rhs_v = act(x, act(y, v)) - act(y, act(x, v))
-                rep.window_checked += 1
-                if lhs_v != rhs_v:
-                    rep.window_failures.append(
-                        (str(x), str(y), off, lab, repr(lhs_v - rhs_v)))
+        for off, lab, v in cells:
+            lhs_v = act(z, v)
+            rhs_v = act(x, act(y, v)) - act(y, act(x, v))
+            rep.window_checked += 1
+            if lhs_v != rhs_v:
+                rep.window_failures.append(
+                    (str(x), str(y), off, lab, repr(lhs_v - rhs_v)))
     return rep
 
 
@@ -984,15 +994,9 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     polynomial satisfies poly_a(m, s + r) = poly_a(m, s) + r_a * delta."""
     rep = CheckReport("aw_compat", M.name or repr(M))
     n = M.n
-    params = M.param_symbols()
-    msyms = tuple(f"gm{i+1}" for i in range(n))
-    wsyms = tuple(f"gw{i+1}" for i in range(n))
-    rsyms = tuple(f"gr{i+1}" for i in range(n))
-    ctx = PolyContext(tuple(params) + msyms + wsyms + rsyms)
-    base = {p: ctx.sym(p) for p in params}
-    mv = [ctx.sym(x) for x in msyms]
-    wv = [ctx.sym(x) for x in wsyms]
-    rv = [ctx.sym(x) for x in rsyms]
+    _, base, syms = _symbolic_frame(
+        M, [f"{g}{i+1}" for g in ("gm", "gw", "gr") for i in range(n)])
+    mv, wv, rv = syms[:n], syms[n:2 * n], syms[2 * n:]
     wr = [a + b for a, b in zip(wv, rv)]
     labels = _generic_labels(M)
     if len(labels) != len(M.fiber) or M.punctures:
@@ -1011,30 +1015,21 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     if rep.symbolic_failures:
         return rep
 
-    if n == 1:
-        exps = [(k,) for k in range(-window, window + 1)]
-        shifts = exps
-    else:
-        exps = list(itertools.product(range(-1, 2), repeat=n))
-        shifts = exps
-    is_wn = isinstance(M.algebra, WnAlgebra)
-    for e in exps:
-        xs = [M.algebra.basis(e, a) for a in range(1, n + 1)] if is_wn \
-            else [M.algebra.basis(e)]
-        for x, r in itertools.product(xs, shifts):
-            a = next(iter(x.terms))[1] if is_wn else 1
-            for lab in M.fiber:
-                v = M.basis_vector((0,) * n, lab)
-                if v.is_zero():
-                    continue
-                lhs_v = act(x, _a_shift(v, r))
-                mr = tuple(me + re for me, re in zip(e, r))
-                rhs_v = _a_shift(act(x, v), r) + _a_shift(v, mr).scale(
-                    Fraction(r[a - 1]))
-                rep.window_checked += 1
-                if lhs_v != rhs_v:
-                    rep.window_failures.append((str(x), r, lab,
-                                                repr(lhs_v - rhs_v)))
+    # the structure check above leaves no exceptional offset, so the
+    # radius-0 window is the fiber at offset 0
+    shifts, gens = _window_generators(M, window)
+    cells = M.window(0)
+    for x, r in itertools.product(gens, shifts):
+        _, e, a = _decode_generator(M, next(iter(x.terms)))
+        mr = tuple(me + re for me, re in zip(e, r))
+        for _, lab, v in cells:
+            lhs_v = act(x, _a_shift(v, r))
+            rhs_v = _a_shift(act(x, v), r) + _a_shift(v, mr).scale(
+                Fraction(r[a - 1]))
+            rep.window_checked += 1
+            if lhs_v != rhs_v:
+                rep.window_failures.append((str(x), r, lab,
+                                            repr(lhs_v - rhs_v)))
     return rep
 
 
@@ -1080,16 +1075,12 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     """
     if M.n != 1:
         raise ModuleError("differentiator certificates are rank-1 only")
-    params = M.param_symbols()
-    clash = set(params) & {"k", "s", "wt"}
-    if clash:
-        raise ModuleError(f"parameter names collide with checker symbols: {clash}")
-    ctx = PolyContext(tuple(params) + ("k", "s", "wt"))
+    ctx, _, (_, _, wt) = _symbolic_frame(M, ("k", "s", "wt"))
     alg = symbolic_witt_algebra(("k", "s"), ctx=ctx)
     kpt = alg.lattice.generator("k")
     spt = alg.lattice.generator("s")
     omega = differentiator(alg, order, kpt, spt)
-    res = apply_uea(omega, M, ctx.sym("wt"))
+    res = apply_uea(omega, M, wt)
     symbolic_residues = []
     for src, table in res.items():
         for (w, tgt), coeff in table.items():
@@ -1101,24 +1092,19 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
                                    symbolic_checked=len(M.fiber))
 
     witt = M.algebra
-    offsets = set()
-    for off in M.exceptional_offsets() | {(0,)}:
-        for d in range(-window, window + 1):
-            offsets.add((off[0] + d,))
+    cells = M.window(window)
     for kv, sv in itertools.product(range(-window, window + 1), repeat=2):
-        for off in sorted(offsets):
-            for lab in M.labels_at(off):
-                v = M.basis_vector(off, lab)
-                total = ModuleVector(M, {})
-                for i in range(order + 1):
-                    term = act(witt.basis(((kv - i),)),
-                               act(witt.basis(((sv + i),)), v))
-                    total = total + term.scale(Fraction((-1) ** i * comb(order, i)))
-                cert.window_checked += 1
-                if not total.is_zero():
-                    cert.window_failures.append((kv, sv, off, lab, repr(total)))
-                    if cert.witness is None:
-                        cert.witness = (kv, sv, off[0], lab)
+        for off, lab, v in cells:
+            total = ModuleVector(M, {})
+            for i in range(order + 1):
+                term = act(witt.basis(((kv - i),)),
+                           act(witt.basis(((sv + i),)), v))
+                total = total + term.scale(Fraction((-1) ** i * comb(order, i)))
+            cert.window_checked += 1
+            if not total.is_zero():
+                cert.window_failures.append((kv, sv, off, lab, repr(total)))
+                if cert.witness is None:
+                    cert.witness = (kv, sv, off[0], lab)
     if cert.window_failures:
         cert.annihilates = False
     return cert
@@ -1176,6 +1162,20 @@ def _text(value, field: str) -> str:
     return value
 
 
+def _items(value, field: str) -> list:
+    """A list field of a module file."""
+    if not isinstance(value, list):
+        raise ModuleError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _offset_json(value) -> tuple:
+    """A weight offset of a module file: a list of integers."""
+    if not all(type(x) is int for x in _items(value, "offset")):
+        raise ModuleError(f"offset must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def module_from_json(data: Mapping) -> PolyWeightModule:
     n = int(data["algebra"]["n"])
     if data["algebra"]["type"] == "wn":
@@ -1188,13 +1188,14 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
         algebra = witt_algebra()
         msyms, ssyms = ("m",), ("s",)
     extra = set()
-    for t in data["terms"]:
+    for t in _items(data["terms"], "terms"):
         poly = _text(t["poly"], "poly")
         for tok in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", poly):
             if tok != "sqrt" and tok not in msyms and tok not in ssyms:
                 extra.add(tok)
     ctx = PolyContext(tuple(sorted(extra)) + msyms + ssyms)
-    beta = [parse_scalar(_text(b, "beta"), ctx) for b in data["beta"]]
+    beta = [parse_scalar(_text(b, "beta"), ctx)
+            for b in _items(data["beta"], "beta")]
     terms = []
     for t in data["terms"]:
         c = t.get("constraint")
@@ -1210,9 +1211,9 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
                                 parse_poly(t["poly"], ctx), constraint))
     return PolyWeightModule(
         algebra, beta, data["fiber"], terms,
-        punctures=[(tuple(p["offset"]), tuple(p["labels"]))
+        punctures=[(_offset_json(p["offset"]), tuple(p["labels"]))
                    for p in data.get("punctures", ())],
-        restricted_support={lab: [tuple(o) for o in offs]
+        restricted_support={lab: [_offset_json(o) for o in offs]
                             for lab, offs in
                             data.get("restricted_support", {}).items()},
         name=data.get("name", ""))
@@ -1277,13 +1278,7 @@ def gamma_tensor_module(U: GLnRepData, beta, gamma) -> PolyWeightModule:
     subalgebra of fields with vanishing last exponent the construction is the
     usual gamma-extension regardless, but that subalgebra action is out of
     scope here."""
-    n = U.n + 1
-    mats = {}
-    for p in range(1, n + 1):
-        for a in range(1, n + 1):
-            if p < n and a < n:
-                mats[(p, a)] = U.matrices[(p, a)]
-    ext = GLnRepData(n, U.dim, mats, labels=U.labels)
+    ext = GLnRepData(U.n + 1, U.dim, U.matrices, labels=U.labels)
     mod = tensor_field(ext, tuple(beta) + (Fraction(gamma),))
     mod.name = f"gamma_tensor(dim {U.dim}, gamma {gamma})"
     return mod

@@ -238,9 +238,6 @@ class PolyContext:
         expo[self._index[name]] = 1
         return PolyScalar(self, {tuple(expo): Fraction(1)})
 
-    def syms(self, *names: str):
-        return tuple(self.sym(n) for n in names)
-
 
 class PolyScalar:
     """Sparse multivariate polynomial with exact coefficients.
@@ -435,14 +432,6 @@ class PolyScalar:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        i = self.ctx._index.get(name)
-        if i is None:
-            raise MissingSymbolError(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
 
     def coefficient_of(self, name: str, power: int) -> "PolyScalar":
         """Coefficient of name**power, a polynomial in the remaining symbols

@@ -108,9 +108,15 @@ class TestModuleCheck:
         lambda d: d["terms"][1]["constraint"].update(s_coeffs=[]),
         lambda d: d.update(beta=[0]),
         lambda d: d["terms"][1]["constraint"].update(const=0),
+        lambda d: d["punctures"].append({"offset": ["a"], "labels": ["u"]}),
+        lambda d: d["restricted_support"].update(z=[["a"]]),
+        lambda d: d.update(beta=["1/0"]),
+        lambda d: d.update(beta="0"),
+        lambda d: d.update(terms={}),
     ], ids=["direction", "puncture_label", "support_label",
             "constraint_m_arity", "constraint_s_arity", "numeric_beta",
-            "numeric_constraint"])
+            "numeric_constraint", "puncture_offset", "support_offset",
+            "zero_beta_denominator", "string_beta", "terms_not_list"])
     def test_invalid_module_exits_two(self, tmp_path, corrupt):
         data = module_to_json(build_preset("virasoro_adjoint"))
         corrupt(data)
@@ -118,6 +124,27 @@ class TestModuleCheck:
         f.write_text(json.dumps(data))
         res = invoke("module-check", "--module", str(f))
         assert res.exit_code == 2
+
+
+    @pytest.mark.parametrize("command,source", [
+        ("annihilator", "w2"), ("annihilator", "param_k"),
+        ("module-check", "param_gm1")])
+    def test_checker_error_exits_two(self, tmp_path, command, source):
+        # a module the checker cannot handle is a usage error, not a
+        # refutation
+        from fractions import Fraction
+        from wittforge.modules import natural_rep, tensor_field
+        if source == "w2":
+            data = module_to_json(tensor_field(natural_rep(2),
+                                               (Fraction(0), Fraction(0))))
+        else:
+            data = module_to_json(build_preset("punctured_functions"))
+            data["terms"][0]["poly"] = "s + " + source.split("_")[1] + "*m"
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(data))
+        extra = ("--m", "3") if command == "annihilator" else ()
+        res = invoke(command, "--module", str(f), *extra)
+        assert res.exit_code == 2, res.output
 
 
 class TestACover:

@@ -165,6 +165,37 @@ class TestTensorFields:
                                 Fraction(1, 3))
 
 
+class TestWindowSweepOrder:
+    """The concrete sweeps visit generators, offsets and labels in a fixed
+    order; the counts and the first failure pin that order."""
+
+    def test_w2_counts(self):
+        M = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))
+        axioms = check_module_axioms(M, window=1)
+        aw = check_aw_compat(M, window=1)
+        assert (axioms.symbolic_checked, axioms.window_checked) == (4, 5832)
+        assert (aw.symbolic_checked, aw.window_checked) == (2, 324)
+        assert axioms.passed and aw.passed
+
+    def test_w2_first_failure(self):
+        M = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))
+        data = module_to_json(M)
+        data["terms"][0]["poly"] += " + m2*s1"
+        rep = check_module_axioms(module_from_json(data), window=1)
+        assert len(rep.window_failures) == 1980
+        assert rep.window_failures[0] == (
+            "t[-1,-1]d1", "t[-1,-1]d2", (-1, -1), "e1",
+            "ModuleVector((22/15)*e1[-3,-3])")
+
+    def test_punctured_first_failure(self):
+        data = module_to_json(build_preset("punctured_functions"))
+        data["terms"][0]["poly"] = "s^2"
+        rep = check_module_axioms(module_from_json(data), window=2)
+        assert rep.window_checked == 100 and len(rep.window_failures) == 64
+        assert rep.window_failures[0] == (
+            "e[-2]", "e[-1]", (-2,), "u", "ModuleVector((32)*u[-5])")
+
+
 class TestJets:
     def _rep(self):
         # nilpotent 2-dim rep of the nonnegative jet algebra in one variable
