@@ -1162,16 +1162,17 @@ def _text(value, field: str) -> str:
     return value
 
 
-def _items(value, field: str) -> list:
-    """A list field of a module file."""
-    if not isinstance(value, list):
-        raise ModuleError(f"{field} must be a list, got {value!r}")
+def _typed(value, kind: type, field: str):
+    """A list or object field of a module file; a string in place of a list
+    would otherwise be read character by character."""
+    if not isinstance(value, kind):
+        raise ModuleError(f"{field} must be a {kind.__name__}, got {value!r}")
     return value
 
 
 def _offset_json(value) -> tuple:
     """A weight offset of a module file: a list of integers."""
-    if not all(type(x) is int for x in _items(value, "offset")):
+    if not all(type(x) is int for x in _typed(value, list, "offset")):
         raise ModuleError(f"offset must be a list of integers, got {value!r}")
     return tuple(value)
 
@@ -1188,34 +1189,37 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
         algebra = witt_algebra()
         msyms, ssyms = ("m",), ("s",)
     extra = set()
-    for t in _items(data["terms"], "terms"):
+    for t in _typed(data["terms"], list, "terms"):
         poly = _text(t["poly"], "poly")
         for tok in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", poly):
             if tok != "sqrt" and tok not in msyms and tok not in ssyms:
                 extra.add(tok)
     ctx = PolyContext(tuple(sorted(extra)) + msyms + ssyms)
     beta = [parse_scalar(_text(b, "beta"), ctx)
-            for b in _items(data["beta"], "beta")]
+            for b in _typed(data["beta"], list, "beta")]
     terms = []
     for t in data["terms"]:
         c = t.get("constraint")
         constraint = None
         if c is not None:
-            constraint = Constraint(
-                m_coeffs=tuple(parse_rational(_text(x, "m_coeffs"))
-                               for x in c["m_coeffs"]),
-                s_coeffs=tuple(parse_rational(_text(x, "s_coeffs"))
-                               for x in c["s_coeffs"]),
-                const=parse_rational(_text(c["const"], "const")))
+            m_coeffs, s_coeffs = (
+                tuple(parse_rational(_text(x, key))
+                      for x in _typed(c[key], list, key))
+                for key in ("m_coeffs", "s_coeffs"))
+            constraint = Constraint(m_coeffs, s_coeffs,
+                                    parse_rational(_text(c["const"], "const")))
         terms.append(ActionTerm(int(t["direction"]), t["src"], t["tgt"],
                                 parse_poly(t["poly"], ctx), constraint))
+    support = _typed(data.get("restricted_support", {}), dict,
+                     "restricted_support")
     return PolyWeightModule(
-        algebra, beta, data["fiber"], terms,
-        punctures=[(_offset_json(p["offset"]), tuple(p["labels"]))
+        algebra, beta, _typed(data["fiber"], list, "fiber"), terms,
+        punctures=[(_offset_json(p["offset"]),
+                    tuple(_typed(p["labels"], list, "labels")))
                    for p in data.get("punctures", ())],
-        restricted_support={lab: [_offset_json(o) for o in offs]
-                            for lab, offs in
-                            data.get("restricted_support", {}).items()},
+        restricted_support={lab: [_offset_json(o)
+                                  for o in _typed(offs, list, "offsets")]
+                            for lab, offs in support.items()},
         name=data.get("name", ""))
 
 

@@ -113,10 +113,13 @@ class TestModuleCheck:
         lambda d: d.update(beta=["1/0"]),
         lambda d: d.update(beta="0"),
         lambda d: d.update(terms={}),
+        lambda d: d.update(fiber="uz"),
+        lambda d: d.update(restricted_support=[["z", [0]]]),
     ], ids=["direction", "puncture_label", "support_label",
             "constraint_m_arity", "constraint_s_arity", "numeric_beta",
             "numeric_constraint", "puncture_offset", "support_offset",
-            "zero_beta_denominator", "string_beta", "terms_not_list"])
+            "zero_beta_denominator", "string_beta", "terms_not_list",
+            "string_fiber", "support_not_object"])
     def test_invalid_module_exits_two(self, tmp_path, corrupt):
         data = module_to_json(build_preset("virasoro_adjoint"))
         corrupt(data)
