@@ -128,21 +128,21 @@ class TestModuleCheck:
         res = invoke("module-check", "--module", str(f))
         assert res.exit_code == 2
 
-
-    @pytest.mark.parametrize("command,source", [
-        ("annihilator", "w2"), ("annihilator", "param_k"),
-        ("module-check", "param_gm1")])
-    def test_checker_error_exits_two(self, tmp_path, command, source):
-        # a module the checker cannot handle is a usage error, not a
-        # refutation
+    @pytest.mark.parametrize("command,param", [
+        ("annihilator", None), ("annihilator", "k"), ("module-check", "gm1")],
+        ids=["annihilator-w2", "annihilator-param_k", "module-check-param_gm1"])
+    def test_checker_error_exits_two(self, tmp_path, command, param):
+        # a module the checker cannot handle (a W_2 module for the rank-1
+        # annihilator, a parameter named like a checker symbol) is a usage
+        # error, not a refutation
         from fractions import Fraction
         from wittforge.modules import natural_rep, tensor_field
-        if source == "w2":
+        if param is None:
             data = module_to_json(tensor_field(natural_rep(2),
                                                (Fraction(0), Fraction(0))))
         else:
             data = module_to_json(build_preset("punctured_functions"))
-            data["terms"][0]["poly"] = "s + " + source.split("_")[1] + "*m"
+            data["terms"][0]["poly"] = f"s + {param}*m"
         f = tmp_path / "m.json"
         f.write_text(json.dumps(data))
         extra = ("--m", "3") if command == "annihilator" else ()
