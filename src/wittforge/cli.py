@@ -148,6 +148,9 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
         raise click.UsageError("the identity requires m, r >= 2")
     if intro and m != r:
         raise click.UsageError("--intro requires m == r")
+    if solenoidal and (mode == "grid" or intro):
+        raise click.UsageError("--solenoidal takes neither --mode grid "
+                               "nor --intro")
     try:
         if solenoidal:
             report = verify_solenoidal_identity(m, r, n=n, h_box=h_box)

@@ -413,7 +413,7 @@ def lie_action(theta: QuasiPolyVector, p: int) -> QuasiPolyVector:
     for m0 in theta.override_modes():
         extra.add(m0)
         extra.add(m0 - p)
-    extra |= _constraint_modes(M, (p, 0), (w + p, 1))
+    extra |= _constraint_modes(M, (p, 0), (w, 1))
     deg_hint = base_degree(M) + max(
         (pp.total_degree() for pp in theta.poly.values()), default=0) + 1
 

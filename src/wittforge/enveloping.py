@@ -7,8 +7,9 @@ nondecreasing lattice order via the rewriting rule
 
     e_y e_x  ->  e_x e_y + phi(x - y) e_{x+y}      (when y > x).
 
-Normal forms are cached per (algebra, strategy); with concrete integer
-indices this makes exhaustive grid sweeps cheap.
+Normal forms are cached per (algebra, strategy). The identity is proved
+once per (m, r) over a formal lattice with a formal step h; its grid and
+solenoidal records are specialisations of that proof.
 """
 
 from __future__ import annotations
@@ -214,14 +215,12 @@ class IdentityReport:
         return all(r.passed for r in self.records)
 
 
-def _identity_lhs(algebra, m, r, k, s, p, q, h=None) -> UEAElement:
+def _identity_lhs(algebra, m, r, k, s, p, q, h) -> UEAElement:
     """Double alternating sum of anticommutator differences of
-    differentiators (the left side of the quadratic identity).
+    differentiators with step h (the left side of the quadratic identity).
 
     The four concatenation products of every (i, j) term are summed into
     one dict, and one element is built from it at the end."""
-    if h is None:
-        h = tuple(int(j == 0) for j in range(algebra.lattice.rank))
     terms: dict = {}
     for i in range(m + 1):
         for j in range(r + 1):
@@ -240,11 +239,9 @@ def _identity_lhs(algebra, m, r, k, s, p, q, h=None) -> UEAElement:
     return UEAElement(algebra, terms)
 
 
-def _identity_rhs(algebra, m, r, k, s, p, q, h=None) -> UEAElement:
+def _identity_rhs(algebra, m, r, k, s, p, q, h) -> UEAElement:
     """(q-s) ( (p-k+2rh) Omega^{(2m+2r-1)}_{k+p+2rh, s+q-2rh}
                - (p-k+2mh) Omega^{(2m+2r-1)}_{k+p+(2r-1)h, s+q-(2r-1)h} )."""
-    if h is None:
-        h = tuple(int(j == 0) for j in range(algebra.lattice.rank))
     phi = algebra.phi
     qs = phi(sub_points(q, s))
     pk = sub_points(p, k)
@@ -259,9 +256,10 @@ def _identity_rhs(algebra, m, r, k, s, p, q, h=None) -> UEAElement:
     return (o1.scale(c1) - o2.scale(c2)).scale(qs)
 
 
-def _intro_rhs(algebra, m, k, s, p, q) -> UEAElement:
-    """(q-s)(p-k+2m) Omega^{(4m)}_{k+p+2m, s+q-2m} (the m = r special form)."""
-    h = tuple(int(j == 0) for j in range(algebra.lattice.rank))
+def _intro_rhs(algebra, m, k, s, p, q, h) -> UEAElement:
+    """(q-s)(p-k+2mh) Omega^{(4m)}_{k+p+2mh, s+q-2mh}, the m = r form of
+    _identity_rhs: there both terms share one coefficient, and
+    Omega^{(n)}_{a,b} - Omega^{(n)}_{a-h,b+h} = Omega^{(n+1)}_{a,b}."""
     phi = algebra.phi
     qs = phi(sub_points(q, s))
     c = phi(add_points(sub_points(p, k), scale_point(2 * m, h)))
@@ -271,73 +269,125 @@ def _intro_rhs(algebra, m, k, s, p, q) -> UEAElement:
     return o.scale(qs * c)
 
 
+def _identity_difference(algebra, m, r, k, s, p, q, h,
+                         intro_form: bool = False) -> UEAElement:
+    """lhs - rhs of the identity as a tensor element, before normal form."""
+    rhs = (_intro_rhs(algebra, m, k, s, p, q, h) if intro_form
+           else _identity_rhs(algebra, m, r, k, s, p, q, h))
+    return _identity_lhs(algebra, m, r, k, s, p, q, h) - rhs
+
+
+# The lattice of the one proof per (m, r): k, s, p, q and the step h are
+# free generators, and phi sends each to its own polynomial variable. The
+# lattice order is lexicographic in this generator order. Listing p first
+# leaves fewer inversions in the words of lhs - rhs: over the eleven
+# symbolic and intro proofs with m, r <= 4, normal ordering takes 15,803
+# rewrites, against 26,797 in the order k, s, p, q, h.
+_FORMAL_GENERATORS = ("p", "s", "k", "q", "h")
+
+
+def formal_identity_residue(m: int, r: int,
+                            intro_form: bool = False) -> UEAElement:
+    """PBW residue of lhs - rhs over the formal lattice k, s, p, q, h, with
+    step h.
+
+    Sending k, s, p, q to lattice points and h to a step, and each
+    phi-symbol to the phi of its image, is a Lie algebra homomorphism. It
+    extends to the enveloping algebras and maps the formal lhs - rhs onto
+    the concrete one, and PBW holds over the polynomial coefficients. So a
+    zero residue proves the identity at every specialisation: the W_1 grid
+    tuples with h -> 1, and the solenoidal steps h -> (h1, ..., hn) with
+    phi(h) -> mu . h.
+    """
+    alg = symbolic_witt_algebra(_FORMAL_GENERATORS, with_unit=False)
+    k, s, p, q, h = (alg.lattice.generator(x) for x in "kspqh")
+    return pbw_normal_form(
+        _identity_difference(alg, m, r, k, s, p, q, h, intro_form))
+
+
+def _specialised_count(proof: UEAElement, algebra, m, r, k, s, p, q, h,
+                       intro_form: bool = False) -> int:
+    """Residue term count at one specialisation of the formal proof: 0 when
+    the proof holds, otherwise that of the concrete PBW residue, so that a
+    failing record keeps a real witness."""
+    if proof.is_zero():
+        return 0
+    return len(pbw_normal_form(
+        _identity_difference(algebra, m, r, k, s, p, q, h, intro_form)).terms)
+
+
 def verify_key_identity(m: int, r: int, mode: str = "symbolic",
                         grid_range: tuple = (-2, 2),
                         intro_form: bool = False) -> IdentityReport:
-    """Check the quadratic differentiator identity.
+    """Check the quadratic differentiator identity in U(W_1), with step 1.
 
-    symbolic mode works over the lattice with formal generators k,s,p,q and
-    polynomial coefficients in the same symbols; grid mode sweeps concrete
-    integer tuples (catching the degenerate index collisions that generic
-    symbolic ordering excludes). With intro_form=True (requires m == r) the
-    right side is the single-term specialization with Omega^{(4m)}.
+    Both modes rest on one formal proof, `formal_identity_residue`, whose
+    step h is a free generator. symbolic mode emits that proof as one
+    record: the identity for formal k, s, p, q and step h, so for W_1 at
+    h = 1. grid mode emits one record per integer tuple (k, s, p, q) in
+    grid_range^4, each the specialisation of the proof at h -> 1; only when
+    the formal residue is nonzero does it normal-order each tuple
+    concretely. With intro_form=True (requires m == r) the right side is
+    the single-term form with Omega^{(4m)}.
     """
     if m < 2 or r < 2:
         raise AlgebraError("the identity requires m, r >= 2")
     if intro_form and m != r:
         raise AlgebraError("the single-term form requires m == r")
+    if mode not in ("symbolic", "grid"):
+        raise AlgebraError(f"unknown mode {mode!r}")
+    lo, hi = grid_range
+    if mode == "grid" and lo > hi:
+        raise AlgebraError(f"empty grid range {lo}..{hi}")
+    proof = formal_identity_residue(m, r, intro_form)
     report = IdentityReport()
     if mode == "symbolic":
-        alg = symbolic_witt_algebra(("k", "s", "p", "q"))
-        lat = alg.lattice
-        k, s, p, q = (lat.generator(n) for n in ("k", "s", "p", "q"))
-        lhs = _identity_lhs(alg, m, r, k, s, p, q)
-        rhs = (_intro_rhs(alg, m, k, s, p, q) if intro_form
-               else _identity_rhs(alg, m, r, k, s, p, q))
-        residue = pbw_normal_form(lhs - rhs)
         report.records.append(IdentityRecord(
             mode="symbolic", m=m, r=r, tuple_values=None, h=None,
-            residue_term_count=len(residue.terms), passed=residue.is_zero()))
-    elif mode == "grid":
-        alg = witt_algebra()
-        lo, hi = grid_range
-        values = range(lo, hi + 1)
-        for kv, sv, pv, qv in itertools.product(values, repeat=4):
-            k, s, p, q = (kv,), (sv,), (pv,), (qv,)
-            lhs = _identity_lhs(alg, m, r, k, s, p, q)
-            rhs = (_intro_rhs(alg, m, k, s, p, q) if intro_form
-                   else _identity_rhs(alg, m, r, k, s, p, q))
-            residue = pbw_normal_form(lhs - rhs)
-            report.records.append(IdentityRecord(
-                mode="grid", m=m, r=r, tuple_values=(kv, sv, pv, qv), h=None,
-                residue_term_count=len(residue.terms), passed=residue.is_zero()))
-    else:
-        raise AlgebraError(f"unknown mode {mode!r}")
+            residue_term_count=len(proof.terms), passed=proof.is_zero()))
+        return report
+    alg = witt_algebra()
+    for kv, sv, pv, qv in itertools.product(range(lo, hi + 1), repeat=4):
+        count = _specialised_count(proof, alg, m, r, (kv,), (sv,), (pv,),
+                                   (qv,), (1,), intro_form)
+        report.records.append(IdentityRecord(
+            mode="grid", m=m, r=r, tuple_values=(kv, sv, pv, qv), h=None,
+            residue_term_count=count, passed=count == 0))
     return report
+
+
+def _solenoidal_frame(n: int):
+    """The algebra of the solenoidal records and its formal k, s, p, q:
+    lattice generators k, s, p, q plus the axes a1..an, with phi sending
+    k, s, p, q to themselves and a_i to a generic mu_i."""
+    mu_names = tuple(f"mu{i+1}" for i in range(n))
+    ctx = PolyContext(("k", "s", "p", "q") + mu_names)
+    names = ("k", "s", "p", "q") + tuple(f"a{i+1}" for i in range(n))
+    phi = tuple(ctx.sym(x) for x in ("k", "s", "p", "q") + mu_names)
+    alg = Rank1Algebra(IndexLattice(names), phi)
+    return alg, tuple(alg.lattice.generator(x) for x in ("k", "s", "p", "q"))
 
 
 def verify_solenoidal_identity(m: int, r: int, n: int = 2,
                                h_box: int = 2) -> IdentityReport:
     """Solenoidal variant: symbolic mu in C^n (generic), formal k,s,p,q in
     Gamma_mu, and the step h ranging over lattice points with sup-norm at
-    most h_box."""
+    most h_box. Each record is the specialisation of the formal proof at
+    h -> (h1, ..., hn); only when the formal residue is nonzero is each
+    step normal-ordered concretely."""
     if m < 2 or r < 2:
         raise AlgebraError("the identity requires m, r >= 2")
-    mu_names = tuple(f"mu{i+1}" for i in range(n))
-    ctx = PolyContext(("k", "s", "p", "q") + mu_names)
-    names = ("k", "s", "p", "q") + tuple(f"a{i+1}" for i in range(n))
-    phi = tuple(ctx.sym(x) for x in ("k", "s", "p", "q")) + tuple(
-        ctx.sym(x) for x in mu_names)
-    alg = Rank1Algebra(IndexLattice(names), phi)
-    lat = alg.lattice
-    k, s, p, q = (lat.generator(x) for x in ("k", "s", "p", "q"))
+    if n < 1:
+        raise AlgebraError("the solenoidal rank n must be positive")
+    if h_box < 0:
+        raise AlgebraError("the step box h_box must be nonnegative")
+    proof = formal_identity_residue(m, r)
+    alg, (k, s, p, q) = _solenoidal_frame(n)
     report = IdentityReport()
     for hvec in itertools.product(range(-h_box, h_box + 1), repeat=n):
-        h = (0, 0, 0, 0) + hvec
-        lhs = _identity_lhs(alg, m, r, k, s, p, q, h)
-        rhs = _identity_rhs(alg, m, r, k, s, p, q, h)
-        residue = pbw_normal_form(lhs - rhs)
+        count = _specialised_count(proof, alg, m, r, k, s, p, q,
+                                   (0, 0, 0, 0) + hvec)
         report.records.append(IdentityRecord(
             mode="solenoidal", m=m, r=r, tuple_values=None, h=hvec,
-            residue_term_count=len(residue.terms), passed=residue.is_zero()))
+            residue_term_count=count, passed=count == 0))
     return report

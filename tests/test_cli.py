@@ -44,6 +44,21 @@ class TestVerifyIdentity:
                      "--solenoidal", "--n", "2", "--h-box", "1")
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("args", [
+        ("--mode", "grid", "--range", "2..-2"),
+        ("--solenoidal", "--h-box", "-1"),
+        ("--solenoidal", "--n", "0"),
+        ("--solenoidal", "--n", "-1"),
+        ("--solenoidal", "--mode", "grid"),
+        ("--solenoidal", "--intro"),
+    ])
+    def test_invalid_input_exits_two(self, args):
+        # each of these certified nothing, or died with a traceback, and
+        # still exited 0 or 1
+        res = invoke("verify-identity", "--m", "2", "--r", "2", *args)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+
     def test_solenoidal_summary_names_its_mode(self):
         res = invoke("verify-identity", "--m", "2", "--r", "2",
                      "--solenoidal", "--n", "1", "--h-box", "1")

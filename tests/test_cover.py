@@ -12,6 +12,7 @@ from wittforge.cover import (CoverModule, InconclusiveError, PsiGenerator,
 from wittforge.modules import (act, action_polynomials, build_preset,
                                check_module_axioms, graded_dual,
                                tensor_density)
+from wittforge import cover
 from wittforge.lie import witt_algebra
 
 WITT = witt_algebra()
@@ -156,3 +157,28 @@ class TestDegreeCeiling:
         monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", "40")
         C = CoverModule(build_preset("punctured_functions"))
         assert C.rank(0) == 1
+
+
+class TestLieActionConstraintModes:
+    def test_solved_modes_contain_the_central_mode(self, monkeypatch):
+        V = build_preset("virasoro_adjoint")
+        w, p = 2, 3
+        theta = psi_evaluate(V, PsiGenerator(1, 1, "u"))
+        assert theta.weight == w
+        # (e_p theta)(t^m) acts on theta(t^m), at offset w + m; the central
+        # term z fires where p + w + m = 0
+        fired = [m for m in range(-20, 20)
+                 if any(lab == "z" for _, lab in act(
+                     V.algebra.basis((p,)),
+                     V.basis_vector((w + m,), "u")).terms)]
+        assert fired == [-5]
+        solved = []
+        real = cover._constraint_modes
+
+        def spy(*args):
+            solved.append(real(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(cover, "_constraint_modes", spy)
+        lie_action(theta, p)
+        assert len(solved) == 1 and set(fired) <= solved[0]

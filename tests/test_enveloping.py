@@ -2,12 +2,26 @@ import random
 
 import pytest
 
-from wittforge.enveloping import (AlgebraError, anticommutator, differentiator,
+from wittforge import enveloping
+from wittforge.enveloping import (AlgebraError, UEAElement, anticommutator,
+                                  differentiator, formal_identity_residue,
                                   generator, multiply, one, pbw_normal_form,
-                                  verify_key_identity)
+                                  verify_key_identity,
+                                  verify_solenoidal_identity)
 from wittforge.lie import symbolic_witt_algebra, witt_algebra
+from wittforge.scalars import PolyScalar
 
 WITT = witt_algebra()
+# The algebra of the formal proof, and its generators k, s, p, q, h.
+FORMAL = symbolic_witt_algebra(enveloping._FORMAL_GENERATORS, with_unit=False)
+KSPQH = tuple(FORMAL.lattice.generator(x) for x in ("k", "s", "p", "q", "h"))
+
+# (k, s, p, q) tuples where indices collide: k = s, p = q, k + p = s + q,
+# and zero entries.
+COLLISIONS = [(0, 0, 0, 0), (1, 1, -2, 0), (2, -1, 1, 1), (2, 0, -1, 1),
+              (-2, 2, 2, -2), (0, 1, 0, -1), (1, 1, 1, 1), (-1, 0, 2, 0)]
+# Concrete solenoidal steps h = (h1, h2).
+STEPS = [(0, 0), (1, -2)]
 
 
 def e(*points):
@@ -114,3 +128,112 @@ class TestKeyIdentity:
             verify_key_identity(1, 2)
         with pytest.raises(AlgebraError):
             verify_key_identity(2, 1)
+
+
+def concrete_count(alg, m, r, k, s, p, q, h, intro_form=False):
+    """The concrete per-tuple path: term count of one PBW residue."""
+    diff = enveloping._identity_difference(alg, m, r, k, s, p, q, h, intro_form)
+    return len(pbw_normal_form(diff).terms)
+
+
+def specialise(x, target, point_map, values):
+    """Image of a tensor element under a lattice map and a substitution of
+    the formal phi-symbols, taken term by term."""
+    terms = {}
+    for mono, c in x.terms.items():
+        image = tuple(point_map(pt) for pt in mono)
+        if isinstance(c, PolyScalar):
+            c = c.specialize(values)
+        terms[image] = terms.get(image, 0) + c
+    return UEAElement(target, terms)
+
+
+def lattice_map(images, rank):
+    """The group map from the formal lattice sending each generator to its
+    image in `images`, keyed by generator name."""
+    cols = [images[x] for x in FORMAL.lattice.generator_names]
+    return lambda pt: tuple(sum(a * col[i] for a, col in zip(pt, cols))
+                            for i in range(rank))
+
+
+def grid_map(kspq):
+    """k, s, p, q -> kspq and h -> 1 into W_1, on points and on phi."""
+    values = dict(zip(("k", "s", "p", "q", "h"), tuple(kspq) + (1,)))
+    return lattice_map({x: (v,) for x, v in values.items()}, 1), values
+
+
+def solenoidal_map(alg, hvec):
+    """k, s, p, q -> themselves and h -> hvec on the a-axes, with
+    phi(h) -> mu . hvec."""
+    ctx = alg.phi_values[0].ctx
+    values = {x: ctx.sym(x) for x in ("k", "s", "p", "q")}
+    values["h"] = sum((ctx.sym(f"mu{i+1}") * hi for i, hi in enumerate(hvec)),
+                      ctx.zero())
+    images = {x: alg.lattice.generator(x) for x in ("k", "s", "p", "q")}
+    images["h"] = (0, 0, 0, 0) + tuple(hvec)
+    return lattice_map(images, alg.lattice.rank), values
+
+
+class TestFormalProof:
+    def test_grid_records_match_concrete_path(self):
+        for (m, r), intro in (((2, 2), False), ((2, 3), False),
+                              ((2, 2), True)):
+            report = verify_key_identity(m, r, mode="grid",
+                                         intro_form=intro)
+            recs = {rec.tuple_values: rec for rec in report.records}
+            for t in COLLISIONS:
+                k, s, p, q = ((v,) for v in t)
+                want = concrete_count(WITT, m, r, k, s, p, q, (1,), intro)
+                assert recs[t].residue_term_count == want == 0
+                assert recs[t].passed
+
+    def test_solenoidal_records_match_concrete_path(self):
+        report = verify_solenoidal_identity(2, 2, n=2, h_box=2)
+        recs = {rec.h: rec for rec in report.records}
+        alg, (k, s, p, q) = enveloping._solenoidal_frame(2)
+        for hvec in STEPS:
+            want = concrete_count(alg, 2, 2, k, s, p, q, (0, 0, 0, 0) + hvec)
+            assert recs[hvec].residue_term_count == want == 0
+            assert recs[hvec].passed
+
+    def test_specialisation_maps_formal_onto_grid_tensor(self):
+        formal = enveloping._identity_difference(FORMAL, 2, 3, *KSPQH)
+        for t in COLLISIONS:
+            point_map, values = grid_map(t)
+            concrete = enveloping._identity_difference(
+                WITT, 2, 3, *((v,) for v in t), (1,))
+            assert specialise(formal, WITT, point_map, values) == concrete
+
+    def test_specialisation_maps_formal_onto_solenoidal_tensor(self):
+        formal = enveloping._identity_difference(FORMAL, 2, 2, *KSPQH)
+        alg, (k, s, p, q) = enveloping._solenoidal_frame(2)
+        for hvec in STEPS:
+            point_map, values = solenoidal_map(alg, hvec)
+            concrete = enveloping._identity_difference(
+                alg, 2, 2, k, s, p, q, (0, 0, 0, 0) + hvec)
+            assert specialise(formal, alg, point_map, values) == concrete
+
+    def test_intro_rhs_is_identity_rhs_at_m_equals_r(self):
+        for m in (2, 3, 4):
+            assert (enveloping._identity_rhs(FORMAL, m, m, *KSPQH)
+                    == enveloping._intro_rhs(FORMAL, m, *KSPQH))
+
+    def test_wrong_rhs_falls_back_to_concrete_witnesses(self, monkeypatch):
+        right = enveloping._identity_rhs
+
+        def wrong(alg, m, r, k, s, p, q, h):
+            return right(alg, m, r, k, s, p, q, h) + generator(alg, k)
+
+        monkeypatch.setattr(enveloping, "_identity_rhs", wrong)
+        assert not formal_identity_residue(2, 2).is_zero()
+        grid = verify_key_identity(2, 2, mode="grid", grid_range=(-1, 1))
+        sol = verify_solenoidal_identity(2, 2, n=1, h_box=1)
+        assert len(grid.records) == 81 and len(sol.records) == 3
+        for rec in grid.records + sol.records:
+            out = rec.to_json()
+            assert out["pass"] is False and out["residue_term_count"] > 0
+        # the failing counts are those of the concrete residues
+        rec = grid.records[0]
+        k, s, p, q = ((v,) for v in rec.tuple_values)
+        assert rec.residue_term_count == concrete_count(
+            WITT, 2, 2, k, s, p, q, (1,))

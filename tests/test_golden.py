@@ -14,9 +14,25 @@ from wittforge.cli import main
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 # Recorded wall time under which an operation is cheap enough for Tier-1.
 MAX_SECONDS = 0.6
+# Operations recorded as slower that Tier-1 runs too: their records are
+# specialisations of one formal proof, so each takes well under a second.
+DERIVED = [
+    ["verify-identity", "--m", "2", "--r", "2", "--mode", "grid",
+     "--range", "-2..2"],
+    ["verify-identity", "--m", "2", "--r", "3", "--mode", "grid",
+     "--range", "-2..2"],
+    ["verify-identity", "--m", "3", "--r", "3", "--mode", "grid",
+     "--range", "-2..2"],
+    ["verify-identity", "--m", "2", "--r", "2", "--solenoidal", "--n", "2",
+     "--h-box", "2"],
+]
 
 OPS = [op for op in json.loads(GOLDEN.read_text())["ops"]
-       if op["seconds"] < MAX_SECONDS]
+       if op["seconds"] < MAX_SECONDS or op["args"] in DERIVED]
+
+
+def test_derived_ops_are_golden():
+    assert sum(op["args"] in DERIVED for op in OPS) == len(DERIVED)
 
 
 @pytest.mark.parametrize("op", OPS, ids=[" ".join(op["args"]) for op in OPS])
