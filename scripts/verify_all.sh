@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep composed from the CLI. Every block emits JSON
 # certificate lines on stdout and a one-line PASS/FAIL summary on stderr.
-# Exit codes: 0 all pass, 1 an assertion failed, 2 bad input, 3 inconclusive.
+# Exit codes: 0 all pass, 1 an assertion failed, 2 bad input, 3 inconclusive,
+# 4 internal error.
 set -uo pipefail
 
 failures=0

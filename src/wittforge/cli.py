@@ -3,7 +3,9 @@
 One process runs exactly one subcommand and emits newline-delimited JSON
 records (deterministic ordering) plus a short summary line. Exit codes:
 0 all assertions pass, 1 an assertion failed, 2 invalid configuration,
-3 inconclusive (an adaptive degree bound hit its ceiling).
+3 inconclusive (an adaptive degree bound hit its ceiling), 4 internal
+error (an unexpected exception: one `internal_error` record naming its
+type, and no traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import cover as cover_mod
 from . import modules as mod
@@ -28,6 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_SCHEMA = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 class _Run:
@@ -119,7 +123,23 @@ def _module_errors(fn):
     return wrapper
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group whose unexpected exceptions exit 4, so that an internal
+    error never reads as a refutation (exit 1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit,
+                click.exceptions.Abort):
+            raise
+        except Exception as e:
+            click.echo(json.dumps({"kind": "internal_error",
+                                   "type": type(e).__name__}, sort_keys=True))
+            sys.exit(EXIT_INTERNAL)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact verification suites for rank-1 and W_n weight-module
     computations."""
@@ -151,6 +171,12 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
     if solenoidal and (mode == "grid" or intro):
         raise click.UsageError("--solenoidal takes neither --mode grid "
                                "nor --intro")
+    given = click.get_current_context().get_parameter_source
+    if not solenoidal and any(given(p) is ParameterSource.COMMANDLINE
+                              for p in ("n", "h_box")):
+        raise click.UsageError("--n and --h-box require --solenoidal")
+    if mode != "grid" and given("range_") is ParameterSource.COMMANDLINE:
+        raise click.UsageError("--range requires --mode grid")
     try:
         if solenoidal:
             report = verify_solenoidal_identity(m, r, n=n, h_box=h_box)

@@ -103,6 +103,9 @@ class PolyWeightModule:
         self._by_dir_src: dict = {}
         for t in self.terms:
             self._by_dir_src.setdefault((t.direction, t.src), []).append(t)
+        # (generator index, offset, label) -> image of that basis cell; see
+        # `_cell_action`.
+        self._cell_actions: dict = {}
 
     # -- coordinates --------------------------------------------------------
 
@@ -261,34 +264,52 @@ def _decode_generator(module: PolyWeightModule, idx):
     return (Fraction(k),), (k,), 1
 
 
+def _cell_action(M: PolyWeightModule, idx, off: tuple, lab: str) -> tuple:
+    """Image of the basis cell (off, lab) under the basis generator `idx`:
+    ((new_off, tgt), coeff) pairs in term order, skipping unmet
+    constraints, zero target components and zero coefficients. Memoised
+    in `M._cell_actions`."""
+    key = (idx, off, lab)
+    cell = M._cell_actions.get(key)
+    if cell is not None:
+        return cell
+    mvals, shift, direction = _decode_generator(M, idx)
+    svals = M.weight_value(off)
+    mapping = dict(zip(M.m_symbols(), mvals))
+    mapping.update(zip(M.s_symbols(), svals))
+    new_off = tuple(o + d for o, d in zip(off, shift))
+    pairs = []
+    for term in M.terms_for(direction, lab):
+        if term.constraint is not None and not term.constraint.satisfied(
+                mvals, svals):
+            continue
+        if M.component_is_zero(new_off, term.tgt):
+            continue
+        for sym in term.poly.symbols_used():
+            if sym not in mapping:
+                mapping[sym] = term.poly.ctx.sym(sym)
+        coeff = term.poly.specialize(mapping)
+        if not is_zero_scalar(coeff):
+            pairs.append(((new_off, term.tgt), coeff))
+    cell = M._cell_actions[key] = tuple(pairs)
+    return cell
+
+
 def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     """Concrete module action, bilinear; honors constraints, punctures and
-    restricted supports."""
+    restricted supports.
+
+    Each coefficient is evaluated once per module: `_cell_action` memoises
+    the image of a basis cell under a basis generator on the module. That
+    is sound because a module is not changed after construction, so the
+    image depends only on the generator, the offset and the label."""
     M = v.module
     if x.algebra != M.algebra:
         raise ModuleError("element and module algebras differ")
-    msyms, ssyms = M.m_symbols(), M.s_symbols()
     out: dict = {}
     for idx, c in x.terms.items():
-        mvals, shift, direction = _decode_generator(M, idx)
         for (off, lab), val in v.terms.items():
-            svals = M.weight_value(off)
-            mapping = dict(zip(msyms, mvals))
-            mapping.update(zip(ssyms, svals))
-            new_off = tuple(o + d for o, d in zip(off, shift))
-            for term in M.terms_for(direction, lab):
-                if term.constraint is not None and not term.constraint.satisfied(
-                        mvals, svals):
-                    continue
-                if M.component_is_zero(new_off, term.tgt):
-                    continue
-                for sym in term.poly.symbols_used():
-                    if sym not in mapping:
-                        mapping[sym] = term.poly.ctx.sym(sym)
-                coeff = term.poly.specialize(mapping)
-                if is_zero_scalar(coeff):
-                    continue
-                key = (new_off, term.tgt)
+            for key, coeff in _cell_action(M, idx, off, lab):
                 out[key] = out.get(key, 0) + c * val * coeff
     return ModuleVector(M, out)
 

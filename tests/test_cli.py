@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from wittforge import modules
 from wittforge.cli import main
 from wittforge.modules import build_preset, module_to_json
 
@@ -51,6 +52,9 @@ class TestVerifyIdentity:
         ("--solenoidal", "--n", "-1"),
         ("--solenoidal", "--mode", "grid"),
         ("--solenoidal", "--intro"),
+        ("--n", "0", "--h-box", "-5"),
+        ("--range", "5..1"),
+        ("--solenoidal", "--n", "1", "--h-box", "0", "--range", "5..1"),
     ])
     def test_invalid_input_exits_two(self, args):
         # each of these certified nothing, or died with a traceback, and
@@ -94,6 +98,19 @@ class TestAnnihilator:
         assert res.exit_code == 0
         header = res.output.splitlines()[0]
         assert "annihilates" in header.split(",")
+
+    def test_internal_error_exits_four(self, monkeypatch):
+        # an unexpected exception is not a refutation (exit 1)
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(modules, "annihilates", broken)
+        res = invoke("annihilator", "--preset", "punctured_functions",
+                     "--m", "3")
+        assert res.exit_code == 4
+        assert json_lines(res.output) == [{"kind": "internal_error",
+                                           "type": "RuntimeError"}]
+        assert "Traceback" not in res.output
 
 
 class TestModuleCheck:

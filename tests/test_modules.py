@@ -6,7 +6,8 @@ import pytest
 
 from wittforge.lie import LatticeAutomorphism, WnAlgebra, witt_algebra
 from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
-                               PRESET_NAMES, action_polynomials, act,
+                               ModuleVector, PRESET_NAMES, _window_generators,
+                               action_polynomials, act,
                                annihilates, build_preset, check_aw_compat,
                                check_module_axioms, gamma_tensor_module,
                                graded_dual, jets_module, module_from_json,
@@ -293,3 +294,48 @@ class TestSerialization:
         del data["fiber"]
         with pytest.raises((ModuleError, KeyError)):
             module_from_json(data)
+
+
+def _memo_module(name):
+    if name in PRESET_NAMES:
+        return build_preset(name)
+    W2 = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))
+    if name == "twist":
+        return twist(W2, LatticeAutomorphism([[1, 1], [0, 1]]))
+    if name == "dual":
+        return graded_dual(build_preset("virasoro_adjoint"))
+    return W2
+
+
+class TestCellActionMemo:
+    """`act` memoises each cell's image on the module. A warm module must
+    agree with a fresh copy whose memo is empty at every call, in value and
+    in term order."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES + ("tensor_field", "twist",
+                                                    "dual"))
+    def test_warm_module_matches_fresh_copy(self, name):
+        M = _memo_module(name)
+        _, gens = _window_generators(M, 2)
+        cells = [v for _, _, v in M.window(2)]
+        vectors = cells + [act(x, v) for x in gens for v in cells]
+        pairs = [(x, v) for x in gens for v in vectors]
+        for x, v in pairs:
+            act(x, v)
+        fresh = module_from_json(module_to_json(M))
+        for x, v in pairs:
+            fresh._cell_actions.clear()
+            warm = act(x, v)
+            cold = act(x, ModuleVector(fresh, v.terms))
+            assert list(warm.terms.items()) == list(cold.terms.items()), (x, v)
+
+    def test_modules_differing_in_beta_share_no_entries(self):
+        M1 = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))
+        M2 = tensor_field(natural_rep(2), (Fraction(1, 2), Fraction(1, 5)))
+        x = M1.algebra.basis((1, 0), 1)
+        # (t^m d_1) e1 at offset 0: s_1 + m_1 E_11, with s_1 = beta_1
+        assert act(x, M1.basis_vector((0, 0), "e1")).terms == {
+            ((1, 0), "e1"): Fraction(4, 3)}
+        assert act(x, M2.basis_vector((0, 0), "e1")).terms == {
+            ((1, 0), "e1"): Fraction(3, 2)}
+        assert M1._cell_actions is not M2._cell_actions
