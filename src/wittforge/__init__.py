@@ -10,7 +10,7 @@ from .lie import (LatticeAutomorphism, LieElement, Rank1Algebra, WnAlgebra,
                   solenoidal_algebra, symbolic_witt_algebra, witt_algebra)
 from .modules import (ActionTerm, Constraint, GLnRepData, JPlusRepData,
                       ModuleVector, PolyWeightModule, act, annihilates,
-                      apply_uea, build_preset, check_aw_compat,
+                      build_preset, check_aw_compat,
                       check_de_rham_chain, check_module_axioms, de_rham_d,
                       de_rham_homology, gamma_tensor_module, graded_dual,
                       jets_module, module_from_json, module_to_json,

@@ -165,20 +165,14 @@ def pbw_normal_form(x: UEAElement, strategy: str = "leftmost") -> UEAElement:
     return UEAElement(x.algebra, terms)
 
 
-def differentiator(algebra: Rank1Algebra, m: int, k, s, h=None) -> UEAElement:
-    """The m-th difference derivative of e_k e_s:
+def differentiator(algebra: Rank1Algebra, m: int, k, s, h) -> UEAElement:
+    """The m-th difference derivative of e_k e_s with step h:
 
         sum_{i=0..m} (-1)^i C(m,i) e_{k - i h} e_{s + i h}
-
-    with step h defaulting to the first lattice generator.
     """
     if m < 0:
         raise AlgebraError("differentiator order must be nonnegative")
-    k, s = tuple(k), tuple(s)
-    if h is None:
-        h = tuple(int(j == 0) for j in range(algebra.lattice.rank))
-    else:
-        h = tuple(h)
+    k, s, h = tuple(k), tuple(s), tuple(h)
     terms: dict = {}
     for i in range(m + 1):
         mono = (sub_points(k, scale_point(i, h)), add_points(s, scale_point(i, h)))

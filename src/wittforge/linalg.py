@@ -17,17 +17,12 @@ def _inv(x):
     return Fraction(1) / Fraction(x)
 
 
-def row_echelon(rows, track=False):
-    """Reduced row echelon form.
-
-    Returns (echelon_rows, pivot_columns) or, with track=True,
-    (echelon_rows, pivot_columns, transform) where transform @ rows ==
-    echelon_rows (including the zero rows at the bottom).
-    """
+def row_echelon(rows):
+    """Reduced row echelon form: (echelon_rows, pivot_columns), with the
+    zero rows at the bottom."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    t = [[Fraction(int(i == j)) for j in range(nrows)] for i in range(nrows)] if track else None
     pivots = []
     r = 0
     for c in range(ncols):
@@ -35,24 +30,16 @@ def row_echelon(rows, track=False):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        if track:
-            t[r], t[pivot] = t[pivot], t[r]
         inv = _inv(m[r][c])
         m[r] = [x * inv for x in m[r]]
-        if track:
-            t[r] = [x * inv for x in t[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                if track:
-                    t[i] = [a - f * b for a, b in zip(t[i], t[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    if track:
-        return m, pivots, t
     return m, pivots
 
 

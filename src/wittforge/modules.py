@@ -23,9 +23,8 @@ from math import comb, factorial
 from typing import Mapping, Sequence
 
 from . import linalg
-from .enveloping import UEAElement, differentiator
 from .lie import (LatticeAutomorphism, LieElement, WnAlgebra, bracket,
-                  symbolic_witt_algebra, witt_algebra)
+                  witt_algebra)
 from .scalars import (PolyContext, PolyScalar, QuadExtScalar, format_rational,
                       is_zero_scalar, parse_poly, parse_rational, parse_scalar,
                       scalar_str)
@@ -314,62 +313,6 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     return ModuleVector(M, out)
 
 
-def apply_uea(u: UEAElement, M: PolyWeightModule, weight) -> dict:
-    """Generic symbolic application of an enveloping-algebra element to a
-    fiber vector of symbolic weight.
-
-    `u` lives over a symbolic rank-1 algebra; `weight` is the absolute
-    weight of the starting vector (a scalar, typically a fresh symbol).
-    Constraint terms and punctures are excluded, so the results are the
-    generic coefficients. Returns {src: {(weight, tgt): coeff}}: for each
-    generically supported source label, the nonzero coefficients of the
-    image, keyed by absolute weight and target label.
-    """
-    if M.n != 1:
-        raise ModuleError("symbolic UEA application is rank-1 only")
-    alg = u.algebra
-    msym, ssym = M.m_symbols()[0], M.s_symbols()[0]
-    out: dict = {}
-    for src in M.fiber:
-        if M.restricted_support.get(src) is not None:
-            continue
-        acc: dict = {}
-        for mono, c in u.terms.items():
-            # apply generators right to left
-            states = {(weight, src): c}
-            for point in reversed(mono):
-                mval = alg.phi(point)
-                next_states: dict = {}
-                for (w, lab), coeff in states.items():
-                    for term in M.terms_for(1, lab):
-                        if term.constraint is not None:
-                            continue
-                        if M.restricted_support.get(term.tgt) is not None:
-                            continue
-                        mapping = {msym: mval, ssym: w}
-                        for sym in term.poly.symbols_used():
-                            if sym not in mapping:
-                                mapping[sym] = _lift_symbol(sym, mval)
-                        cc = term.poly.specialize(mapping)
-                        if is_zero_scalar(cc):
-                            continue
-                        key = (w + mval, term.tgt)
-                        next_states[key] = next_states.get(key, 0) + coeff * cc
-                states = next_states
-            for key, coeff in states.items():
-                acc[key] = acc.get(key, 0) + coeff
-        out[src] = {k: v for k, v in acc.items() if not is_zero_scalar(v)}
-    return out
-
-
-def _lift_symbol(name: str, like):
-    """Parameter symbol as an element of the evaluation context of `like`."""
-    if isinstance(like, PolyScalar):
-        return like.ctx.sym(name)
-    raise ModuleError(f"cannot interpret parameter {name!r} in a concrete "
-                      f"evaluation; supply a symbolic context")
-
-
 # -- gl_n and jet-algebra representation data ---------------------------------
 
 
@@ -583,79 +526,59 @@ def omega_forms(n: int, k: int, beta) -> PolyWeightModule:
     mod = tensor_field(rep, beta)
     mod.name = f"omega^{k}(beta {tuple(beta)}) on T^{n}"
     mod.form_degree = k
-    mod.wedge_subsets = {_wedge_label(b): b for b in
-                         itertools.combinations(range(1, n + 1), k)}
     return mod
 
 
-def _wedge_insert(a: int, subset: tuple):
-    """e_a wedge e_subset -> (sign, new subset) or None if a repeats."""
-    if a in subset:
-        return None
-    pos = sum(1 for x in subset if x < a)
-    return (-1) ** pos, tuple(sorted(subset + (a,)))
+def _de_rham_matrix(n: int, k: int, svals) -> dict:
+    """Matrix {(src, tgt): coeff} of d: Omega^k -> Omega^{k+1} on the weight
+    slice with absolute weight svals, keyed by wedge labels:
+    d(t^s x e_S) = sum_a s_a t^s x (e_a wedge e_S)."""
+    out: dict = {}
+    for subset in itertools.combinations(range(1, n + 1), k):
+        for a in range(1, n + 1):
+            if a in subset:
+                continue
+            sign = (-1) ** sum(1 for x in subset if x < a)
+            new = tuple(sorted(subset + (a,)))
+            key = (_wedge_label(subset), _wedge_label(new))
+            out[key] = out.get(key, 0) + sign * svals[a - 1]
+    return out
 
 
-def de_rham_d(v: ModuleVector, target: PolyWeightModule | None = None) -> ModuleVector:
+def de_rham_d(v: ModuleVector) -> ModuleVector:
     """De Rham differential d(t^s x w) = sum_a s_a t^s x (e_a wedge w)."""
     M = v.module
     k = getattr(M, "form_degree", None)
     if k is None:
         raise ModuleError("de_rham_d requires a differential-forms module")
-    n = M.n
-    if k >= n:
+    if k >= M.n:
         raise ModuleError("d maps Omega^k only for k < n")
-    if target is None:
-        target = omega_forms(n, k + 1, M.beta)
     out: dict = {}
     for (off, lab), c in v.terms.items():
-        subset = M.wedge_subsets[lab]
-        svals = M.weight_value(off)
-        for a in range(1, n + 1):
-            ins = _wedge_insert(a, subset)
-            if ins is None:
-                continue
-            sign, new = ins
-            coeff = c * sign * svals[a - 1]
-            if is_zero_scalar(coeff):
-                continue
-            key = (off, _wedge_label(new))
-            out[key] = out.get(key, 0) + coeff
-    return ModuleVector(target, out)
-
-
-def de_rham_matrix(n: int, k: int, svals) -> list:
-    """Matrix of d on the weight slice with absolute weight svals,
-    rows = (k+1)-subsets, cols = k-subsets, lexicographic bases."""
-    cols = sorted(itertools.combinations(range(1, n + 1), k))
-    rows = sorted(itertools.combinations(range(1, n + 1), k + 1))
-    rindex = {b: i for i, b in enumerate(rows)}
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, subset in enumerate(cols):
-        for a in range(1, n + 1):
-            ins = _wedge_insert(a, subset)
-            if ins is None:
-                continue
-            sign, new = ins
-            mat[rindex[new]][j] += sign * svals[a - 1]
-    return mat
+        d = _de_rham_matrix(M.n, k, M.weight_value(off))
+        for (src, tgt), coeff in d.items():
+            if src == lab:
+                out[(off, tgt)] = out.get((off, tgt), 0) + c * coeff
+    return ModuleVector(omega_forms(M.n, k + 1, M.beta), out)
 
 
 def de_rham_homology(n: int, beta, w) -> list:
     """Ranks of ker d / im d on the weight-(beta+w) slices of the de Rham
     complex, k = 0..n, by exact row reduction."""
     beta = tuple(Fraction(b) for b in beta)
-    w = tuple(w)
     svals = tuple(b + x for b, x in zip(beta, w))
+    labels = [[_wedge_label(b)
+               for b in itertools.combinations(range(1, n + 1), k)]
+              for k in range(n + 1)]
     ranks = []
     prev_rank = 0
     for k in range(n + 1):
-        dim_k = comb(n, k)
-        if k < n and dim_k:
-            r = linalg.rank(de_rham_matrix(n, k, svals))
-        else:
-            r = 0
-        ranks.append(dim_k - r - prev_rank)
+        r = 0
+        if k < n:
+            d = _de_rham_matrix(n, k, svals)
+            r = linalg.rank([[d.get((src, tgt), Fraction(0))
+                              for src in labels[k]] for tgt in labels[k + 1]])
+        ranks.append(len(labels[k]) - r - prev_rank)
         prev_rank = r
     return ranks
 
@@ -1089,23 +1012,27 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     """Decide whether every order-`order` differentiator
     sum_i (-1)^i C(order, i) e_{k-i} e_{s+i} kills the module.
 
-    Symbolic part: k, s and the starting weight are formal, so a clean
-    residue table covers all generic placements at once. Window part:
-    concrete k, s and weights near the exceptional set, which covers the
+    Symbolic part: k, s and the starting weight wt are formal and the step
+    is 1. Each term composes two generic action matrices, e_{s+i} at
+    weight wt and then e_{k-i} at weight wt + s + i, so a clean residue
+    table covers all generic placements at once. Window part: concrete k,
+    s and weights near the exceptional set, which covers the
     constraint/puncture cases the generic computation skips.
     """
     if M.n != 1:
         raise ModuleError("differentiator certificates are rank-1 only")
-    ctx, _, (_, _, wt) = _symbolic_frame(M, ("k", "s", "wt"))
-    alg = symbolic_witt_algebra(("k", "s"), ctx=ctx)
-    kpt = alg.lattice.generator("k")
-    spt = alg.lattice.generator("s")
-    omega = differentiator(alg, order, kpt, spt)
-    res = apply_uea(omega, M, wt)
-    symbolic_residues = []
-    for src, table in res.items():
-        for (w, tgt), coeff in table.items():
-            symbolic_residues.append((src, tgt, str(w), scalar_str(coeff)))
+    _, base, (k, s, wt) = _symbolic_frame(M, ("k", "s", "wt"))
+    labels = _generic_labels(M)
+    omega: dict = {}
+    for i in range(order + 1):
+        term = _compose_matrices(
+            _generic_action_matrix(M, 1, base, [k - i], [wt + s + i]),
+            _generic_action_matrix(M, 1, base, [s + i], [wt]), labels)
+        for key, c in term.items():
+            omega[key] = omega.get(key, 0) + (-1) ** i * comb(order, i) * c
+    symbolic_residues = [(src, tgt, str(wt + k + s), scalar_str(c))
+                         for src in M.fiber for tgt in M.fiber
+                         if not is_zero_scalar(c := omega.get((src, tgt), 0))]
     cert = AnnihilationCertificate(order, M.name or repr(M),
                                    annihilates=not symbolic_residues,
                                    symbolic_residues=symbolic_residues,
@@ -1253,21 +1180,9 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
     sv = [ctx.sym(f"s{i+1}") for i in range(n)]
     mods = [omega_forms(n, k, beta) for k in range(n + 1)]
 
-    def dmat(svals, M0):
-        out: dict = {}
-        for sub in sorted(M0.wedge_subsets.values()):
-            for a in range(1, n + 1):
-                ins = _wedge_insert(a, sub)
-                if ins is None:
-                    continue
-                sign, new = ins
-                key = (_wedge_label(sub), _wedge_label(new))
-                out[key] = out.get(key, 0) + sign * svals[a - 1]
-        return out
-
     for k in range(n - 1):
-        dd = _compose_matrices(dmat(sv, mods[k + 1]), dmat(sv, mods[k]),
-                               mods[k + 2].fiber)
+        dd = _compose_matrices(_de_rham_matrix(n, k + 1, sv),
+                               _de_rham_matrix(n, k, sv), mods[k + 2].fiber)
         for key, res in _matrix_residues(dd, {}):
             rep.symbolic_failures.append(("d^2", k) + key + (res,))
         rep.symbolic_checked += 1
@@ -1281,9 +1196,9 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
             for a in range(1, n + 1):
                 lhs = _compose_matrices(
                     _generic_action_matrix(mk1, a, {}, mv, sv),
-                    dmat(sv, mk), mk1.fiber)
+                    _de_rham_matrix(n, k, sv), mk1.fiber)
                 rhs = _compose_matrices(
-                    dmat(smv, mk),
+                    _de_rham_matrix(n, k, smv),
                     _generic_action_matrix(mk, a, {}, mv, sv), mk1.fiber)
                 for key, res in _matrix_residues(lhs, rhs):
                     rep.symbolic_failures.append((mvec, a, k) + key + (res,))

@@ -162,34 +162,6 @@ class QuadExtScalar:
         return f"{format_rational(self.a)} {sign} {bpart}"
 
 
-_QUAD_RE = re.compile(
-    r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?:(?P<sign>[+-])\s*(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<d>\d+)\))?\s*$"
-)
-
-
-def parse_quadext(text: str, d: int | None = None) -> QuadExtScalar:
-    text = text.strip()
-    m = _QUAD_RE.match(text)
-    if not m or (m.group("a") is None and m.group("d") is None):
-        # allow bare "sqrt(d)" / "-sqrt(d)" / "b*sqrt(d)"
-        m2 = re.match(r"^\s*(-)?\s*(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)\s*$", text)
-        if not m2:
-            raise ScalarError(f"cannot parse quadratic scalar: {text!r}")
-        b = Fraction(m2.group(2) or 1)
-        if m2.group(1):
-            b = -b
-        dd = int(m2.group(3))
-        return QuadExtScalar(0, b, dd)
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    if m.group("d") is None:
-        return QuadExtScalar(a, 0, d if d is not None else 19)
-    b = Fraction(m.group("b") or 1)
-    if m.group("sign") == "-":
-        b = -b
-    return QuadExtScalar(a, b, int(m.group("d")))
-
-
 BaseScalar = Union[int, Fraction, QuadExtScalar]
 
 
@@ -642,12 +614,11 @@ def parse_poly(text: str, ctx: PolyContext) -> PolyScalar:
 
 
 def parse_scalar(text: str, ctx: PolyContext | None = None) -> BaseScalar | PolyScalar:
-    """Parse any emitted scalar string; polynomial contexts must be supplied."""
+    """Parse an emitted scalar string: a rational without a context, any
+    polynomial over Q or Q(sqrt d) in the context `ctx`."""
     text = text.strip()
     if re.fullmatch(r"[+-]?\d+(?:/\d+)?", text):
         return Fraction(text)
-    if "sqrt" in text and ctx is None:
-        return parse_quadext(text)
     if ctx is None:
         raise ScalarError(f"need a PolyContext to parse {text!r}")
     return parse_poly(text, ctx)

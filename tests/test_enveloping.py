@@ -89,24 +89,24 @@ class TestAnticommutator:
 
 class TestDifferentiator:
     def test_order_zero(self):
-        assert differentiator(WITT, 0, (4,), (-1,)) == e(4, -1)
+        assert differentiator(WITT, 0, (4,), (-1,), (1,)) == e(4, -1)
 
     def test_first_order(self):
-        assert differentiator(WITT, 1, (4,), (-1,)) == e(4, -1) - e(3, 0)
+        assert differentiator(WITT, 1, (4,), (-1,), (1,)) == e(4, -1) - e(3, 0)
 
     def test_recursion(self):
         # D^{(m+1)}_{k,s} = D^{(m)}_{k,s} - D^{(m)}_{k-1,s+1}
         for m in range(5):
             for k, s in [(4, -1), (0, 0), (-2, 3)]:
-                assert (differentiator(WITT, m + 1, (k,), (s,))
-                        == differentiator(WITT, m, (k,), (s,))
-                        - differentiator(WITT, m, (k - 1,), (s + 1,)))
+                assert (differentiator(WITT, m + 1, (k,), (s,), (1,))
+                        == differentiator(WITT, m, (k,), (s,), (1,))
+                        - differentiator(WITT, m, (k - 1,), (s + 1,), (1,)))
 
     def test_symbolic_indices(self):
         alg = symbolic_witt_algebra(("k", "s"))
         k = alg.lattice.generator("k")
         s = alg.lattice.generator("s")
-        d1 = differentiator(alg, 1, k, s)
+        d1 = differentiator(alg, 1, k, s, alg.lattice.generator("1"))
         # order 1 has exactly two tensor words: e_k e_s - e_{k-1} e_{s+1}
         assert len(d1.terms) == 2
 

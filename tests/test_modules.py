@@ -1,6 +1,7 @@
 import copy
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,7 +15,7 @@ from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
                                module_to_json, natural_rep, tensor_density,
                                tensor_field, trivial_rep, twist,
                                weight_report, wedge_rep)
-from wittforge.scalars import QuadExtScalar
+from wittforge.scalars import PolyContext, QuadExtScalar, parse_poly
 
 WITT = witt_algebra()
 
@@ -106,6 +107,48 @@ class TestAnnihilation:
 
     def test_punctured_inherits_density_bound(self):
         assert annihilates(3, build_preset("punctured_functions")).annihilates
+
+    # (module, order, generic point (k, s, offset), the one residue at step 1)
+    STEP_ONE = [
+        (lambda: build_preset("virasoro_adjoint"), 2, (5, -2, 3),
+         ("u", "u", "-4")),
+        (lambda: tensor_density(Fraction(2, 3), Fraction(1, 5)), 2, (4, 1, -2),
+         ("v", "v", "4/9")),
+        (lambda: build_preset("feigin_fuks_length2"), 8, (7, -3, 4),
+         ("w", "u", "151200")),
+    ]
+    STEP_ONE_IDS = ["virasoro_adjoint", "tensor_density",
+                    "feigin_fuks_length2"]
+
+    @pytest.mark.parametrize("make, order, point, residue", STEP_ONE,
+                             ids=STEP_ONE_IDS)
+    def test_symbolic_residue_is_at_step_one(self, make, order, point,
+                                             residue):
+        cert = annihilates(order, make(), window=0)
+        assert cert.symbolic_residues == [residue[:2] + ("k + s + wt",
+                                                         residue[2])]
+
+    @pytest.mark.parametrize("make, order, point, residue", STEP_ONE,
+                             ids=STEP_ONE_IDS)
+    def test_symbolic_residue_matches_concrete_action(self, make, order,
+                                                      point, residue):
+        # at a point off the exceptional set, and outside the window, the
+        # specialised residue is the differentiator applied through `act`
+        M = make()
+        kv, sv, off = point
+        ctx = PolyContext(("k", "s", "wt"))
+        values = {"k": kv, "s": sv, "wt": M.weight_value((off,))[0]}
+        cert = annihilates(order, M, window=0)
+        expected = {((off + kv + sv,), tgt):
+                    parse_poly(c, ctx).specialize(values)
+                    for src, tgt, _, c in cert.symbolic_residues
+                    if src == residue[0]}
+        v = M.basis_vector(off, residue[0])
+        total = ModuleVector(M, {})
+        for i in range(order + 1):
+            term = act(e(kv - i), act(e(sv + i), v))
+            total = total + term.scale(Fraction((-1) ** i * comb(order, i)))
+        assert expected and total.terms == expected
 
 
 class TestGLnReps:

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from wittforge.scalars import (ContextMismatchError, MissingSymbolError,
                                PolyContext, PolyScalar, QuadExtScalar,
-                               format_rational, parse_poly, parse_rational,
-                               parse_scalar)
+                               ScalarError, format_rational, parse_poly,
+                               parse_rational, parse_scalar)
 
 CTX = PolyContext(("a", "b", "c"))
 
@@ -175,3 +175,8 @@ class TestParsing:
 
     def test_parse_scalar_plain(self):
         assert parse_scalar("-5/3") == Fraction(-5, 3)
+
+    @pytest.mark.parametrize("text", ["sqrt(19)", "7/2 - 1/2*sqrt(19)", "m"])
+    def test_parse_scalar_without_context_rejects_non_rationals(self, text):
+        with pytest.raises(ScalarError):
+            parse_scalar(text)
