@@ -3,9 +3,10 @@
 One process runs exactly one subcommand and emits newline-delimited JSON
 records (deterministic ordering) plus a short summary line. Exit codes:
 0 all assertions pass, 1 an assertion failed, 2 invalid configuration,
-3 inconclusive (an adaptive degree bound hit its ceiling), 4 internal
-error (an unexpected exception: one `internal_error` record naming its
-type, and no traceback).
+3 inconclusive (the adaptive degree bound of the emitted cover module's
+interpolation hit its ceiling), 4 internal error (an unexpected
+exception: one `internal_error` record naming its type, and no
+traceback).
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ Laurent mode t^m a vector in the weight-(w+m) space of M. The cover is the
 span of the generators psi(e_k, u) with psi(e_k, u)(t^m) = e_{k+m} u; for a
 module with polynomial action coefficients these values are quasi-polynomial
 in m: a polynomial part per fiber label plus finitely many exceptional
-modes. That makes the cover amenable to exact finite linear algebra: fix a
-degree bound and the exceptional mode set, and a weight space of the cover
-is a subspace of a finite coordinate space.
+modes. That makes the cover amenable to exact finite linear algebra: a
+weight space of the cover is a subspace of a finite coordinate space.
 
-Degree bounds are not known a priori; interpolations are verified on extra
-sample points and grown geometrically up to a ceiling (overridable via the
-WITTFORGE_DEGREE_CEILING environment variable). Running out of ceiling
-raises InconclusiveError — never a silent wrong answer.
+Cover vectors are exact. The polynomial part of psi(e_k, u) and of
+e_p theta is read off the module's action polynomials by substitution, and
+the exceptional modes (punctures, finite supports and the modes where a
+constraint term fires) get their values from the concrete action. Only the
+emitted module's coefficients are interpolated in (p, w); their degree is
+grown geometrically up to a ceiling (overridable via the
+WITTFORGE_DEGREE_CEILING environment variable), and running out of ceiling
+raises InconclusiveError, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ def _require_rank1_concrete(M: PolyWeightModule):
         raise ModuleError("covers are implemented for rank-1 modules")
     if M.param_symbols():
         raise ModuleError("covers need concrete (non-symbolic) parameters")
+    if not all(isinstance(b, (int, Fraction)) for b in M.beta):
+        raise ModuleError(f"covers need a rational beta, got "
+                          f"{[scalar_str(b) for b in M.beta]}")
 
 
 def base_degree(M: PolyWeightModule) -> int:
@@ -133,7 +139,7 @@ def _constraint_modes(M: PolyWeightModule, gen: tuple, src: tuple) -> set:
         # cm*(gen0 + gen1*m) + cs*(beta + src0 + src1*m) == const
         slope = cm * gen[1] + cs * src[1]
         if slope == 0:
-            continue  # mode-independent; the generic samples see it
+            continue  # all modes or none: `_generic_image` decides
         m = (Fraction(c.const) - cm * gen[0] - cs * (M.beta[0] + src[0])) / slope
         if m.denominator == 1:
             out.add(int(m))
@@ -178,54 +184,42 @@ def _interpolate(samples: Mapping[tuple, object],
 
 def qpv_from_function(M: PolyWeightModule, w: int,
                       fn: Callable[[int], ModuleVector],
-                      degree: int, extra_modes: Sequence[int] = (),
-                      verify: int = 2) -> QuasiPolyVector:
-    """Materialize m |-> fn(m) (a weight-(w+m) vector of M) as a
-    QuasiPolyVector, given that it is polynomial of degree <= `degree` away
-    from the forced/extra modes. Interpolations are confirmed on `verify`
-    additional samples; disagreement raises DegreeBoundError.
-    """
+                      poly: Mapping[str, PolyScalar],
+                      extra_modes: Sequence[int] = ()) -> QuasiPolyVector:
+    """The weight-w quasi-polynomial vector whose value at mode m is the
+    label polynomials `poly` in m, except at M's exceptional modes and at
+    `extra_modes`, where it is fn(m), a weight-(w+m) vector of M."""
     exc = {off[0] - w for off in M.exceptional_offsets()} | set(extra_modes)
-    start = _first_clear_mode(exc)
-    samples = list(range(start, start + degree + 1 + verify))
-
-    def components(m):
-        vec = fn(m)
-        out = {lab: Fraction(0) for lab in M.fiber}
-        for ((off,), lab), c in vec.terms.items():
+    overrides = {}
+    for m in sorted(exc):
+        comp = {lab: Fraction(0) for lab in M.fiber}
+        for ((off,), lab), c in fn(m).terms.items():
             if off != w + m:
                 raise CoverError(
                     f"value at mode {m} is not homogeneous of weight offset "
                     f"{w + m}")
-            out[lab] = c
-        return out
-
-    table = {m: components(m) for m in samples}
-    poly = {lab: _interpolate({(m,): table[m][lab] for m in samples},
-                              [samples[:degree + 1]], _MCTX)
-            for lab in M.fiber}
-    overrides = {}
-    for m in sorted(exc):
-        comp = components(m)
+            comp[lab] = c
         for lab in M.fiber:
             overrides[(m, lab)] = comp[lab]
     return QuasiPolyVector(M, w, poly, overrides)
 
 
-def _adaptive(M: PolyWeightModule, build: Callable[[int], object]):
-    """Run `build` with growing degree bounds up to the ceiling."""
-    d = base_degree(M) + 2
-    ceiling = degree_ceiling(d)
-    d = min(d, ceiling)
-    while True:
-        try:
-            return build(d)
-        except DegreeBoundError:
-            if d >= ceiling:
-                raise InconclusiveError(
-                    f"degree ceiling {ceiling} reached without a stable "
-                    f"interpolation")
-            d = min(2 * d, ceiling)
+def _generic_image(M: PolyWeightModule, k, s, coeffs: Mapping) -> dict:
+    """Label polynomials in m of e_k applied at absolute weight s to the
+    vector with label polynomials `coeffs`; k and s may be polynomials in m.
+    Off the exceptional and constraint modes this is the concrete action:
+    finitely-supported targets are skipped, and so is every constraint term
+    that does not hold identically in m."""
+    out: dict = {}
+    for src, c in coeffs.items():
+        for t in M.terms_for(1, src):
+            if t.tgt in M.restricted_support or (
+                    t.constraint is not None
+                    and not t.constraint.satisfied((k,), (s,))):
+                continue
+            out[t.tgt] = (out.get(t.tgt, _MCTX.zero())
+                          + t.poly.specialize({"m": k, "s": s}) * c)
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,24 +242,23 @@ def psi_evaluate(M: PolyWeightModule, g: PsiGenerator) -> QuasiPolyVector:
     """psi(e_k, u)(t^m) = e_{k+m} u, materialized."""
     _require_rank1_concrete(M)
     u = M.basis_vector((g.j,), g.label)
-    w = g.weight
+    poly = _generic_image(M, g.k + _MCTX.sym("m"), M.beta[0] + g.j,
+                          {lab: c for (_, lab), c in u.terms.items()})
 
     def fn(m):
         return act(M.algebra.basis((g.k + m,)), u)
 
     extra = _constraint_modes(M, (g.k, 1), (g.j, 0))
-    return _adaptive(M, lambda d: qpv_from_function(M, w, fn, d, extra))
+    return qpv_from_function(M, g.weight, fn, poly, extra)
 
 
 # -- linear algebra over quasi-polynomial coordinates -------------------------
 
 
 def _common_frame(vectors: Sequence[QuasiPolyVector]):
-    """Shared coordinate frame: (degree, fiber label) polynomial slots
-    followed by (mode, label) override slots."""
-    if not vectors:
-        return 0, []
-    M = vectors[0].module
+    """The largest polynomial degree and the sorted union of the override
+    modes of `vectors`: the (degree, label) and (mode, label) slots of
+    `_coordinates`."""
     degree = 0
     modes = set()
     for v in vectors:
@@ -273,14 +266,6 @@ def _common_frame(vectors: Sequence[QuasiPolyVector]):
             degree = max(degree, p.total_degree())
         modes |= v.override_modes()
     return degree, sorted(modes)
-
-
-def _extend_overrides(v: QuasiPolyVector, modes) -> QuasiPolyVector:
-    overrides = dict(v.overrides)
-    for m in modes:
-        for lab in v.module.fiber:
-            overrides.setdefault((m, lab), v.component(m, lab))
-    return QuasiPolyVector(v.module, v.weight, v.poly, overrides)
 
 
 def _coordinates(v: QuasiPolyVector, degree: int, modes) -> list:
@@ -324,8 +309,7 @@ def span_basis(vectors: Sequence[QuasiPolyVector]) -> list:
     M = vectors[0].module
     w = vectors[0].weight
     degree, modes = _common_frame(vectors)
-    rows = [_coordinates(_extend_overrides(v, modes), degree, modes)
-            for v in vectors]
+    rows = [_coordinates(v, degree, modes) for v in vectors]
     ech, pivots = linalg.row_echelon(rows)
     return [_from_coordinates(M, w, r, degree, modes)
             for r in ech[:len(pivots)]]
@@ -335,9 +319,8 @@ def expand_in_family(v: QuasiPolyVector, family: Sequence[QuasiPolyVector]):
     """Coefficients of v over a linearly independent family, or None if v
     is outside its span."""
     deg, modes = _common_frame(list(family) + [v])
-    rows = [_coordinates(_extend_overrides(b, modes), deg, modes)
-            for b in family]
-    target = _coordinates(_extend_overrides(v, modes), deg, modes)
+    rows = [_coordinates(b, deg, modes) for b in family]
+    target = _coordinates(v, deg, modes)
     return linalg.solve_in_span(rows, target)
 
 
@@ -403,6 +386,10 @@ def lie_action(theta: QuasiPolyVector, p: int) -> QuasiPolyVector:
     """(e_p theta)(t^m) = e_p(theta(t^m)) - m * theta(t^{m+p})."""
     M = theta.module
     w = theta.weight
+    mvar = _MCTX.sym("m")
+    poly = _generic_image(M, Fraction(p), M.beta[0] + w + mvar, theta.poly)
+    for lab, q in a_action(theta, p).poly.items():
+        poly[lab] = poly.get(lab, _MCTX.zero()) - mvar * q
 
     def fn(m):
         first = act(M.algebra.basis((p,)), theta.value(m))
@@ -414,13 +401,7 @@ def lie_action(theta: QuasiPolyVector, p: int) -> QuasiPolyVector:
         extra.add(m0)
         extra.add(m0 - p)
     extra |= _constraint_modes(M, (p, 0), (w, 1))
-    deg_hint = base_degree(M) + max(
-        (pp.total_degree() for pp in theta.poly.values()), default=0) + 1
-
-    def build(d):
-        return qpv_from_function(M, w + p, fn, max(d, deg_hint), extra)
-
-    return _adaptive(M, build)
+    return qpv_from_function(M, w + p, fn, poly, extra)
 
 
 def a_action(theta: QuasiPolyVector, p: int) -> QuasiPolyVector:
@@ -564,8 +545,20 @@ def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     """Package the induced Lie action as a PolyWeightModule with fiber
     b1..br: entries are interpolated in (generator exponent, weight) on a
     sample grid away from the source module's exceptional weights and
-    verified on the spare samples."""
-    return _adaptive(C.module, lambda d: _emit_at_degree(C, d))
+    verified on the spare samples, with the degree bound doubled up to the
+    ceiling."""
+    d = base_degree(C.module) + 2
+    ceiling = degree_ceiling(d)
+    d = min(d, ceiling)
+    while True:
+        try:
+            return _emit_at_degree(C, d)
+        except DegreeBoundError:
+            if d >= ceiling:
+                raise InconclusiveError(
+                    f"degree ceiling {ceiling} reached without a stable "
+                    f"interpolation")
+            d = min(2 * d, ceiling)
 
 
 def _emit_at_degree(C: CoverModule, d: int) -> PolyWeightModule:
@@ -685,15 +678,16 @@ def adjoint_cover_frame(V: PolyWeightModule, j: int) -> list:
         tau_j(t^m) = (j+m) u_{j+m},  theta_j(t^m) = u_{j+m},
         eta_j(t^m) = [j+m=0] z.
     """
+    mvar = _MCTX.sym("m")
     tau = qpv_from_function(
         V, j, lambda m: V.basis_vector((j + m,), "u").scale(Fraction(j + m)),
-        2, ())
+        {"u": j + mvar})
     theta = qpv_from_function(V, j, lambda m: V.basis_vector((j + m,), "u"),
-                              2, ())
+                              {"u": _MCTX.const(1)})
     eta = qpv_from_function(
         V, j,
         lambda m: V.basis_vector((0,), "z") if j + m == 0 else V.vector({}),
-        2, ())
+        {})
     return [tau, theta, eta]
 
 

@@ -106,13 +106,12 @@ def witt_algebra() -> Rank1Algebra:
     return Rank1Algebra(IndexLattice(("1",)), (1,))
 
 
-def symbolic_witt_algebra(symbols: Sequence[str], ctx: PolyContext | None = None,
+def symbolic_witt_algebra(symbols: Sequence[str],
                           with_unit: bool = True) -> Rank1Algebra:
     """Rank-1 algebra over a lattice with formal symbol generators (plus a
     unit axis for integer offsets); phi maps each symbol to the same-named
     polynomial variable."""
-    if ctx is None:
-        ctx = PolyContext(tuple(symbols))
+    ctx = PolyContext(tuple(symbols))
     names = tuple(symbols) + (("1",) if with_unit else ())
     phi = tuple(ctx.sym(s) for s in symbols) + ((ctx.const(1),) if with_unit else ())
     return Rank1Algebra(IndexLattice(names), phi)

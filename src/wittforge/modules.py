@@ -546,20 +546,26 @@ def _de_rham_matrix(n: int, k: int, svals) -> dict:
 
 
 def de_rham_d(v: ModuleVector) -> ModuleVector:
-    """De Rham differential d(t^s x w) = sum_a s_a t^s x (e_a wedge w)."""
+    """De Rham differential d(t^s x w) = sum_a s_a t^s x (e_a wedge w).
+
+    The target Omega^{k+1} is built once per source module, so images of
+    one module's vectors can be added and compared."""
     M = v.module
     k = getattr(M, "form_degree", None)
     if k is None:
         raise ModuleError("de_rham_d requires a differential-forms module")
     if k >= M.n:
         raise ModuleError("d maps Omega^k only for k < n")
+    target = getattr(M, "d_target", None)
+    if target is None:
+        target = M.d_target = omega_forms(M.n, k + 1, M.beta)
     out: dict = {}
     for (off, lab), c in v.terms.items():
         d = _de_rham_matrix(M.n, k, M.weight_value(off))
         for (src, tgt), coeff in d.items():
             if src == lab:
                 out[(off, tgt)] = out.get((off, tgt), 0) + c * coeff
-    return ModuleVector(omega_forms(M.n, k + 1, M.beta), out)
+    return ModuleVector(target, out)
 
 
 def de_rham_homology(n: int, beta, w) -> list:
@@ -1019,7 +1025,7 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     s and weights near the exceptional set, which covers the
     constraint/puncture cases the generic computation skips.
     """
-    if M.n != 1:
+    if isinstance(M.algebra, WnAlgebra):
         raise ModuleError("differentiator certificates are rank-1 only")
     _, base, (k, s, wt) = _symbolic_frame(M, ("k", "s", "wt"))
     labels = _generic_labels(M)
@@ -1125,9 +1131,29 @@ def _offset_json(value) -> tuple:
     return tuple(value)
 
 
+def _labels_json(value, field: str) -> tuple:
+    """A list of fiber labels of a module file: strings, which a label of
+    another type equal to one of them (1 == True) cannot pass for."""
+    return tuple(_text(lab, f"{field} entry")
+                 for lab in _typed(value, list, field))
+
+
+def _integer(value, field: str) -> int:
+    """An integer field of a module file; a bool, a float or a numeric
+    string would otherwise be read as an integer."""
+    if type(value) is not int:
+        raise ModuleError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def module_from_json(data: Mapping) -> PolyWeightModule:
-    n = int(data["algebra"]["n"])
-    if data["algebra"]["type"] == "wn":
+    n = _integer(data["algebra"]["n"], "n")
+    if n < 1:
+        raise ModuleError(f"algebra rank n must be positive, got {n}")
+    kind = data["algebra"]["type"]
+    if kind not in ("witt", "wn"):
+        raise ModuleError(f"algebra type must be 'witt' or 'wn', got {kind!r}")
+    if kind == "wn":
         algebra = WnAlgebra(n)
         msyms = tuple(f"m{i+1}" for i in range(n))
         ssyms = tuple(f"s{i+1}" for i in range(n))
@@ -1156,19 +1182,21 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
                 for key in ("m_coeffs", "s_coeffs"))
             constraint = Constraint(m_coeffs, s_coeffs,
                                     parse_rational(_text(c["const"], "const")))
-        terms.append(ActionTerm(int(t["direction"]), t["src"], t["tgt"],
+        terms.append(ActionTerm(_integer(t["direction"], "direction"),
+                                _text(t["src"], "src"), _text(t["tgt"], "tgt"),
                                 parse_poly(t["poly"], ctx), constraint))
     support = _typed(data.get("restricted_support", {}), dict,
                      "restricted_support")
     return PolyWeightModule(
-        algebra, beta, _typed(data["fiber"], list, "fiber"), terms,
+        algebra, beta, _labels_json(data["fiber"], "fiber"), terms,
         punctures=[(_offset_json(p["offset"]),
-                    tuple(_typed(p["labels"], list, "labels")))
-                   for p in data.get("punctures", ())],
+                    _labels_json(p["labels"], "labels"))
+                   for p in _typed(data.get("punctures", []), list,
+                                   "punctures")],
         restricted_support={lab: [_offset_json(o)
                                   for o in _typed(offs, list, "offsets")]
                             for lab, offs in support.items()},
-        name=data.get("name", ""))
+        name=_text(data.get("name", ""), "name"))
 
 
 def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:

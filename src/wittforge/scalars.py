@@ -556,13 +556,21 @@ def parse_poly(text: str, ctx: PolyContext) -> PolyScalar:
     """
     pos = 0
     text = text.strip()
+    if not text:
+        raise ScalarError("empty polynomial; zero is written 0")
     result = ctx.zero()
-    sign = 1
+    sign = None  # the sign read before the next term, if any
     n = len(text)
+
+    def token(pos):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ScalarError(f"cannot parse {text!r} at position {pos}")
+        return m
 
     def read_factor(pos):
         # one factor: rational | name[^int] | (quadext)
-        m = _TOKEN_RE.match(text, pos)
+        m = token(pos)
         if m.group("num"):
             return ctx.const(Fraction(m.group("num"))), m.end()
         if m.group("name"):
@@ -593,8 +601,11 @@ def parse_poly(text: str, ctx: PolyContext) -> PolyScalar:
         raise ScalarError(f"cannot parse {text!r} at position {pos}")
 
     while pos < n:
-        m = _TOKEN_RE.match(text, pos)
+        m = token(pos)
         if m.group("op") in ("+", "-"):
+            if sign is not None:
+                raise ScalarError(f"two signs in a row in {text!r} at "
+                                  f"position {pos}")
             sign = 1 if m.group("op") == "+" else -1
             pos = m.end()
             continue
@@ -602,14 +613,19 @@ def parse_poly(text: str, ctx: PolyContext) -> PolyScalar:
             break
         term, pos = read_factor(pos)
         while pos < n:
-            m2 = _TOKEN_RE.match(text, pos)
+            m2 = token(pos)
             if m2.group("op") == "*":
                 factor, pos = read_factor(m2.end())
                 term = term * factor
-            else:
+            elif m2.group("op") in ("+", "-") or m2.group("end") is not None:
                 break
-        result = result + (term if sign > 0 else -term)
-        sign = 1
+            else:
+                raise ScalarError(f"expected an operator in {text!r} at "
+                                  f"position {pos}")
+        result = result + (-term if sign == -1 else term)
+        sign = None
+    if sign is not None:
+        raise ScalarError(f"a sign with no term after it in {text!r}")
     return result
 
 

@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from wittforge import modules
 from wittforge.cli import main
-from wittforge.modules import build_preset, module_to_json
+from wittforge.modules import build_preset, module_to_json, tensor_density
 
 runner = CliRunner()
 
@@ -113,6 +114,18 @@ class TestAnnihilator:
         assert "Traceback" not in res.output
 
 
+# Commands that a case of `test_invalid_module_exits_two` runs, where it is
+# more than module-check. An irrational beta is invalid only for the cover,
+# which solves for integer modes.
+_LOADING_COMMANDS = [("module-check",), ("annihilator", "--m", "2"),
+                     ("dual",), ("acover", "--window", "1")]
+_CASE_COMMANDS = {"wn_rank_zero": _LOADING_COMMANDS,
+                  "wn_rank_negative": _LOADING_COMMANDS,
+                  "cover_irrational_beta": [("acover", "--window", "1")],
+                  "cover_irrational_beta_density": [("acover", "--window",
+                                                     "1")]}
+
+
 class TestModuleCheck:
     def test_preset_passes(self):
         res = invoke("module-check", "--preset", "virasoro_adjoint")
@@ -147,29 +160,51 @@ class TestModuleCheck:
         lambda d: d.update(terms={}),
         lambda d: d.update(fiber="uz"),
         lambda d: d.update(restricted_support=[["z", [0]]]),
+        lambda d: d.update(algebra={"type": "wn", "n": 0}),
+        lambda d: d.update(algebra={"type": "wn", "n": -2}),
+        lambda d: (d["fiber"].append(True),
+                   d["terms"][1].update(tgt=1)),
+        lambda d: d["terms"][0].update(direction=1.5),
+        lambda d: d["algebra"].update(type=""),
+        lambda d: d["algebra"].update(n="1"),
+        lambda d: d["terms"][0].update(poly="1.5*s"),
+        lambda d: d.update(beta=["sqrt(19)"]),
+        lambda d: d.update(module_to_json(tensor_density(Fraction(2, 3),
+                                                         Fraction(0))),
+                           beta=["sqrt(19)"]),
     ], ids=["direction", "puncture_label", "support_label",
             "constraint_m_arity", "constraint_s_arity", "numeric_beta",
             "numeric_constraint", "puncture_offset", "support_offset",
             "zero_beta_denominator", "string_beta", "terms_not_list",
-            "string_fiber", "support_not_object"])
-    def test_invalid_module_exits_two(self, tmp_path, corrupt):
+            "string_fiber", "support_not_object", "wn_rank_zero",
+            "wn_rank_negative", "bool_label", "float_direction",
+            "unknown_algebra", "string_rank", "decimal_poly",
+            "cover_irrational_beta",
+            "cover_irrational_beta_density"])
+    def test_invalid_module_exits_two(self, tmp_path, corrupt, request):
         data = module_to_json(build_preset("virasoro_adjoint"))
         corrupt(data)
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(data))
-        res = invoke("module-check", "--module", str(f))
-        assert res.exit_code == 2
+        commands = _CASE_COMMANDS.get(request.node.callspec.id,
+                                      [("module-check",)])
+        for command, *extra in commands:
+            res = invoke(command, "--module", str(f), *extra)
+            assert res.exit_code == 2, (command, res.output)
 
     @pytest.mark.parametrize("command,param", [
-        ("annihilator", None), ("annihilator", "k"), ("module-check", "gm1")],
-        ids=["annihilator-w2", "annihilator-param_k", "module-check-param_gm1"])
+        ("annihilator", None), ("annihilator", "k"), ("module-check", "gm1"),
+        ("annihilator", "w1")],
+        ids=["annihilator-w2", "annihilator-param_k", "module-check-param_gm1",
+             "annihilator-w1"])
     def test_checker_error_exits_two(self, tmp_path, command, param):
-        # a module the checker cannot handle (a W_2 module for the rank-1
-        # annihilator, a parameter named like a checker symbol) is a usage
-        # error, not a refutation
-        from fractions import Fraction
+        # a module the checker cannot handle (a W_n module, even W_1, for
+        # the rank-1 annihilator, a parameter named like a checker symbol)
+        # is a usage error, not a refutation
         from wittforge.modules import natural_rep, tensor_field
-        if param is None:
+        if param == "w1":
+            data = module_to_json(tensor_field(natural_rep(1), (Fraction(0),)))
+        elif param is None:
             data = module_to_json(tensor_field(natural_rep(2),
                                                (Fraction(0), Fraction(0))))
         else:

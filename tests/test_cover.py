@@ -9,11 +9,13 @@ from wittforge.cover import (CoverModule, InconclusiveError, PsiGenerator,
                              induced_action, lie_action, a_action, pi_map,
                              pi_homomorphism_check, pi_star_check,
                              pi_surjectivity_check, psi_evaluate)
-from wittforge.modules import (act, action_polynomials, build_preset,
-                               check_module_axioms, graded_dual,
+from wittforge.modules import (PRESET_NAMES, ActionTerm, Constraint,
+                               PolyWeightModule, act, action_polynomials,
+                               build_preset, check_module_axioms, graded_dual,
                                tensor_density)
 from wittforge import cover
 from wittforge.lie import witt_algebra
+from wittforge.scalars import PolyContext
 
 WITT = witt_algebra()
 
@@ -32,6 +34,55 @@ class TestPsiEvaluation:
         V = build_preset("virasoro_adjoint")
         th = psi_evaluate(V, PsiGenerator(1, 0, "z"))
         assert th.is_zero()
+
+
+def _skips_module():
+    """Not a module (it fails the axioms): its terms reach the two skips of
+    the substitution that no preset reaches, a constraint term between
+    generically supported labels, firing on the line 2m + s = 1, and an
+    unconstrained term into a label supported at one weight."""
+    ctx = PolyContext(("m", "s"))
+    m, s = ctx.sym("m"), ctx.sym("s")
+    line = Constraint((Fraction(2),), (Fraction(1),), Fraction(1))
+    return PolyWeightModule(
+        WITT, (Fraction(0),), ("u", "z"),
+        [ActionTerm(1, "u", "u", s + m),
+         ActionTerm(1, "u", "u", m ** 2 + 1, constraint=line),
+         ActionTerm(1, "u", "z", s + 3)],
+        restricted_support={"z": [(2,)]}, name="skips")
+
+
+def _oracle_modules():
+    return ([build_preset(name) for name in PRESET_NAMES]
+            + [tensor_density(Fraction(2, 3), Fraction(1, 5)),
+               tensor_density(Fraction(1), Fraction(0)),
+               # its constraint -s = 0 has zero slope on psi generators
+               graded_dual(build_preset("virasoro_adjoint")),
+               _skips_module()])
+
+
+class TestSubstitutionOracle:
+    """The substituted polynomial parts and the exact exceptional values
+    agree with the concrete `act` path at every mode in [-12, 12], which
+    holds every exceptional and constraint mode of the (k, j, p) below."""
+
+    MODES = range(-12, 13)
+
+    @pytest.mark.parametrize("M", _oracle_modules(), ids=lambda M: M.name)
+    def test_psi_and_lie_action_match_act(self, M):
+        e = M.algebra.basis
+        for k, j in ((-2, 0), (1, -1), (3, 2), (0, 1)):
+            for lab in M.labels_at((j,)):
+                u = M.basis_vector((j,), lab)
+                th = psi_evaluate(M, PsiGenerator(k, j, lab))
+                for m in self.MODES:
+                    assert th.value(m) == act(e((k + m,)), u), (k, j, lab, m)
+                for p in (-2, 3):
+                    eth = lie_action(th, p)
+                    for m in self.MODES:
+                        want = (act(e((p,)), act(e((k + m,)), u))
+                                - act(e((k + m + p,)), u).scale(Fraction(m)))
+                        assert eth.value(m) == want, (k, j, lab, p, m)
 
 
 class TestCoverRanks:
@@ -147,16 +198,20 @@ class TestDualPairing:
 
 
 class TestDegreeCeiling:
+    # the emitted module's (p, w) interpolation is the one degree loop; the
+    # cover ranks are exact and never read the ceiling
     def test_ceiling_forces_inconclusive(self, monkeypatch):
         monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", "1")
         C = CoverModule(build_preset("feigin_fuks_length2"))
+        assert C.rank(0) > 0
         with pytest.raises(InconclusiveError):
-            C.rank(0)
+            emit_induced_module(C)
 
     def test_generous_ceiling_succeeds(self, monkeypatch):
         monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", "40")
         C = CoverModule(build_preset("punctured_functions"))
-        assert C.rank(0) == 1
+        assert action_polynomials(emit_induced_module(C)) == {
+            (1, "b1", "b1"): "s"}
 
 
 class TestLieActionConstraintModes:

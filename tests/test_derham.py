@@ -25,6 +25,14 @@ class TestDifferential:
             v = M0.basis_vector(tuple(range(1, n + 1)), "1")
             assert de_rham_d(de_rham_d(v)).is_zero()
 
+    def test_linear_across_calls(self):
+        # every image of one module's vectors lies in one target module
+        M0 = omega_forms(2, 0, (Fraction(0), Fraction(0)))
+        a = M0.basis_vector((2, 1), "1")
+        b = M0.basis_vector((-1, 3), "1").scale(Fraction(5))
+        assert de_rham_d(a + b) == de_rham_d(a) + de_rham_d(b)
+        assert de_rham_d(a) == de_rham_d(a)
+
     def test_top_degree_rejected(self):
         # there is no Omega^{n+1} to map into
         M = omega_forms(2, 2, (Fraction(0), Fraction(0)))

@@ -180,3 +180,13 @@ class TestParsing:
     def test_parse_scalar_without_context_rejects_non_rationals(self, text):
         with pytest.raises(ScalarError):
             parse_scalar(text)
+
+    @pytest.mark.parametrize("text", ["1.5", "a b", "1 2", "a^2 (b)", "a;b",
+                                      "- -3", "--a", "a -", "a + -b", "",
+                                      "()", "a*( )"])
+    def test_malformed_polynomial_rejected(self, text):
+        # a character outside the grammar, two factors with no operator
+        # between them, a sign with no term of its own or an empty
+        # expression is an error, never a silently different polynomial
+        with pytest.raises(ScalarError):
+            parse_poly(text, CTX)
