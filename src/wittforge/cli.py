@@ -303,12 +303,7 @@ def cmd_derham(n, beta, window, emit):
 def _load_jets_rep(path: str) -> mod.JPlusRepData:
     try:
         with open(path) as f:
-            data = json.load(f)
-        mats = {(tuple(e["k"]), int(e["j"])): e["matrix"]
-                for e in data["matrices"]}
-        return mod.JPlusRepData(int(data["n"]), int(data["dim"]),
-                                int(data["cutoff"]), mats,
-                                labels=data.get("labels"))
+            return mod.jets_rep_from_json(json.load(f))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ZeroDivisionError, ModuleError) as e:
         raise click.UsageError(f"cannot load representation file: {e}")

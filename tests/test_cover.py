@@ -4,7 +4,7 @@ import pytest
 
 from wittforge.cover import (CoverModule, InconclusiveError, PsiGenerator,
                              adjoint_cover_frame, adjoint_cover_report,
-                             cuspidality_certificate,
+                             cover_basis, cuspidality_certificate,
                              emit_induced_module, expand_in_family,
                              induced_action, lie_action, a_action, pi_map,
                              pi_homomorphism_check, pi_star_check,
@@ -85,6 +85,29 @@ class TestSubstitutionOracle:
                         assert eth.value(m) == want, (k, j, lab, p, m)
 
 
+def _translate_modules():
+    return ([build_preset(name) for name in PRESET_NAMES]
+            + [tensor_density(Fraction(2, 3), Fraction(1, 5)),
+               tensor_density(Fraction(1), Fraction(0)),
+               tensor_density(Fraction(0), Fraction(0)),
+               graded_dual(build_preset("punctured_functions")),
+               graded_dual(build_preset("virasoro_adjoint")),
+               _skips_module()])
+
+
+class TestReferenceTranslate:
+    """`CoverModule` builds weight 0 from psi generators and translates it
+    by t^w; the result is the basis that weight w's own generator pool
+    gives, vector for vector."""
+
+    @pytest.mark.parametrize("M", _translate_modules(), ids=lambda M: M.name)
+    def test_weight_spaces_match_cover_basis(self, M):
+        C = CoverModule(M)
+        for w in (-7, -1, 0, 4, 11):
+            assert (repr(C.weight_space(w).basis)
+                    == repr(cover_basis(M, w).basis)), w
+
+
 class TestCoverRanks:
     def test_punctured_rank_one(self):
         C = CoverModule(build_preset("punctured_functions"))
@@ -135,6 +158,41 @@ class TestCuspidality:
         cert = cuspidality_certificate(C, range(-3, 4))
         data = cert.to_json()
         assert data["passed"] and data["uniform_rank"] and data["a_action_invertible"]
+
+
+class TestByConstruction:
+    """Uniform rank and the invertible A-action are not re-derived per
+    weight, and the emission expands e_p images only."""
+
+    def test_certificate_computes_no_action_matrix(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("called")
+
+        C = CoverModule(build_preset("virasoro_adjoint"))
+        monkeypatch.setattr(cover, "induced_action", boom)
+        monkeypatch.setattr(cover.linalg, "rank", boom)
+        data = cuspidality_certificate(C, range(-2, 3)).to_json()
+        assert data["ranks"] == {str(w): 3 for w in range(-2, 3)}
+        assert data["passed"] and data["failing_weight"] is None
+
+    def test_emission_expands_only_e_p_images(self, monkeypatch):
+        C = CoverModule(build_preset("virasoro_adjoint"))
+        expanded, sampled = [], []
+        expand, interpolate = cover.expand_in_family, cover._interpolate
+
+        def spy_expand(v, family):
+            expanded.append(v)
+            return expand(v, family)
+
+        def spy_interpolate(samples, *args):
+            sampled.append(len(samples))
+            return interpolate(samples, *args)
+
+        monkeypatch.setattr(cover, "expand_in_family", spy_expand)
+        monkeypatch.setattr(cover, "_interpolate", spy_interpolate)
+        emit_induced_module(C)
+        assert len(set(sampled)) == 1
+        assert len(expanded) == sampled[0] * C.reference.rank
 
 
 class TestProjection:

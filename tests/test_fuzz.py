@@ -1,10 +1,11 @@
-"""Fuzz of the exit-code contract on module files.
+"""Fuzz of the exit-code contract on module and representation files.
 
-Each example serialises a preset with `module_to_json`, mutates it (wrong
-types, list arities, offsets, fraction strings, missing keys) and runs the
-mutant in-process through the module-file commands. Whatever the file
-holds, a command exits 0, 1, 2 or 3: never 4, the code of an internal
-error, and never with a traceback.
+Each example serialises a preset with `module_to_json`, or takes a valid
+jet-algebra representation file, mutates it (wrong types, list arities,
+offsets, fraction strings, missing keys) and runs the mutant in-process
+through the commands that read such a file. Whatever the file holds, a
+command exits 0, 1, 2 or 3: never 4, the code of an internal error, and
+never with a traceback.
 """
 
 import copy
@@ -21,6 +22,15 @@ from wittforge.modules import PRESET_NAMES, build_preset, module_to_json
 
 PRESET_JSON = {name: module_to_json(build_preset(name))
                for name in PRESET_NAMES}
+
+# Valid representations of the jet algebra's nonnegative part, n = 1.
+JETS_REPS = [
+    {"n": 1, "dim": 2, "cutoff": 2, "labels": ["a", "b"],
+     "matrices": [{"k": [1], "j": 1, "matrix": [[0, 1], [0, 0]]},
+                  {"k": [2], "j": 1, "matrix": [[0, 0], [0, 0]]}]},
+    {"n": 1, "dim": 1, "cutoff": 1,
+     "matrices": [{"k": [1], "j": 1, "matrix": [["3/2"]]}]},
+]
 
 COMMANDS = [("module-check", "--window", "1"),
             ("annihilator", "--m", "2", "--window", "1"),
@@ -69,8 +79,8 @@ def _at(node, path):
 
 
 @st.composite
-def mutants(draw):
-    data = copy.deepcopy(PRESET_JSON[draw(st.sampled_from(PRESET_NAMES))])
+def mutants(draw, originals):
+    data = copy.deepcopy(draw(st.sampled_from(originals)))
     for _ in range(draw(st.integers(1, 2))):
         paths = _paths(data)
         if not paths:
@@ -90,17 +100,28 @@ def mutants(draw):
     return data
 
 
-@settings(derandomize=True, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=mutants())
-def test_mutated_module_files_keep_the_exit_contract(data):
+def _run_mutant(data, commands, option):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutant.json"
         path.write_text(json.dumps(data))
-        for command, *extra in COMMANDS:
-            res = CliRunner().invoke(main, [command, "--module", str(path),
+        for command, *extra in commands:
+            res = CliRunner().invoke(main, [command, option, str(path),
                                             *extra])
             assert res.exit_code in (0, 1, 2, 3), (command, data, res.output)
             assert res.exception is None or isinstance(res.exception,
                                                        SystemExit)
             assert "Traceback" not in res.output
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutants([PRESET_JSON[name] for name in PRESET_NAMES]))
+def test_mutated_module_files_keep_the_exit_contract(data):
+    _run_mutant(data, COMMANDS, "--module")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutants(JETS_REPS))
+def test_mutated_jets_files_keep_the_exit_contract(data):
+    _run_mutant(data, [("jets", "--beta", "0")], "--rep")

@@ -12,7 +12,8 @@ from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
                                annihilates, build_preset, check_aw_compat,
                                check_module_axioms, gamma_tensor_module,
                                graded_dual, jets_module, module_from_json,
-                               module_to_json, natural_rep, tensor_density,
+                               module_to_json, natural_rep, omega_forms,
+                               tensor_density,
                                tensor_field, trivial_rep, twist,
                                weight_report, wedge_rep)
 from wittforge.scalars import PolyContext, QuadExtScalar, parse_poly
@@ -193,6 +194,13 @@ class TestTensorFields:
     def test_trivial_rep_matches_density(self):
         M = tensor_field(trivial_rep(1), (Fraction(0),))
         assert action_polynomials(M) == {(1, "1", "1"): "s1"}
+
+    def test_names_print_rationals(self):
+        # the names go into certificates: no Fraction reprs
+        M = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(0)))
+        assert M.name == "tensor_field(dim 2, beta (1/3, 0))"
+        assert omega_forms(2, 1, (Fraction(0), Fraction(-1, 2))).name == \
+            "omega^1(beta (0, -1/2)) on T^2"
 
     def test_gamma_extension(self):
         M = gamma_tensor_module(trivial_rep(2), (Fraction(0), Fraction(0)),
