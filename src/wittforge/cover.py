@@ -542,10 +542,10 @@ def pi_homomorphism_check(C: CoverModule, w: int, pbox: int = 2) -> bool:
 
 def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     """Package the induced Lie action as a PolyWeightModule with fiber
-    b1..br: entries are interpolated in (generator exponent, weight) on a
-    sample grid away from the source module's exceptional weights and
+    b1..br: entries are interpolated in (generator exponent, weight offset)
+    on a sample grid away from the source module's exceptional weights,
     verified on the spare samples, with the degree bound doubled up to the
-    ceiling."""
+    ceiling, and written in the absolute weight s = beta + offset."""
     d = base_degree(C.module) + 2
     ceiling = degree_ceiling(d)
     d = min(d, ceiling)
@@ -577,11 +577,15 @@ def _emit_at_degree(C: CoverModule, d: int) -> PolyWeightModule:
                 for itgt in range(rank):
                     samples[(isrc, itgt)][(p, w)] = cols[isrc][itgt]
     ctx = PolyContext(("m", "s"))
+    # the samples sit at weight offsets w; the module evaluates s at the
+    # absolute weight beta + w
+    absolute = {"s": ctx.sym("s") - M.beta[0]}
     terms = []
     for isrc in range(rank):
         for itgt in range(rank):
             poly = _interpolate(samples[(isrc, itgt)],
-                                [ps[:d + 1], ws[:d + 1]], ctx)
+                                [ps[:d + 1], ws[:d + 1]], ctx
+                                ).substitute(absolute)
             if not poly.is_zero():
                 terms.append(ActionTerm(1, labels[isrc], labels[itgt], poly))
     return PolyWeightModule(M.algebra, M.beta, labels, terms,

@@ -892,7 +892,11 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     restricted to unconstrained terms on generically-supported labels.
     Window part: a concrete sweep over generators with exponents in
     [-window, window] and weights near the exceptional set, which exercises
-    constraints, punctures and restricted supports.
+    constraints, punctures and restricted supports. Each composite is
+    computed once per sweep: x v once per generator and cell, and x(y v)
+    and y(x v) once per unordered generator pair and cell, serving both
+    (x, y) and (y, x). Each ordered pair is still checked against its own
+    [x, y] v, and failures are reported in (x, y), then cell, order.
     """
     rep = CheckReport("module_axioms", M.name or repr(M))
     n = M.n
@@ -930,15 +934,23 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
 
     _, gens = _window_generators(M, window)
     cells = M.window(window)
-    for x, y in itertools.product(gens, repeat=2):
-        z = bracket(x, y)
-        for off, lab, v in cells:
-            lhs_v = act(z, v)
-            rhs_v = act(x, act(y, v)) - act(y, act(x, v))
-            rep.window_checked += 1
-            if lhs_v != rhs_v:
-                rep.window_failures.append(
-                    (str(x), str(y), off, lab, repr(lhs_v - rhs_v)))
+    first = [[act(g, v) for _, _, v in cells] for g in gens]
+    found = []
+    for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
+        x, y = gens[i], gens[j]
+        pairs = [(i * len(gens) + j, x, y, bracket(x, y))]
+        if i != j:
+            pairs.append((j * len(gens) + i, y, x, bracket(y, x)))
+        for c, (off, lab, v) in enumerate(cells):
+            xy = act(x, first[j][c])
+            yx = act(y, first[i][c]) if i != j else xy
+            for (index, p, q, z), rhs_v in zip(pairs, (xy - yx, yx - xy)):
+                lhs_v = act(z, v)
+                if lhs_v != rhs_v:
+                    found.append((index, c, (str(p), str(q), off, lab,
+                                             repr(lhs_v - rhs_v))))
+    rep.window_checked = len(gens) ** 2 * len(cells)
+    rep.window_failures = [f for _, _, f in sorted(found, key=lambda f: f[:2])]
     return rep
 
 
@@ -958,7 +970,9 @@ def _a_shift(v: ModuleVector, r: tuple) -> ModuleVector:
 def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     """Verify compatibility with the function-algebra action:
     (t^m d_a)(t^r v) = t^r ((t^m d_a) v) + r_a t^{m+r} v, i.e. the action
-    polynomial satisfies poly_a(m, s + r) = poly_a(m, s) + r_a * delta."""
+    polynomial satisfies poly_a(m, s + r) = poly_a(m, s) + r_a * delta.
+    The window part computes (t^m d_a) v once per generator and cell and
+    reuses it for every shift r."""
     rep = CheckReport("aw_compat", M.name or repr(M))
     n = M.n
     _, base, syms = _symbolic_frame(
@@ -986,17 +1000,19 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     # radius-0 window is the fiber at offset 0
     shifts, gens = _window_generators(M, window)
     cells = M.window(0)
-    for x, r in itertools.product(gens, shifts):
+    for x in gens:
         _, e, a = _decode_generator(M, next(iter(x.terms)))
-        mr = tuple(me + re for me, re in zip(e, r))
-        for _, lab, v in cells:
-            lhs_v = act(x, _a_shift(v, r))
-            rhs_v = _a_shift(act(x, v), r) + _a_shift(v, mr).scale(
-                Fraction(r[a - 1]))
-            rep.window_checked += 1
-            if lhs_v != rhs_v:
-                rep.window_failures.append((str(x), r, lab,
-                                            repr(lhs_v - rhs_v)))
+        images = [act(x, v) for _, _, v in cells]
+        for r in shifts:
+            mr = tuple(me + re for me, re in zip(e, r))
+            for (_, lab, v), xv in zip(cells, images):
+                lhs_v = act(x, _a_shift(v, r))
+                rhs_v = _a_shift(xv, r) + _a_shift(v, mr).scale(
+                    Fraction(r[a - 1]))
+                rep.window_checked += 1
+                if lhs_v != rhs_v:
+                    rep.window_failures.append((str(x), r, lab,
+                                                repr(lhs_v - rhs_v)))
     return rep
 
 
@@ -1040,7 +1056,11 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     weight wt and then e_{k-i} at weight wt + s + i, so a clean residue
     table covers all generic placements at once. Window part: concrete k,
     s and weights near the exceptional set, which covers the
-    constraint/puncture cases the generic computation skips.
+    constraint/puncture cases the generic computation skips. It goes one
+    cell v at a time and computes each composite e_a e_b v once per cell:
+    the terms (k, s, i) with the same a = k - i and b = s + i share it.
+    Failures are reported in (k, s), then cell, order, and the witness is
+    the first of them.
     """
     if isinstance(M.algebra, WnAlgebra):
         raise ModuleError("differentiator certificates are rank-1 only")
@@ -1062,21 +1082,34 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
                                    window_failures=[], witness=None,
                                    symbolic_checked=len(M.fiber))
 
-    witt = M.algebra
+    gen = {x: M.algebra.basis((x,))
+           for x in range(-window - order, window + order + 1)}
+    coeffs = [(-1) ** i * comb(order, i) for i in range(order + 1)]
+    points = list(itertools.product(range(-window, window + 1), repeat=2))
     cells = M.window(window)
-    for kv, sv in itertools.product(range(-window, window + 1), repeat=2):
-        for off, lab, v in cells:
-            total = ModuleVector(M, {})
-            for i in range(order + 1):
-                term = act(witt.basis(((kv - i),)),
-                           act(witt.basis(((sv + i),)), v))
-                total = total + term.scale(Fraction((-1) ** i * comb(order, i)))
-            cert.window_checked += 1
-            if not total.is_zero():
-                cert.window_failures.append((kv, sv, off, lab, repr(total)))
-                if cert.witness is None:
-                    cert.witness = (kv, sv, off[0], lab)
+    found = []
+    for c, (off, lab, v) in enumerate(cells):
+        inner: dict = {}  # b -> e_b v
+        two: dict = {}  # (a, b) -> terms of e_a e_b v
+        for index, (kv, sv) in enumerate(points):
+            total: dict = {}
+            for i, coeff in enumerate(coeffs):
+                a, b = kv - i, sv + i
+                terms = two.get((a, b))
+                if terms is None:
+                    if b not in inner:
+                        inner[b] = act(gen[b], v)
+                    terms = two[(a, b)] = act(gen[a], inner[b]).terms
+                for key, val in terms.items():
+                    total[key] = total.get(key, 0) + coeff * val
+            total_v = ModuleVector(M, total)
+            if not total_v.is_zero():
+                found.append((index, c, (kv, sv, off, lab, repr(total_v))))
+    cert.window_checked = len(points) * len(cells)
+    cert.window_failures = [f for _, _, f in sorted(found, key=lambda f: f[:2])]
     if cert.window_failures:
+        kv, sv, off, lab, _ = cert.window_failures[0]
+        cert.witness = (kv, sv, off[0], lab)
         cert.annihilates = False
     return cert
 

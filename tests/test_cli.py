@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -384,6 +385,26 @@ class TestTwistAndDual:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.exit_code in (0, 1)
         assert json_lines(res.stdout)
+
+
+class TestW2BytePins:
+    """The W_2 checker path, which no golden operation covers: the stdout of
+    both commands on T(natural_rep(2), (1/3, 1/5)) is pinned byte for byte."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (("module-check", "--aw", "--window", "1"),
+         "7954a01e4febf328b626b233a68745236ca5d57178cdb0d56941b52006be8ea3"),
+        (("twist", "--g", "1,1;0,1", "--window", "1"),
+         "b2214dff8e70095f9780fb85ddcb69875e609afcb1d7b9f81fe5670533d65c71"),
+    ], ids=["module-check", "twist"])
+    def test_stdout_digest(self, tmp_path, args, digest):
+        from wittforge.modules import natural_rep, tensor_field
+        M = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))
+        f = tmp_path / "w2.json"
+        f.write_text(json.dumps(module_to_json(M)))
+        res = invoke(args[0], "--module", str(f), *args[1:])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
 def _window_args(command, tmp_path):

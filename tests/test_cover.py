@@ -152,6 +152,30 @@ class TestInducedAction:
         assert check_module_axioms(E).passed
 
 
+class TestEmittedWeight:
+    """The emitted module evaluates s at the absolute weight beta + w; its
+    action must be the cover's induced action at every offset."""
+
+    @pytest.mark.parametrize("beta", [Fraction(1, 5), Fraction(-6, 5)])
+    def test_emitted_action_matches_induced_action(self, beta):
+        C = CoverModule(tensor_density(Fraction(2, 3), beta))
+        E = emit_induced_module(C)
+        for p, w in [(3, 0), (-2, 1), (1, -4), (0, 2)]:
+            cols = cover._action_columns(C, lie_action, f"e_{p}", p, w)
+            for isrc, src in enumerate(E.fiber):
+                got = act(WITT.basis((p,)), E.basis_vector(w, src))
+                assert got.terms == {
+                    ((w + p,), tgt): c
+                    for tgt, c in zip(E.fiber, cols[isrc]) if c}, (p, w)
+
+    def test_density_value(self):
+        # e_3 b1 at offset 0 of the cover of T(2/3, 1/5)
+        C = CoverModule(tensor_density(Fraction(2, 3), Fraction(1, 5)))
+        E = emit_induced_module(C)
+        got = act(WITT.basis((3,)), E.basis_vector(0, "b1"))
+        assert got.terms[((3,), "b1")] == Fraction(11, 5)
+
+
 class TestCuspidality:
     def test_punctured_certificate(self):
         C = CoverModule(build_preset("punctured_functions"))

@@ -1,16 +1,23 @@
-"""Fuzz of the exit-code contract on module and representation files.
+"""Fuzz of the exit-code contract on module and representation files and
+on command-line options.
 
-Each example serialises a preset with `module_to_json`, or takes a valid
-jet-algebra representation file, mutates it (wrong types, list arities,
-offsets, fraction strings, missing keys) and runs the mutant in-process
-through the commands that read such a file. Whatever the file holds, a
-command exits 0, 1, 2 or 3: never 4, the code of an internal error, and
-never with a traceback.
+Each file example serialises a preset with `module_to_json`, or takes a
+valid jet-algebra representation file, mutates it (wrong types, list
+arities, offsets, fraction strings, missing keys) and runs the mutant
+in-process through the commands that read such a file. Whatever the file
+holds, a command exits 0, 1, 2 or 3: never 4, the code of an internal
+error, and never with a traceback.
+
+Each option example gives `derham`, `verify-identity` or `twist` a drawn
+subset of its options with small, malformed or out-of-range values (at
+window 0, to keep the sweeps cheap). None of these commands is ever
+inconclusive, so each exits 0, 1 or 2.
 """
 
 import copy
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -18,7 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittforge.cli import main
-from wittforge.modules import PRESET_NAMES, build_preset, module_to_json
+from wittforge.modules import (PRESET_NAMES, build_preset, module_to_json,
+                               natural_rep, tensor_field)
 
 PRESET_JSON = {name: module_to_json(build_preset(name))
                for name in PRESET_NAMES}
@@ -125,3 +133,83 @@ def test_mutated_module_files_keep_the_exit_contract(data):
 @given(data=mutants(JETS_REPS))
 def test_mutated_jets_files_keep_the_exit_contract(data):
     _run_mutant(data, [("jets", "--beta", "0")], "--rep")
+
+
+# -- command-line options -------------------------------------------------
+
+# Integers as click reads them (int() of the text), kept small: a large
+# --n makes the de Rham check slow, not wrong.
+SMALL_INT = st.sampled_from(["-1", "0", "1", "2", "3", "03", "+1", " 2", "",
+                             "x", "1.5", "1/2"])
+RATIONALS = st.lists(st.sampled_from(["0", "1/2", "-1/3", "2/4", " 1", "1e2",
+                                      "1/0", "1/-2", "0.5", "nan", "", "x"]),
+                     max_size=4).map(",".join)
+RANGES = st.sampled_from(["-1..1", "0..0", "-2..2", "0..1", " 0..1", "1..0",
+                          "2..-2", "..", "1", "a..b", "-1..1..2", "1.5..2",
+                          ""])
+WINDOWS = st.sampled_from(["0", "0", "0", "-1", "x"])
+MATRICES = st.one_of(
+    st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3).map(
+        lambda rows: ";".join(",".join(map(str, row)) for row in rows)),
+    st.sampled_from(["1,1;0,1", "0,1;1,0", "1,0;0,1", "-1,0;0,-1",
+                     "2,1;1,1", "1,1;0", "1;0,1", "1,x;0,1", "1.0,0;0,1",
+                     "1,0;0,1;", " 1,0 ; 0,1 "]))
+
+
+@st.composite
+def options(draw, spec, fixed=()):
+    """`fixed` plus each option of `spec`: a flag drawn on or off, or an
+    option omitted or given a drawn value."""
+    args = list(fixed)
+    for flag, values in spec:
+        if values is None:
+            if draw(st.booleans()):
+                args.append(flag)
+        else:
+            value = draw(st.one_of(st.none(), values))
+            if value is not None:
+                args += [flag, value]
+    return args
+
+
+def _run_options(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 1, 2), (args, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        args, res.exception)
+    assert "Traceback" not in res.output
+
+
+_OPTION_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+@_OPTION_SETTINGS
+@given(args=options([("--n", SMALL_INT), ("--beta", RATIONALS),
+                     ("--window", WINDOWS)], fixed=("derham",)))
+def test_derham_options_keep_the_exit_contract(args):
+    _run_options(args)
+
+
+@_OPTION_SETTINGS
+@given(args=options([("--mode", st.sampled_from(["symbolic", "grid", "x"])),
+                     ("--range", RANGES), ("--intro", None),
+                     ("--solenoidal", None), ("--n", SMALL_INT),
+                     ("--h-box", SMALL_INT)],
+                    fixed=("verify-identity", "--m", "2", "--r", "2")))
+def test_identity_options_keep_the_exit_contract(args):
+    _run_options(args)
+
+
+W2_JSON = json.dumps(module_to_json(
+    tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))))
+
+
+@_OPTION_SETTINGS
+@given(g=MATRICES)
+def test_twist_matrix_keeps_the_exit_contract(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w2.json"
+        path.write_text(W2_JSON)
+        _run_options(["twist", "--module", str(path), "--g", g,
+                      "--window", "0"])

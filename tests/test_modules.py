@@ -5,9 +5,11 @@ from math import comb
 
 import pytest
 
-from wittforge.lie import LatticeAutomorphism, WnAlgebra, witt_algebra
+from wittforge.lie import (LatticeAutomorphism, WnAlgebra, bracket,
+                           witt_algebra)
 from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
-                               ModuleVector, PRESET_NAMES, _window_generators,
+                               ModuleVector, PRESET_NAMES, _a_shift,
+                               _decode_generator, _window_generators,
                                action_polynomials, act,
                                annihilates, build_preset, check_aw_compat,
                                check_module_axioms, gamma_tensor_module,
@@ -246,6 +248,143 @@ class TestWindowSweepOrder:
         assert rep.window_checked == 100 and len(rep.window_failures) == 64
         assert rep.window_failures[0] == (
             "e[-2]", "e[-1]", (-2,), "u", "ModuleVector((32)*u[-5])")
+
+
+# The concrete window loops of the three checkers as they were written
+# before each composite was computed once per sweep: every product is
+# recomputed, and failures are appended in sweep order. They fill the window
+# fields of a report whose symbolic part the checker under test computed.
+
+
+def _reference_axiom_sweep(M, window, rep):
+    _, gens = _window_generators(M, window)
+    cells = M.window(window)
+    for x, y in itertools.product(gens, repeat=2):
+        z = bracket(x, y)
+        for off, lab, v in cells:
+            lhs_v = act(z, v)
+            rhs_v = act(x, act(y, v)) - act(y, act(x, v))
+            rep.window_checked += 1
+            if lhs_v != rhs_v:
+                rep.window_failures.append(
+                    (str(x), str(y), off, lab, repr(lhs_v - rhs_v)))
+    return rep
+
+
+def _reference_aw_sweep(M, window, rep):
+    if rep.symbolic_failures:
+        return rep
+    shifts, gens = _window_generators(M, window)
+    cells = M.window(0)
+    for x, r in itertools.product(gens, shifts):
+        _, e, a = _decode_generator(M, next(iter(x.terms)))
+        mr = tuple(me + re for me, re in zip(e, r))
+        for _, lab, v in cells:
+            lhs_v = act(x, _a_shift(v, r))
+            rhs_v = _a_shift(act(x, v), r) + _a_shift(v, mr).scale(
+                Fraction(r[a - 1]))
+            rep.window_checked += 1
+            if lhs_v != rhs_v:
+                rep.window_failures.append((str(x), r, lab,
+                                            repr(lhs_v - rhs_v)))
+    return rep
+
+
+def _reference_annihilator_sweep(order, M, window, cert):
+    witt = M.algebra
+    cells = M.window(window)
+    for kv, sv in itertools.product(range(-window, window + 1), repeat=2):
+        for off, lab, v in cells:
+            total = ModuleVector(M, {})
+            for i in range(order + 1):
+                term = act(witt.basis(((kv - i),)),
+                           act(witt.basis(((sv + i),)), v))
+                total = total + term.scale(Fraction((-1) ** i * comb(order, i)))
+            cert.window_checked += 1
+            if not total.is_zero():
+                cert.window_failures.append((kv, sv, off, lab, repr(total)))
+                if cert.witness is None:
+                    cert.witness = (kv, sv, off[0], lab)
+    if cert.window_failures:
+        cert.annihilates = False
+    return cert
+
+
+def _without_window(report):
+    """A copy of `report` with its symbolic part only."""
+    out = copy.deepcopy(report)
+    out.window_checked = 0
+    out.window_failures = []
+    if hasattr(out, "witness"):
+        out.witness = None
+        out.annihilates = not out.symbolic_residues
+    return out
+
+
+def _corrupted(M, term, suffix):
+    data = module_to_json(M)
+    data["terms"][term]["poly"] += suffix
+    return module_from_json(data)
+
+
+def _w2():
+    return tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))
+
+
+def _aw_breaking_module():
+    """A tensor density plus a constraint term: the symbolic AW check skips
+    the term, and the window sees that the line it fires on does not move
+    with t^r."""
+    data = module_to_json(tensor_density(Fraction(2, 3), Fraction(0)))
+    data["terms"].append({"direction": 1, "src": "v", "tgt": "v",
+                          "poly": "m^2", "constraint": {
+                              "m_coeffs": ["1"], "s_coeffs": ["1"],
+                              "const": "1"}})
+    return module_from_json(data)
+
+
+class TestSweepEquivalence:
+    """The checkers compute each composite once per sweep; their records
+    must equal those of the loops that recompute every product, failures
+    in order and witness included."""
+
+    @pytest.mark.parametrize("order, make", [
+        (4, lambda: build_preset("virasoro_adjoint")),
+        (2, lambda: tensor_density(Fraction(2, 3), Fraction(1, 5))),
+        (8, lambda: build_preset("feigin_fuks_length2")),
+        (1, lambda: build_preset("punctured_functions")),
+    ], ids=["virasoro_adjoint", "tensor_density", "feigin_fuks_length2",
+            "punctured_functions"])
+    def test_annihilates(self, order, make):
+        M = make()
+        cert = annihilates(order, M)
+        ref = _reference_annihilator_sweep(order, M, 3, _without_window(cert))
+        assert cert.window_failures and cert.witness
+        assert cert.to_json() == ref.to_json()
+
+    @pytest.mark.parametrize("make, window, failures", [
+        (lambda: _corrupted(_w2(), 0, " + m2*s1"), 1, 1980),
+        (lambda: _corrupted(build_preset("virasoro_adjoint"), 0, " + m^2"),
+         2, None),
+    ], ids=["w2_corrupted", "virasoro_corrupted"])
+    def test_module_axioms(self, make, window, failures):
+        M = make()
+        rep = check_module_axioms(M, window=window)
+        ref = _reference_axiom_sweep(M, window, _without_window(rep))
+        assert rep.to_json() == ref.to_json()
+        if failures is not None:
+            assert len(rep.window_failures) == failures
+        else:
+            assert rep.window_failures
+
+    @pytest.mark.parametrize("make, window", [
+        (_w2, 1), (_aw_breaking_module, 2)], ids=["w2", "constraint"])
+    def test_aw_compat(self, make, window):
+        M = make()
+        rep = check_aw_compat(M, window=window)
+        ref = _reference_aw_sweep(M, window, _without_window(rep))
+        assert rep.to_json() == ref.to_json()
+        assert rep.window_checked and not rep.symbolic_failures
 
 
 class TestJets:
