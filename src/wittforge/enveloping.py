@@ -7,22 +7,24 @@ nondecreasing lattice order via the rewriting rule
 
     e_y e_x  ->  e_x e_y + phi(x - y) e_{x+y}      (when y > x).
 
-Normal forms are cached per (algebra, strategy). The identity is proved
-once per (m, r) over a formal lattice with a formal step h; its grid and
-solenoidal records are specialisations of that proof.
+Normal forms rewrite over packed coefficient tables, memoised for one call
+only. The identity is proved once per (m, r) over a formal lattice with a
+formal step h; its grid and solenoidal records are specialisations of it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 from typing import Iterable
 
 from .lie import (AlgebraError, Rank1Algebra, add_points, scale_point,
                   sub_points, symbolic_witt_algebra, witt_algebra,
                   solenoidal_algebra, IndexLattice)
-from .scalars import PolyContext, is_zero_scalar, scalar_str
+from .scalars import (ContextMismatchError, PolyContext, PolyScalar,
+                      is_zero_scalar, scalar_str)
 
 Monomial = tuple  # tuple of lattice points (each a tuple of ints)
 
@@ -99,11 +101,6 @@ def anticommutator(x: UEAElement, y: UEAElement) -> UEAElement:
     return pbw_normal_form(multiply(x, y) + multiply(y, x))
 
 
-# Per-(algebra, strategy) monomial normal-form caches. Algebras are frozen
-# and hashable; grid sweeps reuse entries heavily across tuples.
-_NF_CACHE: dict = {}
-
-
 def _find_descent(mono: Monomial, strategy: str):
     n = len(mono)
     if strategy == "leftmost":
@@ -117,52 +114,102 @@ def _find_descent(mono: Monomial, strategy: str):
     return None
 
 
-def _nf_monomial(algebra: Rank1Algebra, mono: Monomial, strategy: str,
-                 cache: dict) -> dict:
-    """Normal form of one monomial, memoized in `cache`, the entry of
-    _NF_CACHE for (algebra, strategy)."""
-
-    def rec(m: Monomial) -> dict:
-        hit = cache.get(m)
-        if hit is not None:
-            return hit
-        i = _find_descent(m, strategy)
-        if i is None:
-            res = {m: 1}
+def _mac(out: dict, c: dict, nf: dict, shared: bool = False) -> None:
+    """out[w] += c * nf[w] over the words w of nf, where c is a table and
+    out and nf map words to tables. Entries and words that cancel are
+    deleted. With `shared`, the tables of out also belong to a memoised
+    normal form, so each is copied before it changes."""
+    for mono, t in nf.items():
+        acc = out.get(mono) or {}
+        if shared:
+            acc = dict(acc)
+        for e1, v1 in c.items():
+            for e2, v2 in t.items():
+                e = e1 + e2
+                v = acc.get(e, 0) + v1 * v2
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+        if acc:
+            out[mono] = acc
         else:
-            y, x = m[i], m[i + 1]
-            swapped = m[:i] + (x, y) + m[i + 2:]
-            merged = m[:i] + (add_points(x, y),) + m[i + 2:]
-            coeff = algebra.phi(sub_points(x, y))
-            res = dict(rec(swapped))
-            if not is_zero_scalar(coeff):
-                for mm, cc in rec(merged).items():
-                    res[mm] = res.get(mm, 0) + coeff * cc
-            res = {mm: cc for mm, cc in res.items() if not is_zero_scalar(cc)}
-        cache[m] = res
-        return res
+            out.pop(mono, None)
 
-    return rec(mono)
+
+def _narrow(v):
+    """The int value of an integral Fraction; any other value as it is."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 def pbw_normal_form(x: UEAElement, strategy: str = "leftmost") -> UEAElement:
     """Unique PBW normal form (nondecreasing monomials).
 
     The default strategy fixes the leftmost descent; 'rightmost' is kept as
-    an independent route for confluence testing.
+    an independent route for confluence testing. Coefficients are rewritten
+    as tables {packed exponent: value}: the exponents over the one
+    PolyContext of the phi values and the coefficients are packed into one
+    int (0 alone without a context), and integral values are ints. A word
+    of length L takes at most L - 1 phi factors, so fields of `width` bits
+    never carry. The memos of words and phi values live for this call only.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise AlgebraError(f"unknown strategy {strategy!r}")
-    cache = _NF_CACHE.setdefault((x.algebra, strategy), {})
-    terms: dict = {}
+    alg = x.algebra
+    polys = [v for v in (*alg.phi_values, *x.terms.values())
+             if isinstance(v, PolyScalar)]
+    ctx = polys[0].ctx if polys else None
+    for v in polys:
+        if v.ctx != ctx:
+            raise ContextMismatchError(f"{ctx} vs {v.ctx}")
+
+    def top(values) -> int:
+        return max((a for v in values if isinstance(v, PolyScalar)
+                    for e in v.terms for a in e), default=0)
+
+    merges = max([0, *(len(w) - 1 for w in x.terms)])
+    bound = top(x.terms.values()) + merges * top(alg.phi_values)
+    width = max(1, bound.bit_length())
+    shifts = range(0, width * len(ctx.symbols), width) if ctx else ()
+
+    def table(c) -> dict:
+        if isinstance(c, PolyScalar):
+            return {sum(a << s for a, s in zip(e, shifts)): _narrow(v)
+                    for e, v in c.terms.items()}
+        return {0: _narrow(c)} if c else {}
+
+    phis: dict = {}
+    memo: dict = {}
+
+    def rec(m: Monomial) -> dict:
+        res = memo.get(m)
+        if res is None:
+            i = _find_descent(m, strategy)
+            if i is None:
+                res = {m: {0: 1}}
+            else:
+                y, z = m[i], m[i + 1]
+                d = sub_points(z, y)
+                c = phis.get(d)
+                if c is None:
+                    c = phis[d] = table(alg.phi(d))
+                res = dict(rec(m[:i] + (z, y) + m[i + 2:]))
+                if c:
+                    _mac(res, c, rec(m[:i] + (add_points(z, y),) + m[i + 2:]),
+                         shared=True)
+            memo[m] = res
+        return res
+
+    out: dict = {}
     for m, c in x.terms.items():
-        nf = cache.get(m)
-        if nf is None:
-            nf = _nf_monomial(x.algebra, m, strategy, cache)
-        for mm, cc in nf.items():
-            val = terms.get(mm, 0) + c * cc
-            terms[mm] = val
-    return UEAElement(x.algebra, terms)
+        _mac(out, table(c), rec(m))
+    if ctx is None:
+        return UEAElement(alg, {m: t[0] for m, t in out.items()})
+    mask = (1 << width) - 1
+    return UEAElement(alg, {m: PolyScalar._clean(ctx, {
+        tuple(e >> s & mask for s in shifts):
+        Fraction(v) if type(v) is int else v for e, v in t.items()})
+        for m, t in out.items()})
 
 
 def differentiator(algebra: Rank1Algebra, m: int, k, s, h) -> UEAElement:

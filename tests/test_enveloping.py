@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +10,10 @@ from wittforge.enveloping import (AlgebraError, UEAElement, anticommutator,
                                   generator, multiply, one, pbw_normal_form,
                                   verify_key_identity,
                                   verify_solenoidal_identity)
-from wittforge.lie import symbolic_witt_algebra, witt_algebra
-from wittforge.scalars import PolyScalar
+from wittforge.lie import (Rank1Algebra, add_points, solenoidal_algebra,
+                          sub_points, symbolic_witt_algebra, witt_algebra)
+from wittforge.scalars import (ContextMismatchError, PolyContext, PolyScalar,
+                               QuadExtScalar, is_zero_scalar)
 
 WITT = witt_algebra()
 # The algebra of the formal proof, and its generators k, s, p, q, h.
@@ -237,3 +241,167 @@ class TestFormalProof:
         k, s, p, q = ((v,) for v in rec.tuple_values)
         assert rec.residue_term_count == concrete_count(
             WITT, 2, 2, k, s, p, q, (1,))
+
+
+# -- the normal-form kernel against the PolyScalar recursion ---------------
+
+# The normal-form recursion as it stood before the packed-table kernel: it
+# rewrites with PolyScalar and base-scalar coefficients throughout. Kept
+# verbatim (with a cache of its own) as the kernel's oracle.
+_REF_CACHE: dict = {}
+
+
+def _ref_find_descent(mono, strategy):
+    n = len(mono)
+    if strategy == "leftmost":
+        for i in range(n - 1):
+            if mono[i] > mono[i + 1]:
+                return i
+        return None
+    for i in range(n - 2, -1, -1):
+        if mono[i] > mono[i + 1]:
+            return i
+    return None
+
+
+def _ref_nf_monomial(algebra, mono, strategy, cache):
+    def rec(m):
+        hit = cache.get(m)
+        if hit is not None:
+            return hit
+        i = _ref_find_descent(m, strategy)
+        if i is None:
+            res = {m: 1}
+        else:
+            y, x = m[i], m[i + 1]
+            swapped = m[:i] + (x, y) + m[i + 2:]
+            merged = m[:i] + (add_points(x, y),) + m[i + 2:]
+            coeff = algebra.phi(sub_points(x, y))
+            res = dict(rec(swapped))
+            if not is_zero_scalar(coeff):
+                for mm, cc in rec(merged).items():
+                    res[mm] = res.get(mm, 0) + coeff * cc
+            res = {mm: cc for mm, cc in res.items() if not is_zero_scalar(cc)}
+        cache[m] = res
+        return res
+
+    return rec(mono)
+
+
+def ref_pbw_normal_form(x, strategy="leftmost"):
+    cache = _REF_CACHE.setdefault((x.algebra, strategy), {})
+    terms = {}
+    for m, c in x.terms.items():
+        nf = cache.get(m)
+        if nf is None:
+            nf = _ref_nf_monomial(x.algebra, m, strategy, cache)
+        for mm, cc in nf.items():
+            val = terms.get(mm, 0) + c * cc
+            terms[mm] = val
+    return UEAElement(x.algebra, terms)
+
+
+def assert_kernel_matches(x):
+    for strategy in ("leftmost", "rightmost"):
+        got = pbw_normal_form(x, strategy)
+        want = ref_pbw_normal_form(x, strategy)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+def random_element(alg, points, rng, coeffs=(1,), words=3, length=4):
+    """A sum of a few words in e_x, x drawn from `points`, each with a
+    coefficient drawn from `coeffs`."""
+    terms = {}
+    for _ in range(words):
+        word = tuple(rng.choice(points) for _ in range(rng.randint(1, length)))
+        terms[word] = terms.get(word, 0) + rng.choice(coeffs)
+    return UEAElement(alg, terms)
+
+
+def lattice_points(box):
+    """Every point whose i-th coordinate lies in -box[i]..box[i]."""
+    return [tuple(pt) for pt in itertools.product(
+        *(range(-b, b + 1) for b in box))]
+
+
+class TestKernelOracle:
+    def test_random_witt_words(self):
+        rng = random.Random(20261018)
+        for _ in range(1000):
+            word = e(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 5))])
+            c = rng.choice((1, -2, Fraction(1, 3)))
+            assert_kernel_matches(word.scale(c))
+
+    def test_formal_identity_differences(self):
+        for (m, r), intro in (((2, 2), False), ((2, 3), False),
+                              ((3, 2), False), ((2, 2), True)):
+            assert_kernel_matches(enveloping._identity_difference(
+                FORMAL, m, r, *KSPQH, intro))
+        assert_kernel_matches(enveloping._identity_lhs(FORMAL, 2, 2, *KSPQH))
+        # a concrete residue, whose words all cancel
+        assert_kernel_matches(enveloping._identity_difference(
+            WITT, 2, 2, (2,), (-1,), (1,), (1,), (1,)))
+
+    def test_wrong_rhs_residue(self, monkeypatch):
+        right = enveloping._identity_rhs
+
+        def wrong(alg, m, r, k, s, p, q, h):
+            return right(alg, m, r, k, s, p, q, h) + generator(alg, k)
+
+        monkeypatch.setattr(enveloping, "_identity_rhs", wrong)
+        diff = enveloping._identity_difference(FORMAL, 2, 2, *KSPQH)
+        assert not pbw_normal_form(diff).is_zero()
+        assert_kernel_matches(diff)
+
+    def test_solenoidal_frame_words(self):
+        alg, (k, s, p, q) = enveloping._solenoidal_frame(2)
+        a1, a2 = alg.lattice.generator("a1"), alg.lattice.generator("a2")
+        points = [add_points(x, y) for x in (k, s, p, q, alg.lattice.zero())
+                  for y in (a1, a2, sub_points(a2, a1))]
+        ctx = alg.phi_values[0].ctx
+        coeffs = (1, ctx.sym("mu1") - 2, ctx.sym("k") * ctx.sym("q") / 3)
+        rng = random.Random(5)
+        for _ in range(150):
+            assert_kernel_matches(random_element(alg, points, rng, coeffs))
+
+    def test_solenoidal_algebras(self):
+        rng = random.Random(11)
+        for mu in ((Fraction(1, 2), Fraction(-2, 3)),
+                   (QuadExtScalar(1), QuadExtScalar(Fraction(1, 2), 1))):
+            alg = solenoidal_algebra(mu)
+            points = lattice_points((2, 1))
+            coeffs = (1, Fraction(-3, 4), QuadExtScalar(0, 2))
+            for _ in range(150):
+                assert_kernel_matches(random_element(alg, points, rng, coeffs))
+
+    def test_wide_exponent_fields(self):
+        # phi(k) = k^5: a word of length 3 whose merges all take the k^5
+        # term, under the coefficient k^6, reaches k^16, the field bound.
+        base = symbolic_witt_algebra(("k", "s"))
+        ctx = base.phi_values[0].ctx
+        k, s = ctx.sym("k"), ctx.sym("s")
+        alg = Rank1Algebra(base.lattice,
+                           (k ** 5, k * s ** 3 + 1, ctx.const(1)))
+        gk = alg.lattice.generator("k")
+        word = tuple(tuple(c * a for a in gk) for c in (3, 2, 1))
+        x = UEAElement(alg, {word: k ** 6})
+        assert "k^16" in repr(pbw_normal_form(x))
+        assert_kernel_matches(x)
+        # the empty word takes no phi factor
+        assert_kernel_matches(UEAElement(alg, {(): k ** 9}))
+        points = lattice_points((1, 1, 1))
+        rng = random.Random(3)
+        for _ in range(100):
+            assert_kernel_matches(random_element(
+                alg, points, rng, (1, k ** 4 * s, s ** 7 - k), length=3))
+
+    def test_mixed_contexts_raise(self):
+        other = PolyContext(("z",)).sym("z")
+        foreign = UEAElement(FORMAL, {(KSPQH[1], KSPQH[0]): other})
+        clash = UEAElement(WITT, {((1,), (0,)): FORMAL.phi_values[0],
+                                  ((0,), (1,)): other})
+        for x in (foreign, clash):
+            for normal_form in (pbw_normal_form, ref_pbw_normal_form):
+                with pytest.raises(ContextMismatchError):
+                    normal_form(x)

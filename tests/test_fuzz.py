@@ -8,10 +8,11 @@ in-process through the commands that read such a file. Whatever the file
 holds, a command exits 0, 1, 2 or 3: never 4, the code of an internal
 error, and never with a traceback.
 
-Each option example gives `derham`, `verify-identity` or `twist` a drawn
-subset of its options with small, malformed or out-of-range values (at
-window 0, to keep the sweeps cheap). None of these commands is ever
-inconclusive, so each exits 0, 1 or 2.
+Each option example gives `derham`, `verify-identity`, `twist`,
+`annihilator`, `acover` or `jets` a drawn subset of its options with small,
+malformed or out-of-range values (at window 0, to keep the sweeps cheap),
+and each command gets a drawn `--emit`. Only `acover` can be inconclusive,
+so the others exit 0, 1 or 2.
 """
 
 import copy
@@ -20,6 +21,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -172,9 +174,9 @@ def options(draw, spec, fixed=()):
     return args
 
 
-def _run_options(args):
+def _run_options(args, codes=(0, 1, 2)):
     res = CliRunner().invoke(main, args)
-    assert res.exit_code in (0, 1, 2), (args, res.output)
+    assert res.exit_code in codes, (args, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), (
         args, res.exception)
     assert "Traceback" not in res.output
@@ -213,3 +215,68 @@ def test_twist_matrix_keeps_the_exit_contract(g):
         path.write_text(W2_JSON)
         _run_options(["twist", "--module", str(path), "--g", g,
                       "--window", "0"])
+
+
+# Differentiator orders: the annihilator's cost grows with --m, so the
+# drawn orders stay small.
+ORDERS = st.one_of(st.integers(-3, 16).map(str),
+                   st.sampled_from(["", "x", "1.5", "+2", " 3", "1e1"]))
+SEEDS = st.one_of(st.integers(-2 ** 70, 2 ** 70).map(str),
+                  st.sampled_from(["", "x", "1.5", "-0", "1e3"]))
+EMITS = st.sampled_from(["json", "csv", "CSV", "", "x", "csv "])
+
+
+@_OPTION_SETTINGS
+@given(args=options([("--preset", st.sampled_from(
+                         ["punctured_functions", "virasoro_adjoint", "x"])),
+                     ("--m", ORDERS), ("--window", WINDOWS),
+                     ("--emit", EMITS)], fixed=("annihilator",)))
+def test_annihilator_options_keep_the_exit_contract(args):
+    _run_options(args)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(args=options([("--seed", SEEDS), ("--emit", EMITS)],
+                    fixed=("acover", "--preset", "punctured_functions",
+                           "--window", "0")))
+def test_acover_options_keep_the_exit_contract(args):
+    _run_options(args, codes=(0, 1, 2, 3))
+
+
+@_OPTION_SETTINGS
+@given(args=options([("--beta", RATIONALS), ("--window", WINDOWS),
+                     ("--emit", EMITS)]))
+def test_jets_options_keep_the_exit_contract(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rep.json"
+        path.write_text(json.dumps(JETS_REPS[0]))
+        _run_options(["jets", "--rep", str(path), *args])
+
+
+# One cheap, valid invocation per command; its input files are written
+# for each run.
+EMIT_COMMANDS = {
+    "verify-identity": ["--m", "2", "--r", "2"],
+    "annihilator": ["--preset", "punctured_functions", "--m", "3",
+                    "--window", "0"],
+    "module-check": ["--preset", "virasoro_adjoint", "--window", "0", "--aw"],
+    "acover": ["--preset", "punctured_functions", "--window", "0"],
+    "derham": ["--n", "1", "--window", "0"],
+    "jets": ["--rep", "{jets}", "--beta", "1/2", "--window", "0"],
+    "twist": ["--module", "{w2}", "--g", "1,1;0,1", "--window", "0"],
+    "dual": ["--preset", "punctured_functions", "--window", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMIT_COMMANDS))
+@settings(derandomize=True, max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(emit=EMITS)
+def test_emit_keeps_the_exit_contract(command, emit):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"jets": Path(tmp) / "rep.json", "w2": Path(tmp) / "w2.json"}
+        files["jets"].write_text(json.dumps(JETS_REPS[0]))
+        files["w2"].write_text(W2_JSON)
+        args = [a.format(**files) for a in EMIT_COMMANDS[command]]
+        _run_options([command, *args, "--emit", emit], codes=(0, 1, 2, 3))

@@ -26,6 +26,14 @@ DERIVED = [
     ["verify-identity", "--m", "2", "--r", "2", "--solenoidal", "--n", "2",
      "--h-box", "2"],
 ]
+# Operations recorded as slower that Tier-1 runs too: the largest formal
+# proofs of the identity, normal-ordered over packed integer tables. With
+# them every identity digest is checked here.
+PACKED = [
+    ["verify-identity", "--m", "4", "--r", "4"],
+    ["verify-identity", "--m", "4", "--r", "3"],
+    ["verify-identity", "--m", "3", "--r", "4"],
+]
 # Operations recorded as slower that Tier-1 runs too: their checkers'
 # concrete window sweeps evaluate each action coefficient once per module.
 MEMOISED = [
@@ -40,11 +48,15 @@ SUBSTITUTED = [
 
 OPS = [op for op in json.loads(GOLDEN.read_text())["ops"]
        if op["seconds"] < MAX_SECONDS
-       or op["args"] in DERIVED + MEMOISED + SUBSTITUTED]
+       or op["args"] in DERIVED + PACKED + MEMOISED + SUBSTITUTED]
 
 
 def test_derived_ops_are_golden():
     assert sum(op["args"] in DERIVED for op in OPS) == len(DERIVED)
+
+
+def test_packed_ops_are_golden():
+    assert sum(op["args"] in PACKED for op in OPS) == len(PACKED)
 
 
 def test_memoised_ops_are_golden():
