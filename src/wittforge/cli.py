@@ -3,10 +3,9 @@
 One process runs exactly one subcommand and emits newline-delimited JSON
 records (deterministic ordering) plus a short summary line. Exit codes:
 0 all assertions pass, 1 an assertion failed, 2 invalid configuration,
-3 inconclusive (the adaptive degree bound of the emitted cover module's
-interpolation hit its ceiling), 4 internal error (an unexpected
-exception: one `internal_error` record naming its type, and no
-traceback).
+3 inconclusive (a spare sample of the emitted cover module's interpolation
+missed the interpolant), 4 internal error (an unexpected exception: one
+`internal_error` record naming its type, and no traceback).
 """
 
 from __future__ import annotations
@@ -271,7 +270,7 @@ def cmd_acover(preset, module_file, window, seed, emit):
         run.record({"kind": "pi_star", "passed": psr["passed"],
                     "checked": psr["checked"]})
         ok = ok and psr["passed"]
-    except cover_mod.InconclusiveError as e:
+    except cover_mod.DegreeBoundError as e:
         run.record({"kind": "inconclusive", "detail": str(e)})
         run.finish(False, f"acover {M.name} (inconclusive)", EXIT_INCONCLUSIVE)
     except (cover_mod.CoverError, ModuleError) as e:

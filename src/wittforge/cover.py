@@ -17,17 +17,15 @@ Cover vectors are exact. The polynomial part of psi(e_k, u) and of
 e_p theta is read off the module's action polynomials by substitution, and
 the exceptional modes (punctures, finite supports and the modes where a
 constraint term fires) get their values from the concrete action. Only the
-emitted module's coefficients are interpolated in (p, w); their degree is
-grown geometrically up to a ceiling (overridable via the
-WITTFORGE_DEGREE_CEILING environment variable), and running out of ceiling
-raises InconclusiveError, never a silent wrong answer.
+emitted module's coefficients are interpolated in (p, w), at one degree
+fixed by the module; samples beyond that grid check the interpolant, and a
+mismatch raises DegreeBoundError, never a silent wrong answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -44,11 +42,8 @@ class CoverError(Exception):
 
 
 class DegreeBoundError(CoverError):
-    """An interpolation failed verification at the current degree bound."""
-
-
-class InconclusiveError(CoverError):
-    """The adaptive degree bound hit its ceiling without stabilizing."""
+    """An interpolation failed verification at its degree bound: the result
+    is inconclusive, not a refutation."""
 
 
 _MCTX = PolyContext(("m",))
@@ -66,20 +61,6 @@ def _require_rank1_concrete(M: PolyWeightModule):
 
 def base_degree(M: PolyWeightModule) -> int:
     return max((t.poly.total_degree() for t in M.terms), default=0) or 1
-
-
-def degree_ceiling(initial: int) -> int:
-    env = os.environ.get("WITTFORGE_DEGREE_CEILING")
-    if env is None:
-        return 4 * initial
-    try:
-        ceiling = int(env)
-    except ValueError:
-        ceiling = 0
-    if ceiling < 1:
-        raise CoverError(f"WITTFORGE_DEGREE_CEILING must be a positive "
-                         f"integer, got {env!r}")
-    return ceiling
 
 
 class QuasiPolyVector:
@@ -498,10 +479,10 @@ def cuspidality_certificate(C: CoverModule, window: Sequence[int]
                                   sorted(window), C.reference.rank)
 
 
-def pi_surjectivity_check(C: CoverModule, w: int, kbox: int = 4) -> dict:
+def pi_surjectivity_check(C: CoverModule, w: int) -> dict:
     """Check that the algebra's action landing in the weight-w space of M
-    (generators e_k with |k| <= kbox) lies in the span of pi on the
-    weight-w cover basis; both ranks are reported."""
+    (generators e_k with |k| <= 4) lies in the span of pi on the weight-w
+    cover basis; both ranks are reported."""
     M = C.module
     space = C.weight_space(w)
     labels = list(M.fiber)
@@ -512,7 +493,7 @@ def pi_surjectivity_check(C: CoverModule, w: int, kbox: int = 4) -> dict:
     ech, pivots = linalg.row_echelon([as_row(pi_map(b)) for b in space.basis])
     pi_span = ech[:len(pivots)]
     act_rows = []
-    for k in range(-kbox, kbox + 1):
+    for k in range(-4, 5):
         for lab in M.labels_at((w - k,)):
             v = act(M.algebra.basis((k,)), M.basis_vector((w - k,), lab))
             act_rows.append(as_row(v))
@@ -523,12 +504,12 @@ def pi_surjectivity_check(C: CoverModule, w: int, kbox: int = 4) -> dict:
                 for row in act_rows)}
 
 
-def pi_homomorphism_check(C: CoverModule, w: int, pbox: int = 2) -> bool:
+def pi_homomorphism_check(C: CoverModule, w: int) -> bool:
     """pi(e_p . c) == e_p . pi(c) on every basis vector of the weight-w
-    space, for |p| <= pbox."""
+    space, for |p| <= 2."""
     M = C.module
     space = C.weight_space(w)
-    for p in range(-pbox, pbox + 1):
+    for p in range(-2, 3):
         for b in space.basis:
             lhs = pi_map(lie_action(b, p))
             rhs = act(M.algebra.basis((p,)), pi_map(b))
@@ -543,25 +524,12 @@ def pi_homomorphism_check(C: CoverModule, w: int, pbox: int = 2) -> bool:
 def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     """Package the induced Lie action as a PolyWeightModule with fiber
     b1..br: entries are interpolated in (generator exponent, weight offset)
-    on a sample grid away from the source module's exceptional weights,
-    verified on the spare samples, with the degree bound doubled up to the
-    ceiling, and written in the absolute weight s = beta + offset."""
-    d = base_degree(C.module) + 2
-    ceiling = degree_ceiling(d)
-    d = min(d, ceiling)
-    while True:
-        try:
-            return _emit_at_degree(C, d)
-        except DegreeBoundError:
-            if d >= ceiling:
-                raise InconclusiveError(
-                    f"degree ceiling {ceiling} reached without a stable "
-                    f"interpolation")
-            d = min(2 * d, ceiling)
-
-
-def _emit_at_degree(C: CoverModule, d: int) -> PolyWeightModule:
+    at degree base_degree + 2 on a sample grid away from the source
+    module's exceptional weights, verified on the spare samples, and
+    written in the absolute weight s = beta + offset. A spare sample off
+    the interpolant raises DegreeBoundError."""
     M = C.module
+    d = base_degree(M) + 2
     verify = 2
     start = _first_clear_mode(off[0] for off in M.exceptional_offsets()) \
         + d + verify
@@ -607,13 +575,15 @@ def dual_pairing(xi: ModuleVector, v: ModuleVector):
 
 
 def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
-                  samples: int = 100, seed: int = 0, box: int = 4) -> dict:
+                  samples: int = 100, seed: int = 0) -> dict:
     """The dual of pi: pi*(u) pairs with psi(e_k, xi) as xi(e_k u). Checks
     the homomorphism identity <pi*(e_p u), psi(e_k, xi)> =
-    -<pi*(u), e_p psi(e_k, xi)> on random samples, and that pi*(u) = 0
-    exactly when the algebra kills u over the probe window."""
+    -<pi*(u), e_p psi(e_k, xi)> on random samples with exponents and
+    offsets in [-4, 4], and that pi*(u) = 0 exactly when the algebra
+    kills u over the probe window."""
     import random
     rng = random.Random(seed)
+    box = 4
 
     def pair_pistar(u: ModuleVector, k: int, xi: ModuleVector):
         return dual_pairing(xi, act(M.algebra.basis((k,)), u))

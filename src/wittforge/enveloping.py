@@ -297,38 +297,23 @@ def _identity_rhs(algebra, m, r, k, s, p, q, h) -> UEAElement:
     return (o1.scale(c1) - o2.scale(c2)).scale(qs)
 
 
-def _intro_rhs(algebra, m, k, s, p, q, h) -> UEAElement:
-    """(q-s)(p-k+2mh) Omega^{(4m)}_{k+p+2mh, s+q-2mh}, the m = r form of
-    _identity_rhs: there both terms share one coefficient, and
-    Omega^{(n)}_{a,b} - Omega^{(n)}_{a-h,b+h} = Omega^{(n+1)}_{a,b}."""
-    phi = algebra.phi
-    qs = phi(sub_points(q, s))
-    c = phi(add_points(sub_points(p, k), scale_point(2 * m, h)))
-    o = differentiator(algebra, 4 * m,
-                       add_points(add_points(k, p), scale_point(2 * m, h)),
-                       sub_points(add_points(s, q), scale_point(2 * m, h)), h)
-    return o.scale(qs * c)
-
-
-def _identity_difference(algebra, m, r, k, s, p, q, h,
-                         intro_form: bool = False) -> UEAElement:
+def _identity_difference(algebra, m, r, k, s, p, q, h) -> UEAElement:
     """lhs - rhs of the identity as a tensor element, before normal form."""
-    rhs = (_intro_rhs(algebra, m, k, s, p, q, h) if intro_form
-           else _identity_rhs(algebra, m, r, k, s, p, q, h))
-    return _identity_lhs(algebra, m, r, k, s, p, q, h) - rhs
+    return (_identity_lhs(algebra, m, r, k, s, p, q, h)
+            - _identity_rhs(algebra, m, r, k, s, p, q, h))
 
 
 # The lattice of the one proof per (m, r): k, s, p, q and the step h are
 # free generators, and phi sends each to its own polynomial variable. The
 # lattice order is lexicographic in this generator order. Listing p first
-# leaves fewer inversions in the words of lhs - rhs: over the eleven
-# symbolic and intro proofs with m, r <= 4, normal ordering takes 15,803
-# rewrites, against 26,797 in the order k, s, p, q, h.
+# leaves fewer inversions in the words of lhs - rhs: over the nine
+# symbolic proofs with m, r <= 4, with (2, 2) and (3, 3) counted twice,
+# normal ordering takes 15,803 rewrites, against 26,797 in the order
+# k, s, p, q, h.
 _FORMAL_GENERATORS = ("p", "s", "k", "q", "h")
 
 
-def formal_identity_residue(m: int, r: int,
-                            intro_form: bool = False) -> UEAElement:
+def formal_identity_residue(m: int, r: int) -> UEAElement:
     """PBW residue of lhs - rhs over the formal lattice k, s, p, q, h, with
     step h.
 
@@ -342,19 +327,18 @@ def formal_identity_residue(m: int, r: int,
     """
     alg = symbolic_witt_algebra(_FORMAL_GENERATORS, with_unit=False)
     k, s, p, q, h = (alg.lattice.generator(x) for x in "kspqh")
-    return pbw_normal_form(
-        _identity_difference(alg, m, r, k, s, p, q, h, intro_form))
+    return pbw_normal_form(_identity_difference(alg, m, r, k, s, p, q, h))
 
 
-def _specialised_count(proof: UEAElement, algebra, m, r, k, s, p, q, h,
-                       intro_form: bool = False) -> int:
+def _specialised_count(proof: UEAElement, algebra, m, r, k, s, p, q,
+                       h) -> int:
     """Residue term count at one specialisation of the formal proof: 0 when
     the proof holds, otherwise that of the concrete PBW residue, so that a
     failing record keeps a real witness."""
     if proof.is_zero():
         return 0
     return len(pbw_normal_form(
-        _identity_difference(algebra, m, r, k, s, p, q, h, intro_form)).terms)
+        _identity_difference(algebra, m, r, k, s, p, q, h)).terms)
 
 
 def verify_key_identity(m: int, r: int, mode: str = "symbolic",
@@ -368,8 +352,11 @@ def verify_key_identity(m: int, r: int, mode: str = "symbolic",
     h = 1. grid mode emits one record per integer tuple (k, s, p, q) in
     grid_range^4, each the specialisation of the proof at h -> 1; only when
     the formal residue is nonzero does it normal-order each tuple
-    concretely. With intro_form=True (requires m == r) the right side is
-    the single-term form with Omega^{(4m)}.
+    concretely. intro_form=True (requires m == r) asks for the single-term
+    form (q-s)(p-k+2mh) Omega^{(4m)}_{k+p+2mh, s+q-2mh}. At m == r both
+    terms of the right side share one coefficient, and Pascal's rule
+    Omega^{(n)}_{a,b} - Omega^{(n)}_{a-h,b+h} = Omega^{(n+1)}_{a,b} makes
+    the two right sides one tensor, so the same proof certifies it.
     """
     if m < 2 or r < 2:
         raise AlgebraError("the identity requires m, r >= 2")
@@ -380,7 +367,7 @@ def verify_key_identity(m: int, r: int, mode: str = "symbolic",
     lo, hi = grid_range
     if mode == "grid" and lo > hi:
         raise AlgebraError(f"empty grid range {lo}..{hi}")
-    proof = formal_identity_residue(m, r, intro_form)
+    proof = formal_identity_residue(m, r)
     report = IdentityReport()
     if mode == "symbolic":
         report.records.append(IdentityRecord(
@@ -390,7 +377,7 @@ def verify_key_identity(m: int, r: int, mode: str = "symbolic",
     alg = witt_algebra()
     for kv, sv, pv, qv in itertools.product(range(lo, hi + 1), repeat=4):
         count = _specialised_count(proof, alg, m, r, (kv,), (sv,), (pv,),
-                                   (qv,), (1,), intro_form)
+                                   (qv,), (1,))
         report.records.append(IdentityRecord(
             mode="grid", m=m, r=r, tuple_values=(kv, sv, pv, qv), h=None,
             residue_term_count=count, passed=count == 0))

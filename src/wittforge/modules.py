@@ -909,16 +909,13 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     wm = [a + b for a, b in zip(wv, mv)]
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            if n == 1:
-                # rank-1 Witt bracket [e_m, e_p] = (p - m) e_{m+p}
-                lhs = {k: (pv[0] - mv[0]) * v for k, v in
-                       _generic_action_matrix(M, 1, base, mp, wv).items()}
-            else:
-                lhs = {}
-                for k, v in _generic_action_matrix(M, b, base, mp, wv).items():
-                    lhs[k] = lhs.get(k, 0) + pv[a - 1] * v
-                for k, v in _generic_action_matrix(M, a, base, mp, wv).items():
-                    lhs[k] = lhs.get(k, 0) - mv[b - 1] * v
+            # [t^m d_a, t^p d_b] = p_a t^{m+p} d_b - m_b t^{m+p} d_a; at
+            # n = 1 this is the Witt bracket (p - m) e_{m+p}
+            lhs = {}
+            for k, v in _generic_action_matrix(M, b, base, mp, wv).items():
+                lhs[k] = lhs.get(k, 0) + pv[a - 1] * v
+            for k, v in _generic_action_matrix(M, a, base, mp, wv).items():
+                lhs[k] = lhs.get(k, 0) - mv[b - 1] * v
             xy = _compose_matrices(
                 _generic_action_matrix(M, a, base, mv, wp),
                 _generic_action_matrix(M, b, base, pv, wv), labels)

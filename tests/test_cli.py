@@ -242,19 +242,16 @@ class TestACover:
         induced = next(r for r in recs if r["kind"] == "induced_module")
         assert induced["axioms_pass"]
 
-    def test_degree_ceiling_inconclusive(self, monkeypatch):
-        monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", "1")
-        res = invoke("acover", "--preset", "feigin_fuks_length2",
-                     "--window", "1")
-        assert res.exit_code == 3
-
-    @pytest.mark.parametrize("ceiling", ["abc", "0", "-3", "2.5"])
-    def test_bad_degree_ceiling_exits_two(self, monkeypatch, ceiling):
-        monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", ceiling)
-        res = invoke("acover", "--preset", "punctured_functions",
-                     "--window", "1")
-        assert res.exit_code == 2
-        assert "WITTFORGE_DEGREE_CEILING" in res.output
+    def test_failed_emission_is_inconclusive(self, tmp_path):
+        # the emitted cover of this dual misses its spare samples: exit 3,
+        # not a refutation and not a usage error
+        f = tmp_path / "dual.json"
+        f.write_text(json.dumps(module_to_json(
+            modules.graded_dual(build_preset("virasoro_adjoint")))))
+        res = invoke("acover", "--module", str(f), "--window", "1")
+        assert res.exit_code == 3, res.output
+        last = json_lines(res.output)[-1]
+        assert last["kind"] == "inconclusive" and last["detail"]
 
 
 class TestDeRham:

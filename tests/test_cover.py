@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from wittforge.cover import (CoverModule, InconclusiveError, PsiGenerator,
+from wittforge.cover import (CoverModule, DegreeBoundError, PsiGenerator,
                              adjoint_cover_frame, adjoint_cover_report,
                              cover_basis, cuspidality_certificate,
                              emit_induced_module, expand_in_family,
@@ -279,21 +280,28 @@ class TestDualPairing:
         assert pi_star_check(M, graded_dual(M), samples=30, seed=2)["passed"]
 
 
-class TestDegreeCeiling:
-    # the emitted module's (p, w) interpolation is the one degree loop; the
-    # cover ranks are exact and never read the ceiling
-    def test_ceiling_forces_inconclusive(self, monkeypatch):
-        monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", "1")
-        C = CoverModule(build_preset("feigin_fuks_length2"))
-        assert C.rank(0) > 0
-        with pytest.raises(InconclusiveError):
-            emit_induced_module(C)
+class TestSingleAttempt:
+    def test_failed_emission_samples_one_grid(self, monkeypatch):
+        # the dual of the Virasoro adjoint module fails the spare-sample
+        # check at degree base_degree + 2; the emission says so after one
+        # (p, w) grid, with no retry at a larger degree
+        C = CoverModule(graded_dual(build_preset("virasoro_adjoint")))
+        d = cover.base_degree(C.module) + 2
+        calls = []
+        real = cover._action_columns
 
-    def test_generous_ceiling_succeeds(self, monkeypatch):
-        monkeypatch.setenv("WITTFORGE_DEGREE_CEILING", "40")
-        C = CoverModule(build_preset("punctured_functions"))
-        assert action_polynomials(emit_induced_module(C)) == {
-            (1, "b1", "b1"): "s"}
+        def spy(C, image, name, p, w):
+            calls.append((p, w))
+            return real(C, image, name, p, w)
+
+        monkeypatch.setattr(cover, "_action_columns", spy)
+        with pytest.raises(DegreeBoundError):
+            emit_induced_module(C)
+        ps = sorted({p for p, _ in calls})
+        ws = sorted({w for _, w in calls})
+        assert sorted(calls) == list(itertools.product(ps, ws))
+        # d + 1 interpolation nodes and two spare samples per weight axis
+        assert len(ws) == d + 3
 
 
 class TestLieActionConstraintModes:

@@ -10,8 +10,9 @@ from wittforge.enveloping import (AlgebraError, UEAElement, anticommutator,
                                   generator, multiply, one, pbw_normal_form,
                                   verify_key_identity,
                                   verify_solenoidal_identity)
-from wittforge.lie import (Rank1Algebra, add_points, solenoidal_algebra,
-                          sub_points, symbolic_witt_algebra, witt_algebra)
+from wittforge.lie import (Rank1Algebra, add_points, scale_point,
+                          solenoidal_algebra, sub_points,
+                          symbolic_witt_algebra, witt_algebra)
 from wittforge.scalars import (ContextMismatchError, PolyContext, PolyScalar,
                                QuadExtScalar, is_zero_scalar)
 
@@ -134,10 +135,23 @@ class TestKeyIdentity:
             verify_key_identity(2, 1)
 
 
-def concrete_count(alg, m, r, k, s, p, q, h, intro_form=False):
+def concrete_count(alg, m, r, k, s, p, q, h):
     """The concrete per-tuple path: term count of one PBW residue."""
-    diff = enveloping._identity_difference(alg, m, r, k, s, p, q, h, intro_form)
+    diff = enveloping._identity_difference(alg, m, r, k, s, p, q, h)
     return len(pbw_normal_form(diff).terms)
+
+
+def single_term_rhs(algebra, m, k, s, p, q, h):
+    """(q-s)(p-k+2mh) Omega^{(4m)}_{k+p+2mh, s+q-2mh}, the single-term
+    right side at m = r: there both terms of the identity's right side
+    share one coefficient, and
+    Omega^{(n)}_{a,b} - Omega^{(n)}_{a-h,b+h} = Omega^{(n+1)}_{a,b}."""
+    phi = algebra.phi
+    c = phi(add_points(sub_points(p, k), scale_point(2 * m, h)))
+    o = differentiator(algebra, 4 * m,
+                       add_points(add_points(k, p), scale_point(2 * m, h)),
+                       sub_points(add_points(s, q), scale_point(2 * m, h)), h)
+    return o.scale(phi(sub_points(q, s)) * c)
 
 
 def specialise(x, target, point_map, values):
@@ -187,7 +201,7 @@ class TestFormalProof:
             recs = {rec.tuple_values: rec for rec in report.records}
             for t in COLLISIONS:
                 k, s, p, q = ((v,) for v in t)
-                want = concrete_count(WITT, m, r, k, s, p, q, (1,), intro)
+                want = concrete_count(WITT, m, r, k, s, p, q, (1,))
                 assert recs[t].residue_term_count == want == 0
                 assert recs[t].passed
 
@@ -218,9 +232,10 @@ class TestFormalProof:
             assert specialise(formal, alg, point_map, values) == concrete
 
     def test_intro_rhs_is_identity_rhs_at_m_equals_r(self):
+        # so the --intro records rest on the (m, m) proof
         for m in (2, 3, 4):
             assert (enveloping._identity_rhs(FORMAL, m, m, *KSPQH)
-                    == enveloping._intro_rhs(FORMAL, m, *KSPQH))
+                    == single_term_rhs(FORMAL, m, *KSPQH))
 
     def test_wrong_rhs_falls_back_to_concrete_witnesses(self, monkeypatch):
         right = enveloping._identity_rhs
@@ -334,10 +349,9 @@ class TestKernelOracle:
             assert_kernel_matches(word.scale(c))
 
     def test_formal_identity_differences(self):
-        for (m, r), intro in (((2, 2), False), ((2, 3), False),
-                              ((3, 2), False), ((2, 2), True)):
+        for m, r in ((2, 2), (2, 3), (3, 2)):
             assert_kernel_matches(enveloping._identity_difference(
-                FORMAL, m, r, *KSPQH, intro))
+                FORMAL, m, r, *KSPQH))
         assert_kernel_matches(enveloping._identity_lhs(FORMAL, 2, 2, *KSPQH))
         # a concrete residue, whose words all cancel
         assert_kernel_matches(enveloping._identity_difference(
