@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv as _csv
 import functools
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -289,7 +290,6 @@ def cmd_derham(n, beta, window, emit):
         raise click.UsageError("--n must be positive")
     bvec = _parse_beta(beta, n) if beta is not None else (Fraction(0),) * n
     run = _Run(emit)
-    import itertools
     for w in sorted(itertools.product(range(-window, window + 1), repeat=n)):
         ranks = mod.de_rham_homology(n, bvec, w)
         run.record({"kind": "derham_ranks", "w": list(w),

@@ -18,11 +18,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable
 
 from .lie import (AlgebraError, Rank1Algebra, add_points, scale_point,
                   sub_points, symbolic_witt_algebra, witt_algebra,
-                  solenoidal_algebra, IndexLattice)
+                  IndexLattice)
 from .scalars import (ContextMismatchError, PolyContext, PolyScalar,
                       is_zero_scalar, scalar_str)
 

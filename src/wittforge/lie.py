@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .scalars import PolyContext, PolyScalar, is_zero_scalar, scalar_str
+from .scalars import PolyContext, is_zero_scalar, scalar_str
 
 
 class AlgebraError(Exception):

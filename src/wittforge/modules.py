@@ -221,14 +221,19 @@ class ModuleVector:
             raise ModuleError("vectors from different modules")
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0) + v
+            terms[k] = terms[k] + v if k in terms else v
         return ModuleVector(self.module, terms)
 
     def __neg__(self):
         return ModuleVector(self.module, {k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
+        if other.module is not self.module:
+            raise ModuleError("vectors from different modules")
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms[k] - v if k in terms else -v
+        return ModuleVector(self.module, terms)
 
     def scale(self, c) -> "ModuleVector":
         return ModuleVector(self.module, {k: c * v for k, v in self.terms.items()})
@@ -310,9 +315,13 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
         raise ModuleError("element and module algebras differ")
     out: dict = {}
     for idx, c in x.terms.items():
+        unit = c == 1
         for (off, lab), val in v.terms.items():
+            if not unit:
+                val = c * val
             for key, coeff in _cell_action(M, idx, off, lab):
-                out[key] = out.get(key, 0) + c * val * coeff
+                term = val * coeff
+                out[key] = out[key] + term if key in out else term
     return ModuleVector(M, out)
 
 

@@ -8,7 +8,9 @@ and every value is a nonzero Fraction or QuadExtScalar, never an int.
 `PolyScalar.__init__` establishes this for outside input; ring operations
 whose results keep it by construction return through `PolyScalar._clean`.
 Products of polynomials whose coefficients are all integral multiply plain
-int numerators and wrap the sums back into Fractions.
+int numerators and wrap the sums back into Fractions. A QuadExtScalar holds
+integer numerators over one denominator, so its arithmetic is integer
+products and one gcd per result rather than Fraction operations.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -47,107 +50,118 @@ def parse_rational(text: str) -> Fraction:
 class QuadExtScalar:
     """Element a + b*sqrt(d) of a real quadratic extension of Q.
 
+    Stored as integers: (p + q*sqrt(d))/n with n > 0 and gcd(p, q, n) = 1,
+    so equal values have equal fields and a product costs a few integer
+    products and one gcd. `a` and `b` give the rational parts as Fractions.
     The radicand d is a fixed square-free positive integer per context;
     mixing distinct radicands raises ContextMismatchError.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "n", "d")
 
-    def __init__(self, a, b=0, d: int = 19):
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
-        object.__setattr__(self, "d", int(d))
+    def __new__(cls, a, b=0, d: int = 19):
+        a, b = Fraction(a), Fraction(b)
+        return _quad(a.numerator * b.denominator, b.numerator * a.denominator,
+                     a.denominator * b.denominator, int(d))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.n)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExtScalar is immutable")
 
-    def _coerce(self, other) -> "QuadExtScalar":
+    def _parts(self, other):
+        """(p, q, n) of an operand in this field, or None for another type."""
         if isinstance(other, QuadExtScalar):
             if other.d != self.d:
                 raise ContextMismatchError(
                     f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
                 )
-            return other
+            return other.p, other.q, other.n
         if isinstance(other, (int, Fraction)):
-            return QuadExtScalar(other, 0, self.d)
-        return NotImplemented
+            return other.numerator, 0, other.denominator
+        return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExtScalar(self.a + other, self.b, self.d)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return QuadExtScalar(self.a + o.a, self.b + o.b, self.d)
+        p, q, n = o
+        return _quad(self.p * n + p * self.n, self.q * n + q * self.n,
+                     self.n * n, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExtScalar(-self.a, -self.b, self.d)
+        return _quad(-self.p, -self.q, self.n, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return self + (-o)
+        p, q, n = o
+        return _quad(self.p * n - p * self.n, self.q * n - q * self.n,
+                     self.n * n, self.d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExtScalar(self.a * other, self.b * other, self.d)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        if not o.b:
-            return QuadExtScalar(self.a * o.a, self.b * o.a, self.d)
-        if not self.b:
-            return QuadExtScalar(self.a * o.a, self.a * o.b, self.d)
-        return QuadExtScalar(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        p, q, n = o
+        return _quad(self.p * p + self.d * self.q * q, self.p * q + self.q * p,
+                     self.n * n, self.d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadExtScalar":
-        return QuadExtScalar(self.a, -self.b, self.d)
+        return _quad(self.p, -self.q, self.n, self.d)
 
     def norm(self) -> Fraction:
         # (a + b sqrt(d)) (a - b sqrt(d)) = a^2 - d b^2
-        return self.a * self.a - self.d * self.b * self.b
+        return Fraction(self.p * self.p - self.d * self.q * self.q,
+                        self.n * self.n)
 
     def inverse(self) -> "QuadExtScalar":
-        n = self.norm()
-        if n == 0:
+        # n / (p + q sqrt(d)) = n (p - q sqrt(d)) / (p^2 - d q^2)
+        m = self.p * self.p - self.d * self.q * self.q
+        if m == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadExtScalar(self.a / n, -self.b / n, self.d)
+        s = self.n if m > 0 else -self.n
+        return _quad(s * self.p, -s * self.q, abs(m), self.d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _quad(*o, self.d).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __eq__(self, other):
         if isinstance(other, QuadExtScalar):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            return (self.d == other.d and self.p == other.p
+                    and self.q == other.q and self.n == other.n)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (not self.q
+                    and self.p * other.denominator == other.numerator * self.n)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.q:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.p or self.q)
 
     def __repr__(self):
         return f"QuadExtScalar({self!s})"
@@ -160,6 +174,24 @@ class QuadExtScalar:
         if self.a == 0:
             return bpart if self.b > 0 else f"-{bpart}"
         return f"{format_rational(self.a)} {sign} {bpart}"
+
+
+_set_p, _set_q, _set_n, _set_d = (getattr(QuadExtScalar, f).__set__
+                                  for f in QuadExtScalar.__slots__)
+
+
+def _quad(p: int, q: int, n: int, d: int) -> QuadExtScalar:
+    """(p + q*sqrt(d))/n with n > 0, in canonical form. The slot setters
+    get past the blocked __setattr__ faster than object.__setattr__."""
+    g = gcd(p, q, n)
+    if g != 1:
+        p, q, n = p // g, q // g, n // g
+    x = object.__new__(QuadExtScalar)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_n(x, n)
+    _set_d(x, d)
+    return x
 
 
 BaseScalar = Union[int, Fraction, QuadExtScalar]

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from wittforge.lie import (LatticeAutomorphism, WnAlgebra, bracket,
-                           witt_algebra)
+from wittforge.lie import (LatticeAutomorphism, LieElement, WnAlgebra,
+                           bracket, witt_algebra)
 from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
                                ModuleVector, PRESET_NAMES, _a_shift,
                                _decode_generator, _window_generators,
@@ -529,3 +529,82 @@ class TestCellActionMemo:
         assert act(x, M2.basis_vector((0, 0), "e1")).terms == {
             ((1, 0), "e1"): Fraction(3, 2)}
         assert M1._cell_actions is not M2._cell_actions
+
+
+class TestActCoefficients:
+    """`act` multiplies by a generator's coefficient only when it is not 1.
+    Any coefficient must scale the unit generator's image, and terms that
+    cancel must leave no zero entry."""
+
+    COEFFS = (Fraction(2, 3), QuadExtScalar(0, 1, 19))
+
+    @pytest.mark.parametrize("name", ("feigin_fuks_length2", "tensor_field"))
+    def test_coefficient_scales_the_unit_image(self, name):
+        M = _memo_module(name)
+        _, gens = _window_generators(M, 1)
+        cells = [v for _, _, v in M.window(1)]
+        vectors = cells + [act(gens[0], v) + v.scale(Fraction(-5, 7))
+                           for v in cells]
+        for x in gens:
+            (idx, one), = x.terms.items()
+            assert one == 1
+            for c in self.COEFFS:
+                cx = x.scale(c)
+                assert cx.terms == {idx: c}
+                for v in vectors:
+                    assert act(cx, v) == act(x, v).scale(c), (x, c, v)
+
+    @pytest.mark.parametrize("name", ("feigin_fuks_length2", "tensor_field"))
+    def test_cancelling_terms_leave_no_zero_key(self, name):
+        M = _memo_module(name)
+        _, gens = _window_generators(M, 1)
+        g1, b1, g2, b2, key, gamma = _cancelling_pair(gens, M.window(1))
+        (i1, _), = g1.terms.items()
+        (i2, _), = g2.terms.items()
+        x = LieElement(M.algebra, {i1: 1, i2: gamma})
+        v = b1 + b2
+        got = act(x, v)
+        assert key not in got.terms and all(got.terms.values())
+        assert got == act(g1, v) + act(g2, v).scale(gamma)
+
+
+def _cancelling_pair(gens, cells):
+    """Generators g1, g2 and basis vectors b1, b2 at different offsets whose
+    images share a key, with the factor gamma that makes the coefficients
+    of g1 b1 + gamma g2 b2 at that key cancel."""
+    pairs = [(g, v) for g in gens for _, _, v in cells]
+    for (g1, b1), (g2, b2) in itertools.combinations(pairs, 2):
+        if next(iter(b1.terms))[0] == next(iter(b2.terms))[0]:
+            continue
+        t1, t2 = act(g1, b1).terms, act(g2, b2).terms
+        for key in t1.keys() & t2.keys():
+            return g1, b1, g2, b2, key, -t1[key] / t2[key]
+    raise AssertionError("no two images share a key")
+
+
+class TestVectorSubtraction:
+    """`u - v` is `u + (-v)`, in value and in term order."""
+
+    @pytest.mark.parametrize("name", ("feigin_fuks_length2", "tensor_field"))
+    def test_matches_adding_the_negation(self, name):
+        M = _memo_module(name)
+        cells = [v for _, _, v in M.window(1)]
+        a, b, c = cells[0], cells[1], cells[2]
+        r19 = QuadExtScalar(Fraction(1, 2), 1, 19)
+        u = a.scale(3) + b.scale(r19)
+        cases = [(u, b + c.scale(Fraction(2, 5))),  # overlapping keys
+                 (u, c.scale(-2)),                   # disjoint keys
+                 (u, a.scale(3) + b.scale(r19)),     # everything cancels
+                 (u, b.scale(r19) + c),              # one key cancels
+                 (M.vector({}), u), (u, M.vector({}))]
+        for left, right in cases:
+            got, want = left - right, left + (-right)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(got.terms.values())
+        assert (u - u).is_zero()
+
+    def test_rejects_vectors_of_another_module(self):
+        u = build_preset("feigin_fuks_length2").basis_vector(0, "u")
+        v = build_preset("feigin_fuks_length2").basis_vector(0, "u")
+        with pytest.raises(ModuleError):
+            u - v

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,163 @@ class TestQuadExt:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             1 / QuadExtScalar(0, 0, 19)
+
+
+class _PairRef:
+    """a + b*sqrt(19) as a pair of Fractions, with the Fraction-pair
+    formulas the packed QuadExtScalar has to agree with."""
+
+    D = 19
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return _PairRef(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return _PairRef(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return _PairRef(self.a * o.a + self.D * self.b * o.b,
+                        self.a * o.b + self.b * o.a)
+
+    def __neg__(self):
+        return _PairRef(-self.a, -self.b)
+
+    def conjugate(self):
+        return _PairRef(self.a, -self.b)
+
+    def norm(self):
+        return self.a * self.a - self.D * self.b * self.b
+
+    def inverse(self):
+        n = self.norm()
+        return _PairRef(self.a / n, -self.b / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def hash(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.D))
+
+    def text(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return format_rational(a)
+        bpart = (f"sqrt({self.D})" if abs(b) == 1
+                 else f"{format_rational(abs(b))}*sqrt({self.D})")
+        if a == 0:
+            return bpart if b > 0 else f"-{bpart}"
+        return f"{format_rational(a)} {'-' if b < 0 else '+'} {bpart}"
+
+
+def wide_rationals():
+    """Negative values and large denominators, zero included."""
+    return st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=-10**6, max_value=10**6,
+                                  max_denominator=10**12))
+
+
+def _operand(value, kind):
+    """`value` (a Fraction) as an int, a Fraction or a QuadExtScalar."""
+    if kind == "int":
+        return int(value)
+    return value if kind == "fraction" else QuadExtScalar(value, 0, 19)
+
+
+def _agrees(x, ref):
+    assert isinstance(x, QuadExtScalar) and x.d == 19
+    assert (x.a, x.b) == (ref.a, ref.b)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert x.n > 0 and gcd(x.p, x.q, x.n) == 1
+    assert hash(x) == ref.hash() and bool(x) == (ref.a != 0 or ref.b != 0)
+    assert str(x) == ref.text()
+
+
+class TestPackedQuadExt:
+    """The integer-packed QuadExtScalar against Fraction-pair formulas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_rationals(), wide_rationals(), wide_rationals(),
+           wide_rationals())
+    def test_field_operations(self, a1, b1, a2, b2):
+        x, y = QuadExtScalar(a1, b1, 19), QuadExtScalar(a2, b2, 19)
+        rx, ry = _PairRef(a1, b1), _PairRef(a2, b2)
+        _agrees(x, rx)
+        _agrees(x + y, rx + ry)
+        _agrees(x - y, rx - ry)
+        _agrees(x * y, rx * ry)
+        _agrees(-x, -rx)
+        _agrees(x.conjugate(), rx.conjugate())
+        assert x.norm() == rx.norm() and type(x.norm()) is Fraction
+        if ry.norm():
+            _agrees(y.inverse(), ry.inverse())
+            _agrees(x / y, rx / ry)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        assert (x == y) == ((a1, b1) == (a2, b2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_rationals(), wide_rationals(), wide_rationals(),
+           st.sampled_from(["int", "fraction"]))
+    def test_rational_operands_on_both_sides(self, a, b, r, kind):
+        x, rx = QuadExtScalar(a, b, 19), _PairRef(a, b)
+        k = _operand(r, kind)
+        rk = _PairRef(k)
+        for got, ref in ((x + k, rx + rk), (k + x, rk + rx),
+                         (x - k, rx - rk), (k - x, rk - rx),
+                         (x * k, rx * rk), (k * x, rk * rx)):
+            _agrees(got, ref)
+        if k:
+            _agrees(x / k, rx / rk)
+        if rx.norm():
+            _agrees(k / x, rk / rx)
+        assert (x == k) == (k == x) == (rx.b == 0 and rx.a == k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_rationals(), st.sampled_from(["int", "fraction", "quad"]))
+    def test_rational_values_match_rationals(self, r, kind):
+        # b == 0 compares and hashes like the rational itself
+        k = _operand(r, kind)
+        x = QuadExtScalar(k if kind == "int" else r, 0, 19)
+        assert x == k and k == x and hash(x) == hash(k)
+        assert x != k + 1 and x + QuadExtScalar(0, 1, 19) != k
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_rationals(), wide_rationals(), wide_rationals(),
+           wide_rationals())
+    def test_equal_values_have_equal_fields(self, a, b, c, e):
+        x, y = QuadExtScalar(a, b, 19), QuadExtScalar(c, e, 19)
+        for other in ((x + y) - y, (x * 6) / 6, x + QuadExtScalar(0, 0, 19),
+                      -(-x), x.conjugate().conjugate()):
+            assert (other.p, other.q, other.n, other.d) == (x.p, x.q, x.n, 19)
+            assert other == x and hash(other) == hash(x)
+
+    def test_zero_and_canonical_sign(self):
+        zero = QuadExtScalar(Fraction(1, 3), -2, 19) * 0
+        assert (zero.p, zero.q, zero.n) == (0, 0, 1) and not zero
+        x = QuadExtScalar(0, 1, 19).inverse()   # sqrt(19)/19
+        assert (x.p, x.q, x.n) == (0, 1, 19)
+        y = QuadExtScalar(1, 1, 19).inverse()   # (1 - sqrt19)/(-18)
+        assert (y.p, y.q, y.n) == (-1, 1, 18)
+
+    def test_immutable(self):
+        x = QuadExtScalar(1, 2, 19)
+        for name in ("a", "b", "p", "q", "n", "d"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 5)
+
+    def test_mixed_radicands_raise(self):
+        x, y = QuadExtScalar(1, 1, 19), QuadExtScalar(1, 1, 5)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+                   lambda: x / y, lambda: y * x):
+            with pytest.raises(ContextMismatchError):
+                op()
+        assert x != y and QuadExtScalar(2, 0, 19) != QuadExtScalar(2, 0, 5)
 
 
 class TestProductPaths:
