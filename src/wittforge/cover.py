@@ -16,16 +16,18 @@ the rank is uniform and the A-action invertible by construction.
 Cover vectors are exact. The polynomial part of psi(e_k, u) and of
 e_p theta is read off the module's action polynomials by substitution, and
 the exceptional modes (punctures, finite supports and the modes where a
-constraint term fires) get their values from the concrete action. Only the
-emitted module's coefficients are interpolated in (p, w), at one degree
-fixed by the module; samples beyond that grid check the interpolant, and a
+constraint term fires) get their values from the concrete action. The
+emitted module's action comes from c_p, the matrix of e_p on the weight-0
+space over its t^p-translate, one expansion per exponent p: since
+[e_p, t^w] = w t^(w+p), c_p and the weights' frames give each (p, w)
+sample. Only these samples are interpolated in (p, w), at one degree fixed
+by the module; samples beyond that grid check the interpolant, and a
 mismatch raises DegreeBoundError, never a silent wrong answer.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -87,9 +89,7 @@ class QuasiPolyVector:
         if (m, lab) in self.overrides:
             return self.overrides[(m, lab)]
         p = self.poly.get(lab)
-        if p is None:
-            return Fraction(0)
-        return p.specialize({"m": Fraction(m)})
+        return Fraction(0) if p is None else p.specialize({"m": Fraction(m)})
 
     def value(self, m: int) -> ModuleVector:
         M = self.module
@@ -137,37 +137,6 @@ def _first_clear_mode(modes) -> int:
     return max((abs(m) for m in modes), default=0) + 1
 
 
-def _interpolate(samples: Mapping[tuple, object],
-                 nodes: Sequence[Sequence[int]], ctx: PolyContext) -> PolyScalar:
-    """Exact tensor-product Lagrange interpolation, one node list per symbol
-    of ctx, through samples keyed by integer points. The samples on the grid
-    nodes[0] x nodes[1] x ... fix the polynomial; every other sample must
-    agree with it, or DegreeBoundError is raised."""
-    numerators = {}  # (symbol, node) -> product of (symbol - other node)
-    total = ctx.zero()
-    for point in itertools.product(*nodes):
-        val = samples[point]
-        if is_zero_scalar(val):
-            continue
-        term = ctx.const(1)
-        for sym, axis, xi in zip(ctx.symbols, nodes, point):
-            if (sym, xi) not in numerators:
-                x = ctx.sym(sym)
-                numerators[(sym, xi)] = math.prod(
-                    (x - xj for xj in axis if xj != xi), start=ctx.const(1))
-            term = term * numerators[(sym, xi)]
-            val = val / math.prod(xi - xj for xj in axis if xj != xi)
-        total = total + term * val
-    for point, val in samples.items():
-        on_grid = all(xi in axis for xi, axis in zip(point, nodes))
-        if not on_grid and not is_zero_scalar(
-                total.specialize(dict(zip(ctx.symbols, point))) - val):
-            raise DegreeBoundError(
-                f"samples are not polynomial of degree "
-                f"{[len(axis) - 1 for axis in nodes]}: mismatch at {point}")
-    return total
-
-
 def qpv_from_function(M: PolyWeightModule, w: int,
                       fn: Callable[[int], ModuleVector],
                       poly: Mapping[str, PolyScalar],
@@ -185,8 +154,7 @@ def qpv_from_function(M: PolyWeightModule, w: int,
                     f"value at mode {m} is not homogeneous of weight offset "
                     f"{w + m}")
             comp[lab] = c
-        for lab in M.fiber:
-            overrides[(m, lab)] = comp[lab]
+        overrides.update(((m, lab), comp[lab]) for lab in M.fiber)
     return QuasiPolyVector(M, w, poly, overrides)
 
 
@@ -245,60 +213,29 @@ def _common_frame(vectors: Sequence[QuasiPolyVector]):
     """The largest polynomial degree and the sorted union of the override
     modes of `vectors`: the (degree, label) and (mode, label) slots of
     `_coordinates`."""
-    degree = 0
-    modes = set()
-    for v in vectors:
-        for p in v.poly.values():
-            degree = max(degree, p.total_degree())
-        modes |= v.override_modes()
-    return degree, sorted(modes)
+    degree = max((p.total_degree() for v in vectors for p in v.poly.values()),
+                 default=0)
+    return degree, sorted(set().union(*(v.override_modes() for v in vectors)))
 
 
 def _coordinates(v: QuasiPolyVector, degree: int, modes) -> list:
-    M = v.module
-    row = []
-    for d in range(degree + 1):
-        for lab in M.fiber:
-            p = v.poly.get(lab)
-            row.append(p.coefficient_of("m", d).constant_value()
-                       if p is not None else Fraction(0))
-    for m in modes:
-        for lab in M.fiber:
-            row.append(v.component(m, lab))
-    return row
+    fiber = v.module.fiber
+    return [v.poly[lab].coefficient_of("m", d).constant_value()
+            if lab in v.poly else Fraction(0)
+            for d in range(degree + 1) for lab in fiber] + [
+        v.component(m, lab) for m in modes for lab in fiber]
 
 
 def _from_coordinates(M: PolyWeightModule, w: int, row, degree: int,
                       modes) -> QuasiPolyVector:
-    mvar = _MCTX.sym("m")
-    poly = {lab: _MCTX.zero() for lab in M.fiber}
-    i = 0
-    for d in range(degree + 1):
-        for lab in M.fiber:
-            c = row[i]
-            i += 1
-            if not is_zero_scalar(c):
-                poly[lab] = poly[lab] + _MCTX.const(c) * mvar ** d
-    overrides = {}
-    for m in modes:
-        for lab in M.fiber:
-            overrides[(m, lab)] = row[i]
-            i += 1
+    n = len(M.fiber)
+    poly = {lab: PolyScalar(_MCTX, {(d,): row[d * n + i]
+                                    for d in range(degree + 1)})
+            for i, lab in enumerate(M.fiber)}
+    start = (degree + 1) * n
+    overrides = {(m, lab): row[start + k * n + i]
+                 for k, m in enumerate(modes) for i, lab in enumerate(M.fiber)}
     return QuasiPolyVector(M, w, poly, overrides)
-
-
-def span_basis(vectors: Sequence[QuasiPolyVector]) -> list:
-    """Row-echelon basis of the span."""
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
-        return []
-    M = vectors[0].module
-    w = vectors[0].weight
-    degree, modes = _common_frame(vectors)
-    rows = [_coordinates(v, degree, modes) for v in vectors]
-    ech, pivots = linalg.row_echelon(rows)
-    return [_from_coordinates(M, w, r, degree, modes)
-            for r in ech[:len(pivots)]]
 
 
 def expand_in_family(v: QuasiPolyVector, family: Sequence[QuasiPolyVector]):
@@ -315,12 +252,40 @@ def expand_in_family(v: QuasiPolyVector, family: Sequence[QuasiPolyVector]):
 
 @dataclass
 class CoverWeightSpace:
+    """A weight space of the cover and its frame over the vectors v it was
+    spanned from: basis = transform (v), and row k of `inverse` holds the
+    coordinates of v_k over the basis. For independent v, such as the
+    translates t^w b of the reference basis, the two are inverse matrices."""
+
     weight: int
     basis: list
+    transform: list
+    inverse: list
 
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+
+def span_basis(M: PolyWeightModule, w: int, vectors: Sequence[QuasiPolyVector]
+               ) -> CoverWeightSpace:
+    """The row-echelon basis of the span of the nonzero weight-w `vectors`.
+    The transform is read off the echelon of their coordinate rows
+    augmented by the identity; the inverse holds each row's entries at the
+    pivot columns, since the echelon is reduced."""
+    n = len(vectors)
+    degree, modes = _common_frame(vectors)
+    width = (degree + 1 + len(modes)) * len(M.fiber)
+    rows = [_coordinates(v, degree, modes) for v in vectors]
+    ech, pivots = linalg.row_echelon(
+        [r + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)])
+    rank = sum(c < width for c in pivots)
+    return CoverWeightSpace(
+        w, [_from_coordinates(M, w, r[:width], degree, modes)
+            for r in ech[:rank]],
+        [r[width:] for r in ech[:rank]],
+        [[r[c] for c in pivots[:rank]] for r in rows])
 
 
 class CoverModule:
@@ -338,12 +303,12 @@ class CoverModule:
         _require_rank1_concrete(M)
         self.module = M
         self.reference = cover_basis(M, 0)
-        self.spaces: dict = {0: self.reference}
+        self.spaces: dict = {}
 
     def weight_space(self, w: int) -> CoverWeightSpace:
         if w not in self.spaces:
-            self.spaces[w] = CoverWeightSpace(w, span_basis(
-                [a_action(b, w) for b in self.reference.basis]))
+            self.spaces[w] = span_basis(self.module, w, [
+                a_action(b, w) for b in self.reference.basis])
         return self.spaces[w]
 
     def rank(self, w: int) -> int:
@@ -370,11 +335,11 @@ def cover_basis(M: PolyWeightModule, w: int) -> CoverWeightSpace:
     checked to lie in the span; `CoverModule` builds it at weight 0 only."""
     gens = _generator_pool(M, w)
     vectors = [psi_evaluate(M, g) for g in gens]
-    basis = span_basis(vectors)
+    space = span_basis(M, w, [v for v in vectors if not v.is_zero()])
     for g, v in zip(gens, vectors):
-        if expand_in_family(v, basis) is None:
+        if expand_in_family(v, space.basis) is None:
             raise CoverError(f"generator {g} escaped its own span")
-    return CoverWeightSpace(w, basis)
+    return space
 
 
 # -- induced action ------------------------------------------------------------
@@ -507,55 +472,106 @@ def pi_surjectivity_check(C: CoverModule, w: int) -> dict:
 def pi_homomorphism_check(C: CoverModule, w: int) -> bool:
     """pi(e_p . c) == e_p . pi(c) on every basis vector of the weight-w
     space, for |p| <= 2."""
-    M = C.module
-    space = C.weight_space(w)
-    for p in range(-2, 3):
-        for b in space.basis:
-            lhs = pi_map(lie_action(b, p))
-            rhs = act(M.algebra.basis((p,)), pi_map(b))
-            if lhs != rhs:
-                return False
-    return True
+    basis = C.weight_space(w).basis
+    return all(pi_map(lie_action(b, p))
+               == act(C.module.algebra.basis((p,)), pi_map(b))
+               for p in range(-2, 3) for b in basis)
 
 
 # -- emission as a weight module ------------------------------------------------
 
 
+def _emission_grid(M: PolyWeightModule):
+    """The degree d of the emitted entries and the (p, w) sample axes: d + 1
+    interpolation nodes and two spare samples on each, away from the
+    source module's exceptional weights."""
+    d = base_degree(M) + 2
+    start = _first_clear_mode(off[0] for off in M.exceptional_offsets()) \
+        + d + 2
+    ps = list(range(-(d // 2) - 1, d // 2 + d % 2 + 3))
+    return d, ps, list(range(start, start + d + 3))
+
+
+def _e_p_matrix(C: CoverModule, p: int) -> list:
+    """c_p: row k holds the coordinates of e_p b_k over the translates
+    t^p b_l, for the reference basis b."""
+    family = [a_action(b, p) for b in C.reference.basis]
+    rows = [expand_in_family(lie_action(b, p), family)
+            for b in C.reference.basis]
+    if None in rows:
+        raise CoverError(f"e_{p} image of a weight-0 basis vector is outside "
+                         f"the weight-{p} cover basis")
+    return rows
+
+
+def _leibniz_columns(C: CoverModule, c_p: list, p: int, w: int) -> list:
+    """What `_action_columns(C, lie_action, ..., p, w)` returns, from c_p:
+    [e_p, t^w] = w t^(w+p) gives e_p t^w b_k = sum_l (c_p + w I)_kl
+    t^(w+p) b_l, and the matrix is T_w (c_p + w I) T_(w+p)^-1 in the
+    weights' frames (`CoverWeightSpace`)."""
+    shifted = [[c + w if k == l else c for l, c in enumerate(row)]
+               for k, row in enumerate(c_p)]
+    return linalg.matrix_mul(
+        linalg.matrix_mul(C.weight_space(w).transform, shifted),
+        C.weight_space(w + p).inverse)
+
+
+def _lagrange(nodes: Sequence) -> list:
+    """Coefficient rows, constant term first, of the Lagrange basis of
+    `nodes`: row i is the polynomial that is 1 at nodes[i] and 0 at the
+    other nodes."""
+    rows = []
+    for xi in nodes:
+        row = [Fraction(1)]
+        for xj in nodes:
+            if xj != xi:  # times (x - xj) / (xi - xj)
+                row = [(a - xj * b) / (xi - xj)
+                       for a, b in zip([Fraction(0)] + row, row + [Fraction(0)])]
+        rows.append(row)
+    return rows
+
+
 def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     """Package the induced Lie action as a PolyWeightModule with fiber
-    b1..br: entries are interpolated in (generator exponent, weight offset)
-    at degree base_degree + 2 on a sample grid away from the source
-    module's exceptional weights, verified on the spare samples, and
-    written in the absolute weight s = beta + offset. A spare sample off
-    the interpolant raises DegreeBoundError."""
+    b1..br. The sample at generator exponent p and weight offset w is the
+    matrix of e_p from weight w to w + p, made by `_leibniz_columns` from
+    c_p (expanded once per exponent) and the two weights' frames. Entries
+    are interpolated in (p, w) at degree base_degree + 2 on the nodes of
+    `_emission_grid` against one Lagrange table, and written in the
+    absolute weight s = beta + w. Each spare sample is checked against the
+    emitted polynomial; a mismatch raises DegreeBoundError."""
     M = C.module
-    d = base_degree(M) + 2
-    verify = 2
-    start = _first_clear_mode(off[0] for off in M.exceptional_offsets()) \
-        + d + verify
-    ws = list(range(start, start + d + 1 + verify))
-    ps = list(range(-(d // 2) - 1, d // 2 + d % 2 + 1 + verify))
-    rank = C.reference.rank
-    labels = tuple(f"b{i+1}" for i in range(rank))
-    samples = {(i, jj): {} for i in range(rank) for jj in range(rank)}
-    for w in ws:
-        for p in ps:
-            cols = _action_columns(C, lie_action, f"e_{p}", p, w)
-            for isrc in range(rank):
-                for itgt in range(rank):
-                    samples[(isrc, itgt)][(p, w)] = cols[isrc][itgt]
+    d, ps, ws = _emission_grid(M)
+    c_p = {p: _e_p_matrix(C, p) for p in ps}
+    samples = {(p, w): _leibniz_columns(C, c_p[p], p, w)
+               for w in ws for p in ps}
+    nodes_p, nodes_w = ps[:d + 1], ws[:d + 1]
+    spare = [pw for pw in samples
+             if pw[0] not in nodes_p or pw[1] not in nodes_w]
+    # the module evaluates s at the absolute weight beta + w
+    lag_m = list(zip(*_lagrange(nodes_p)))
+    lag_s = _lagrange([w + M.beta[0] for w in nodes_w])
+    powers_m = [[Fraction(p) ** k for k in range(d + 1)] for p in ps]
+    powers_s = {w: [(w + M.beta[0]) ** k for k in range(d + 1)] for w in ws}
+    labels = tuple(f"b{i+1}" for i in range(C.reference.rank))
     ctx = PolyContext(("m", "s"))
-    # the samples sit at weight offsets w; the module evaluates s at the
-    # absolute weight beta + w
-    absolute = {"s": ctx.sym("s") - M.beta[0]}
     terms = []
-    for isrc in range(rank):
-        for itgt in range(rank):
-            poly = _interpolate(samples[(isrc, itgt)],
-                                [ps[:d + 1], ws[:d + 1]], ctx
-                                ).substitute(absolute)
-            if not poly.is_zero():
-                terms.append(ActionTerm(1, labels[isrc], labels[itgt], poly))
+    for isrc, itgt in itertools.product(range(len(labels)), repeat=2):
+        grid = [[samples[(p, w)][isrc][itgt] for w in nodes_w]
+                for p in nodes_p]
+        coeffs = linalg.matrix_mul(lag_m, linalg.matrix_mul(grid, lag_s))
+        # row p: the polynomial's coefficients in s at m = p
+        at_m = dict(zip(ps, linalg.matrix_mul(powers_m, coeffs)))
+        for p, w in spare:
+            if samples[(p, w)][isrc][itgt] != sum(
+                    x * y for x, y in zip(at_m[p], powers_s[w])):
+                raise DegreeBoundError(
+                    f"samples are not polynomial of degree {[d, d]}: "
+                    f"mismatch at {(p, w)}")
+        poly = PolyScalar(ctx, {(i, j): x for i, row in enumerate(coeffs)
+                                for j, x in enumerate(row)})
+        if not poly.is_zero():
+            terms.append(ActionTerm(1, labels[isrc], labels[itgt], poly))
     return PolyWeightModule(M.algebra, M.beta, labels, terms,
                             name=f"cover({M.name})" if M.name else "cover")
 
@@ -566,12 +582,8 @@ def emit_induced_module(C: CoverModule) -> PolyWeightModule:
 def dual_pairing(xi: ModuleVector, v: ModuleVector):
     """Pairing of a graded-dual vector (at dual offset j) with a module
     vector (at offset -j), label against label."""
-    total = Fraction(0)
-    for ((j,), lab), c in xi.terms.items():
-        other = v.terms.get(((-j,), lab))
-        if other is not None:
-            total = total + c * other
-    return total
+    return sum((c * v.terms[((-j,), lab)] for ((j,), lab), c in xi.terms.items()
+                if ((-j,), lab) in v.terms), Fraction(0))
 
 
 def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
@@ -591,10 +603,7 @@ def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
     failures = []
     checked = 0
     for _ in range(samples):
-        p = rng.randint(-box, box)
-        k = rng.randint(-box, box)
-        ju = rng.randint(-box, box)
-        jxi = rng.randint(-box, box)
+        p, k, ju, jxi = (rng.randint(-box, box) for _ in range(4))
         labs_u = M.labels_at((ju,))
         labs_xi = dual.labels_at((jxi,))
         if not labs_u or not labs_xi:
@@ -613,21 +622,13 @@ def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
     for j in range(-2, 3):
         for lab in M.labels_at((j,)):
             u = M.basis_vector((j,), lab)
-            killed = all(act(M.algebra.basis((k,)), u).is_zero()
-                         for k in range(-box, box + 1))
-            vanishes = True
-            for k in range(-box, box + 1):
-                v = act(M.algebra.basis((k,)), u)
-                for jxi in range(-box - 3, box + 4):
-                    for xl in dual.labels_at((jxi,)):
-                        if not is_zero_scalar(
-                                dual_pairing(dual.basis_vector((jxi,), xl), v)):
-                            vanishes = False
-                            break
-                    if not vanishes:
-                        break
-                if not vanishes:
-                    break
+            ks = range(-box, box + 1)
+            killed = all(act(M.algebra.basis((k,)), u).is_zero() for k in ks)
+            vanishes = all(
+                is_zero_scalar(dual_pairing(dual.basis_vector((jxi,), xl), v))
+                for v in (act(M.algebra.basis((k,)), u) for k in ks)
+                for jxi in range(-box - 3, box + 4)
+                for xl in dual.labels_at((jxi,)))
             kernel_rows.append({"offset": j, "label": lab,
                                 "algebra_kills": killed,
                                 "pi_star_zero": vanishes})
@@ -673,24 +674,15 @@ def adjoint_cover_report(V: PolyWeightModule, pbox: int = 3, jbox: int = 3
             frame_src = adjoint_cover_frame(V, j)
             coeffs = [expand_in_family(lie_action(b, p), frame_tgt)
                       for b in frame_src]
-            expected = [
-                [Fraction(j - 2 * p), Fraction(2 * p * p), Fraction(-p ** 4)],
-                [Fraction(0), Fraction(j - p), Fraction(p ** 3)],
-                [Fraction(0), Fraction(0), Fraction(j + p)],
-            ]
-            match = [list(c) if c is not None else None for c in coeffs] \
-                == expected
+            match = coeffs == [[j - 2 * p, 2 * p * p, -p ** 4],
+                               [0, j - p, p ** 3], [0, 0, j + p]]
             ok = ok and match
             rows.append({"p": p, "j": j, "match": match,
                          "coeffs": [[str(x) for x in c] if c else None
                                     for c in coeffs]})
-    pi_ok = True
-    for j in range(-jbox, jbox + 1):
-        tau, theta, eta = adjoint_cover_frame(V, j)
-        pi_ok = pi_ok and pi_map(tau) == V.basis_vector((j,), "u").scale(
-            Fraction(j))
-        pi_ok = pi_ok and pi_map(theta) == V.basis_vector((j,), "u")
-        expected_eta = V.basis_vector((0,), "z") if j == 0 else V.vector({})
-        pi_ok = pi_ok and pi_map(eta) == expected_eta
+    pi_ok = all([pi_map(b) for b in adjoint_cover_frame(V, j)] == [
+        V.basis_vector((j,), "u").scale(Fraction(j)), V.basis_vector((j,), "u"),
+        V.basis_vector((0,), "z") if j == 0 else V.vector({})]
+        for j in range(-jbox, jbox + 1))
     return {"kind": "adjoint_cover", "action_match": ok, "pi_match": pi_ok,
             "rows": rows, "passed": ok and pi_ok}

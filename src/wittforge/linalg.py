@@ -77,7 +77,7 @@ def solve_in_span(basis_rows, target):
 
 
 def matrix_mul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
              for col in zip(*b)] for row in a]
 
 

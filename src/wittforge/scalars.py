@@ -75,6 +75,11 @@ class QuadExtScalar:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExtScalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the
+        # default protocol sets slots through the blocked __setattr__
+        return QuadExtScalar, (self.a, self.b, self.d)
+
     def _parts(self, other):
         """(p, q, n) of an operand in this field, or None for another type."""
         if isinstance(other, QuadExtScalar):
@@ -212,6 +217,9 @@ class PolyContext:
     def __setattr__(self, name, value):
         raise AttributeError("PolyContext is immutable")
 
+    def __reduce__(self):
+        return PolyContext, (self.symbols,)
+
     def __eq__(self, other):
         return isinstance(other, PolyContext) and self.symbols == other.symbols
 
@@ -281,6 +289,9 @@ class PolyScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
+
+    def __reduce__(self):
+        return PolyScalar, (self.ctx, self.terms)
 
     # -- coercion ---------------------------------------------------------
 

@@ -251,7 +251,9 @@ class TestACover:
         res = invoke("acover", "--module", str(f), "--window", "1")
         assert res.exit_code == 3, res.output
         last = json_lines(res.output)[-1]
-        assert last["kind"] == "inconclusive" and last["detail"]
+        assert last == {"kind": "inconclusive",
+                        "detail": "samples are not polynomial of degree "
+                                  "[5, 5]: mismatch at (-3, 14)"}
 
 
 class TestDeRham:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wittforge.cover import (CoverModule, DegreeBoundError, PsiGenerator,
-                             adjoint_cover_frame, adjoint_cover_report,
+from wittforge.cover import (CoverError, CoverModule, DegreeBoundError,
+                             PsiGenerator, adjoint_cover_frame,
+                             adjoint_cover_report,
                              cover_basis, cuspidality_certificate,
                              emit_induced_module, expand_in_family,
                              induced_action, lie_action, a_action, pi_map,
@@ -201,23 +202,34 @@ class TestByConstruction:
         assert data["passed"] and data["failing_weight"] is None
 
     def test_emission_expands_only_e_p_images(self, monkeypatch):
+        # one expansion per exponent and reference vector: e_p b over the
+        # translates t^p b of the reference, and none per (p, w) cell
         C = CoverModule(build_preset("virasoro_adjoint"))
-        expanded, sampled = [], []
-        expand, interpolate = cover.expand_in_family, cover._interpolate
+        ref = C.reference.basis
+        _, ps, ws = cover._emission_grid(C.module)
+        expanded = []
+        expand = cover.expand_in_family
 
         def spy_expand(v, family):
-            expanded.append(v)
+            expanded.append((repr(v), repr(family)))
             return expand(v, family)
 
-        def spy_interpolate(samples, *args):
-            sampled.append(len(samples))
-            return interpolate(samples, *args)
-
         monkeypatch.setattr(cover, "expand_in_family", spy_expand)
-        monkeypatch.setattr(cover, "_interpolate", spy_interpolate)
         emit_induced_module(C)
-        assert len(set(sampled)) == 1
-        assert len(expanded) == sampled[0] * C.reference.rank
+        assert len(expanded) == len(ps) * len(ref) < len(ps) * len(ws)
+        assert sorted(expanded) == sorted(
+            (repr(lie_action(b, p)), repr([a_action(x, p) for x in ref]))
+            for p in ps for b in ref)
+
+    def test_image_outside_the_span_is_an_error(self, monkeypatch):
+        C = CoverModule(build_preset("virasoro_adjoint"))
+        monkeypatch.setattr(cover, "expand_in_family", lambda v, family: None)
+        with pytest.raises(CoverError) as info:
+            emit_induced_module(C)
+        assert not isinstance(info.value, DegreeBoundError)
+        p = cover._emission_grid(C.module)[1][0]
+        assert str(info.value) == (f"e_{p} image of a weight-0 basis vector "
+                                   f"is outside the weight-{p} cover basis")
 
 
 class TestProjection:
@@ -287,21 +299,55 @@ class TestSingleAttempt:
         # (p, w) grid, with no retry at a larger degree
         C = CoverModule(graded_dual(build_preset("virasoro_adjoint")))
         d = cover.base_degree(C.module) + 2
-        calls = []
-        real = cover._action_columns
+        calls, expanded = [], []
+        real, real_c = cover._leibniz_columns, cover._e_p_matrix
 
-        def spy(C, image, name, p, w):
+        def spy(C, c_p, p, w):
             calls.append((p, w))
-            return real(C, image, name, p, w)
+            return real(C, c_p, p, w)
 
-        monkeypatch.setattr(cover, "_action_columns", spy)
-        with pytest.raises(DegreeBoundError):
+        def spy_c(C, p):
+            expanded.append(p)
+            return real_c(C, p)
+
+        monkeypatch.setattr(cover, "_leibniz_columns", spy)
+        monkeypatch.setattr(cover, "_e_p_matrix", spy_c)
+        with pytest.raises(DegreeBoundError, match=(
+                rf"^samples are not polynomial of degree \[{d}, {d}\]: ")):
             emit_induced_module(C)
         ps = sorted({p for p, _ in calls})
         ws = sorted({w for _, w in calls})
         assert sorted(calls) == list(itertools.product(ps, ws))
+        assert sorted(expanded) == ps
         # d + 1 interpolation nodes and two spare samples per weight axis
         assert len(ws) == d + 3
+
+
+def _leibniz_modules():
+    # the last two as the cover benchmark draws them: alpha in Z/3 and
+    # beta in Z/5, neither integral
+    return [build_preset("virasoro_adjoint"),
+            tensor_density(Fraction(2, 3), Fraction(1, 5)),
+            tensor_density(Fraction(2, 3), Fraction(-6, 5)),
+            tensor_density(Fraction(-4, 3), Fraction(7, 5)),
+            tensor_density(Fraction(5, 3), Fraction(-3, 5))]
+
+
+class TestLeibnizSamples:
+    """Each emission sample, made from c_p and two weights' frames, is the
+    matrix that expanding every e_p image over the target basis gives: the
+    brute-force `_action_columns`, at every (p, w) of the emission grid,
+    spare samples included."""
+
+    @pytest.mark.parametrize("M", _leibniz_modules(), ids=lambda M: M.name)
+    def test_samples_match_action_columns(self, M):
+        C = CoverModule(M)
+        _, ps, ws = cover._emission_grid(M)
+        for p in ps:
+            c_p = cover._e_p_matrix(C, p)
+            for w in ws:
+                assert cover._leibniz_columns(C, c_p, p, w) == \
+                    cover._action_columns(C, lie_action, f"e_{p}", p, w), (p, w)
 
 
 class TestLieActionConstraintModes:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -348,3 +350,35 @@ class TestParsing:
         # expression is an error, never a silently different polynomial
         with pytest.raises(ScalarError):
             parse_poly(text, CTX)
+
+
+_ROUND_TRIPS = [copy.copy, copy.deepcopy,
+                lambda x: pickle.loads(pickle.dumps(x))]
+
+
+class TestCopyAndPickle:
+    """The immutable scalar types rebuild through their constructors, so
+    copy, deepcopy and pickle keep value, hash and text."""
+
+    @pytest.mark.parametrize("trip", _ROUND_TRIPS)
+    @pytest.mark.parametrize("x", [
+        QuadExtScalar(1, 2), QuadExtScalar(Fraction(-3, 4), Fraction(5, 6)),
+        QuadExtScalar(Fraction(7, 2)), PolyContext(("m", "s")),
+        parse_poly("(3/2 - 1/2*sqrt(19))*a^2*b - 1/3*c + 4", CTX),
+        CTX.zero()])
+    def test_round_trip(self, trip, x):
+        y = trip(x)
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x) and str(y) == str(x)
+
+    def test_deepcopy_of_a_quadratic_module_vector(self):
+        from wittforge.modules import act, build_preset
+        M = build_preset("feigin_fuks_length2")
+        v = act(M.algebra.basis((2,)), M.basis_vector((1,), M.fiber[0]))
+        assert any(isinstance(c, QuadExtScalar) and c.b
+                   for c in v.terms.values())
+        w = copy.deepcopy(v)
+        assert w.module is not M and w.terms == v.terms and str(w) == str(v)
+        # the copied module acts as the original does
+        assert act(w.module.algebra.basis((-1,)), w).terms == act(
+            M.algebra.basis((-1,)), v).terms
