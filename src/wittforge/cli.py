@@ -1,25 +1,29 @@
 """Batch verification front door.
 
 One process runs exactly one subcommand and emits newline-delimited JSON
-records (deterministic ordering) plus a short summary line. Exit codes:
-0 all assertions pass, 1 an assertion failed, 2 invalid configuration,
-3 inconclusive (a spare sample of the emitted cover module's interpolation
-missed the interpolant), 4 internal error (an unexpected exception: one
-`internal_error` record naming its type, and no traceback).
+records (deterministic ordering) on stdout plus a short summary line on
+stderr. Exit codes: 0 all assertions pass, 1 an assertion failed, 2 invalid
+configuration (an unknown command or option, a missing or malformed value,
+an option that does not apply), 3 inconclusive (a spare sample of the
+emitted cover module's interpolation missed the interpolant), 4 internal
+error (an unexpected exception: one `internal_error` record naming its type,
+and no traceback).
+
+The command line is parsed with the standard library's argparse, with three
+rules of its own: the token after an option that takes a value is always
+that value, even when it starts with a dash (`--range -2..2`, `--g
+"-1,0;0,-1"`); an option is never abbreviated; `--help` is the only help
+option. The package needs nothing outside the standard library.
 """
 
 from __future__ import annotations
 
-import csv as _csv
+import argparse
 import functools
-import io
 import itertools
 import json
 import sys
 from fractions import Fraction
-
-import click
-from click.core import ParameterSource
 
 from . import cover as cover_mod
 from . import modules as mod
@@ -35,6 +39,10 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 
+class UsageError(Exception):
+    """Invalid configuration: printed with the command's usage, exit 2."""
+
+
 class _Run:
     def __init__(self, emit: str):
         self.emit = emit
@@ -47,33 +55,61 @@ class _Run:
         """Write the records and the stderr summary line, then exit with
         `code`, or by `ok` when no code is given."""
         if self.emit == "csv":
+            import csv
+            import io
             keys = sorted({k for r in self.records for k in r})
             buf = io.StringIO()
-            writer = _csv.DictWriter(buf, fieldnames=keys)
+            writer = csv.DictWriter(buf, fieldnames=keys)
             writer.writeheader()
             for r in self.records:
                 writer.writerow({k: json.dumps(v, sort_keys=True)
                                  if isinstance(v, (dict, list)) else v
                                  for k, v in r.items()})
-            click.echo(buf.getvalue().rstrip("\n"))
+            out = buf.getvalue().rstrip("\n") + "\n"
         else:
-            for r in self.records:
-                click.echo(json.dumps(r, sort_keys=True))
-        click.echo(f"# {label}: {'PASS' if ok else 'FAIL'}", err=True)
+            out = "".join(json.dumps(r, sort_keys=True) + "\n"
+                          for r in self.records)
+        sys.stdout.write(out)
+        sys.stdout.flush()
+        print(f"# {label}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
         sys.exit(code if code is not None else EXIT_PASS if ok else EXIT_FAIL)
 
 
-def _module_source(fn):
-    """The --preset / --module pair; _load_module takes exactly one."""
-    fn = click.option("--module", "module_file", type=click.Path())(fn)
-    return click.option("--preset", type=click.Choice(mod.PRESET_NAMES))(fn)
+# name -> (command function, its options as (option strings, add_argument
+# keywords) pairs), in registration order.
+_COMMANDS = {}
 
 
-# A window radius; a negative one would sample nothing and still report.
-_WINDOW = click.IntRange(min=0)
+def _command(name: str, *options):
+    def register(fn):
+        _COMMANDS[name] = (fn, options)
+        return fn
+    return register
 
-_emit = click.option("--emit", type=click.Choice(["json", "csv"]),
-                     default="json")
+
+def _opt(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+def _radius(text: str) -> int:
+    """A window radius; a negative one would sample nothing and still
+    report."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
+
+
+def _window(default: int, help: str | None = None) -> tuple:
+    return _opt("--window", type=_radius, default=default,
+                help=f"{help or 'window radius'} (default {default})")
+
+
+# The --preset / --module pair; _load_module takes exactly one.
+_MODULE_SOURCE = (_opt("--preset", choices=mod.PRESET_NAMES),
+                  _opt("--module", dest="module_file"))
+
+_EMIT = _opt("--emit", choices=["json", "csv"], default="json")
 
 
 def _parse_range(text: str) -> tuple:
@@ -81,35 +117,35 @@ def _parse_range(text: str) -> tuple:
         a, b = text.split("..")
         return int(a), int(b)
     except ValueError:
-        raise click.UsageError(f"--range must look like a..b, got {text!r}")
+        raise UsageError(f"--range must look like a..b, got {text!r}")
 
 
 def _parse_beta(text: str, n: int) -> tuple:
     try:
         parts = [Fraction(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"--beta must be comma-separated rationals, "
-                               f"got {text!r}")
+        raise UsageError(f"--beta must be comma-separated rationals, "
+                         f"got {text!r}")
     if len(parts) != n:
-        raise click.UsageError(f"--beta needs {n} entries, got {len(parts)}")
+        raise UsageError(f"--beta needs {n} entries, got {len(parts)}")
     return tuple(parts)
 
 
 def _load_module(preset: str | None, module_file: str | None):
     if (preset is None) == (module_file is None):
-        raise click.UsageError("give exactly one of --preset / --module")
+        raise UsageError("give exactly one of --preset / --module")
     if preset is not None:
         try:
             return mod.build_preset(preset)
         except ModuleError as e:
-            raise click.UsageError(str(e))
+            raise UsageError(str(e))
     try:
         with open(module_file) as f:
             data = json.load(f)
         return mod.module_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ZeroDivisionError, ModuleError, ScalarError) as e:
-        raise click.UsageError(f"cannot load module file: {e}")
+        raise UsageError(f"cannot load module file: {e}")
 
 
 def _module_errors(fn):
@@ -120,102 +156,78 @@ def _module_errors(fn):
         try:
             return fn(*args, **kwargs)
         except ModuleError as e:
-            raise click.UsageError(str(e))
+            raise UsageError(str(e))
     return wrapper
 
 
-class _Main(click.Group):
-    """Command group whose unexpected exceptions exit 4, so that an internal
-    error never reads as a refutation (exit 1)."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit,
-                click.exceptions.Abort):
-            raise
-        except Exception as e:
-            click.echo(json.dumps({"kind": "internal_error",
-                                   "type": type(e).__name__}, sort_keys=True))
-            sys.exit(EXIT_INTERNAL)
-
-
-@click.group(cls=_Main)
-def main():
-    """Exact verification suites for rank-1 and W_n weight-module
-    computations."""
-
-
-@main.command("verify-identity")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--r", "r", type=int, required=True)
-@click.option("--mode", type=click.Choice(["symbolic", "grid"]),
-              default="symbolic", show_default=True)
-@click.option("--range", "range_", default="-2..2", show_default=True,
-              help="grid range a..b for k,s,p,q")
-@click.option("--intro", is_flag=True,
-              help="check against the specialized m=r right-hand side")
-@click.option("--solenoidal", is_flag=True,
-              help="solenoidal variant with symbolic mu")
-@click.option("--n", "n", type=int, default=2, show_default=True,
-              help="rank of mu for the solenoidal variant")
-@click.option("--h-box", type=int, default=2, show_default=True,
-              help="sup-norm bound for the solenoidal step h")
-@_emit
+@_command("verify-identity",
+          _opt("--m", type=int, required=True),
+          _opt("--r", type=int, required=True),
+          _opt("--mode", choices=["symbolic", "grid"], default="symbolic",
+               help="(default symbolic)"),
+          _opt("--range", dest="range_",
+               help="grid range a..b for k,s,p,q, with --mode grid "
+                    "(default -2..2)"),
+          _opt("--intro", action="store_true",
+               help="check against the specialized m=r right-hand side"),
+          _opt("--solenoidal", action="store_true",
+               help="solenoidal variant with symbolic mu"),
+          _opt("--n", type=int,
+               help="rank of mu for the solenoidal variant (default 2)"),
+          _opt("--h-box", type=int,
+               help="sup-norm bound for the solenoidal step h (default 2)"),
+          _EMIT)
 def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
     """Verify the quadratic differentiator identity."""
     run = _Run(emit)
     if m < 2 or r < 2:
-        raise click.UsageError("the identity requires m, r >= 2")
+        raise UsageError("the identity requires m, r >= 2")
     if intro and m != r:
-        raise click.UsageError("--intro requires m == r")
+        raise UsageError("--intro requires m == r")
     if solenoidal and (mode == "grid" or intro):
-        raise click.UsageError("--solenoidal takes neither --mode grid "
-                               "nor --intro")
-    given = click.get_current_context().get_parameter_source
-    if not solenoidal and any(given(p) is ParameterSource.COMMANDLINE
-                              for p in ("n", "h_box")):
-        raise click.UsageError("--n and --h-box require --solenoidal")
-    if mode != "grid" and given("range_") is ParameterSource.COMMANDLINE:
-        raise click.UsageError("--range requires --mode grid")
+        raise UsageError("--solenoidal takes neither --mode grid nor --intro")
+    # --n, --h-box and --range default to None, so that giving one outside
+    # its mode is seen even when its value is the default
+    if not solenoidal and (n is not None or h_box is not None):
+        raise UsageError("--n and --h-box require --solenoidal")
+    if mode != "grid" and range_ is not None:
+        raise UsageError("--range requires --mode grid")
     try:
         if solenoidal:
-            report = verify_solenoidal_identity(m, r, n=n, h_box=h_box)
+            report = verify_solenoidal_identity(
+                m, r, n=2 if n is None else n,
+                h_box=2 if h_box is None else h_box)
         else:
-            report = verify_key_identity(m, r, mode=mode,
-                                         grid_range=_parse_range(range_),
-                                         intro_form=intro)
+            report = verify_key_identity(
+                m, r, mode=mode, intro_form=intro,
+                grid_range=_parse_range("-2..2" if range_ is None else range_))
     except AlgebraError as e:
-        raise click.UsageError(str(e))
+        raise UsageError(str(e))
     for rec in report.records:
         run.record(rec.to_json())
     label = "solenoidal" if solenoidal else mode
     run.finish(report.passed, f"identity m={m} r={r} mode={label}")
 
 
-@main.command("annihilator")
-@_module_source
-@click.option("--m", "m", type=int, required=True,
-              help="differentiator order")
-@click.option("--window", type=_WINDOW, default=3, show_default=True)
-@_emit
+@_command("annihilator", *_MODULE_SOURCE,
+          _opt("--m", type=int, required=True, help="differentiator order"),
+          _window(3), _EMIT)
 @_module_errors
 def cmd_annihilator(preset, module_file, m, window, emit):
     """Certify whether the order-m differentiators kill a module."""
     M = _load_module(preset, module_file)
     if m < 0:
-        raise click.UsageError("--m must be nonnegative")
+        raise UsageError("--m must be nonnegative")
     run = _Run(emit)
     cert = mod.annihilates(m, M, window=window)
     run.record(cert.to_json())
     run.finish(cert.annihilates, f"annihilator m={m} on {M.name}")
 
 
-@main.command("module-check")
-@_module_source
-@click.option("--window", type=_WINDOW, default=2, show_default=True)
-@click.option("--aw", is_flag=True, help="also assert AW-compatibility")
-@_emit
+@_command("module-check", *_MODULE_SOURCE, _window(2),
+          _opt("--aw", action="store_true",
+               help="also assert AW-compatibility"),
+          _EMIT)
 @_module_errors
 def cmd_module_check(preset, module_file, window, aw, emit):
     """Run the symbolic/window module-axiom suite on a module."""
@@ -232,12 +244,9 @@ def cmd_module_check(preset, module_file, window, aw, emit):
     run.finish(ok, f"module-check {M.name}")
 
 
-@main.command("acover")
-@_module_source
-@click.option("--window", type=_WINDOW, default=7, show_default=True,
-              help="weight window radius for rank certification")
-@click.option("--seed", type=int, default=0, show_default=True)
-@_emit
+@_command("acover", *_MODULE_SOURCE,
+          _window(7, "weight window radius for rank certification"),
+          _opt("--seed", type=int, default=0, help="(default 0)"), _EMIT)
 def cmd_acover(preset, module_file, window, seed, emit):
     """Build the A-cover, certify cuspidality, and check pi."""
     M = _load_module(preset, module_file)
@@ -275,19 +284,18 @@ def cmd_acover(preset, module_file, window, seed, emit):
         run.record({"kind": "inconclusive", "detail": str(e)})
         run.finish(False, f"acover {M.name} (inconclusive)", EXIT_INCONCLUSIVE)
     except (cover_mod.CoverError, ModuleError) as e:
-        raise click.UsageError(str(e))
+        raise UsageError(str(e))
     run.finish(ok, f"acover {M.name}")
 
 
-@main.command("derham")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--beta", default=None, help="comma-separated rationals")
-@click.option("--window", type=_WINDOW, default=2, show_default=True)
-@_emit
+@_command("derham",
+          _opt("--n", type=int, required=True),
+          _opt("--beta", help="comma-separated rationals (default 0,...,0)"),
+          _window(2), _EMIT)
 def cmd_derham(n, beta, window, emit):
     """Homology table of the de Rham complex plus chain checks."""
     if n < 1:
-        raise click.UsageError("--n must be positive")
+        raise UsageError("--n must be positive")
     bvec = _parse_beta(beta, n) if beta is not None else (Fraction(0),) * n
     run = _Run(emit)
     for w in sorted(itertools.product(range(-window, window + 1), repeat=n)):
@@ -305,15 +313,13 @@ def _load_jets_rep(path: str) -> mod.JPlusRepData:
             return mod.jets_rep_from_json(json.load(f))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ZeroDivisionError, ModuleError) as e:
-        raise click.UsageError(f"cannot load representation file: {e}")
+        raise UsageError(f"cannot load representation file: {e}")
 
 
-@main.command("jets")
-@click.option("--rep", "rep_file", type=click.Path(), required=True,
-              help="jet-algebra representation JSON")
-@click.option("--beta", required=True)
-@click.option("--window", type=_WINDOW, default=2, show_default=True)
-@_emit
+@_command("jets",
+          _opt("--rep", dest="rep_file", required=True,
+               help="jet-algebra representation JSON"),
+          _opt("--beta", required=True), _window(2), _EMIT)
 @_module_errors
 def cmd_jets(rep_file, beta, window, emit):
     """Build the jets module from a representation file and check it."""
@@ -329,13 +335,12 @@ def cmd_jets(rep_file, beta, window, emit):
     run.finish(axioms.passed and aw.passed, f"jets n={rho.n} dim={rho.dim}")
 
 
-@main.command("twist")
-@click.option("--module", "module_file", type=click.Path(), required=True,
-              help="W_n module JSON")
-@click.option("--g", "gtext", required=True,
-              help="unimodular integer matrix, rows separated by ';'")
-@click.option("--window", type=_WINDOW, default=1, show_default=True)
-@_emit
+@_command("twist",
+          _opt("--module", dest="module_file", required=True,
+               help="W_n module JSON"),
+          _opt("--g", dest="gtext", required=True,
+               help="unimodular integer matrix, rows separated by ';'"),
+          _window(1), _EMIT)
 @_module_errors
 def cmd_twist(module_file, gtext, window, emit):
     """Twist a W_n module by a torus automorphism."""
@@ -344,7 +349,7 @@ def cmd_twist(module_file, gtext, window, emit):
         rows = [[int(x) for x in row.split(",")] for row in gtext.split(";")]
         g = LatticeAutomorphism(rows)
     except (ValueError, AlgebraError) as e:
-        raise click.UsageError(f"bad --g: {e}")
+        raise UsageError(f"bad --g: {e}")
     T = mod.twist(M, g)
     run = _Run(emit)
     axioms = mod.check_module_axioms(T, window=window)
@@ -353,10 +358,7 @@ def cmd_twist(module_file, gtext, window, emit):
     run.finish(axioms.passed, "twist")
 
 
-@main.command("dual")
-@_module_source
-@click.option("--window", type=_WINDOW, default=2, show_default=True)
-@_emit
+@_command("dual", *_MODULE_SOURCE, _window(2), _EMIT)
 @_module_errors
 def cmd_dual(preset, module_file, window, emit):
     """Graded dual of a module, with axiom check and double-dual round trip."""
@@ -371,6 +373,79 @@ def cmd_dual(preset, module_file, window, emit):
     run.record(axioms.to_json())
     run.record({"kind": "double_dual", "round_trip": round_trip})
     run.finish(axioms.passed and round_trip, f"dual {M.name}")
+
+
+def _parser(prog: str, names: list) -> tuple:
+    """The parser of the command line with the commands `names`, and the
+    option strings that take a value."""
+    def parser_for(prog, description, **kwargs):
+        p = argparse.ArgumentParser(prog=prog, description=description,
+                                    add_help=False, allow_abbrev=False,
+                                    **kwargs)
+        p.add_argument("--help", action="help",
+                       help="show this message and exit")
+        return p
+
+    parser = parser_for(prog, main.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True,
+                                     parser_class=parser_for)
+    takes_value = set()
+    for name in names:
+        fn, options = _COMMANDS[name]
+        sub = commands.add_parser(name, description=fn.__doc__,
+                                  help=fn.__doc__)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+            if "action" not in kwargs:
+                takes_value.update(flags)
+        sub.set_defaults(_command=(fn, sub))
+    return parser, takes_value
+
+
+def _attach_values(args: list, takes_value: set) -> list:
+    """`args` with each option that takes a value joined to the token after
+    it (`--range -2..2` becomes `--range=-2..2`), so that argparse reads
+    that token as the value even when it starts with a dash."""
+    out, i = [], 0
+    while i < len(args):
+        if args[i] in takes_value and i + 1 < len(args):
+            out.append(f"{args[i]}={args[i + 1]}")
+            i += 2
+        else:
+            out.append(args[i])
+            i += 1
+    return out
+
+
+def main(args: list | None = None, prog_name: str = "wittforge") -> None:
+    """Exact verification suites for rank-1 and W_n weight-module
+    computations."""
+    argv = sys.argv[1:] if args is None else list(args)
+    # The parsers of all commands take about 2 ms to build, a sizeable part
+    # of a short run; they are needed only for the top-level help and errors.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    parser, takes_value = _parser(prog_name, names)
+    kwargs = vars(parser.parse_args(_attach_values(argv, takes_value)))
+    fn, sub = kwargs.pop("_command")
+    try:
+        fn(**kwargs)
+    except UsageError as e:
+        sub.error(str(e))
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): write nothing more
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_FAIL)
+    except Exception as e:
+        # an internal error must never read as a refutation (exit 1)
+        print(json.dumps({"kind": "internal_error",
+                          "type": type(e).__name__}, sort_keys=True))
+        sys.exit(EXIT_INTERNAL)
+
+
+# The call `main.main(args=..., prog_name=...)`, which perfbench/tracer.py
+# makes, runs the same front door.
+main.main = main
 
 
 if __name__ == "__main__":

@@ -1,19 +1,24 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from wittforge import modules
-from wittforge.cli import main
 from wittforge.modules import build_preset, module_to_json, tensor_density
 
-runner = CliRunner()
+
+def invoke(*args):
+    return run_cli(args)
 
 
-def invoke(*args, **kw):
-    return runner.invoke(main, list(args), **kw)
+def digest(res) -> str:
+    return hashlib.sha256(res.stdout_bytes).hexdigest()
 
 
 def json_lines(output: str):
@@ -32,6 +37,17 @@ class TestVerifyIdentity:
         res = invoke("verify-identity", "--m", "2", "--r", "2",
                      "--mode", "grid", "--range", "-1..1")
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("args", [("--range", "-1..1"), ("--range=-1..1",)],
+                             ids=["separate", "joined"])
+    def test_dash_range_is_a_value(self, args):
+        # a value that starts with a dash is the option's value, not an
+        # unknown option; the digest is the one the click front door printed
+        res = invoke("verify-identity", "--m", "2", "--r", "2",
+                     "--mode", "grid", *args)
+        assert res.exit_code == 0, res.output
+        assert digest(res) == ("dce8da61d892c0e05727fa9a315e5d7e"
+                               "4afe6b6bca6623bcb488b1964300d1be")
 
     def test_bad_order_is_schema_violation(self):
         res = invoke("verify-identity", "--m", "1", "--r", "2")
@@ -270,6 +286,14 @@ class TestDeRham:
         recs = json_lines(res.output)
         assert all(r["ranks"] == [0, 0, 0] for r in recs if "ranks" in r)
 
+    def test_negative_beta_is_a_value(self):
+        res = invoke("derham", "--n", "2", "--beta", "-1/2,0")
+        assert res.exit_code == 0, res.output
+        recs = json_lines(res.output)
+        assert all(r["ranks"] == [0, 0, 0] for r in recs if "ranks" in r)
+        assert digest(res) == ("11947a3796d1d99c80d1d8b1816bb89f"
+                               "ab3fc1e7a044d8f756165b0661eaceb7")
+
 
 def _jets_rep():
     return {"n": 1, "dim": 1, "cutoff": 1, "labels": ["a"],
@@ -349,6 +373,17 @@ class TestTwistAndDual:
         f.write_text(json.dumps(module_to_json(M)))
         res = invoke("twist", "--module", str(f), "--g", "1,1;0,1")
         assert res.exit_code == 0
+
+    def test_negative_matrix_is_a_value(self, tmp_path):
+        from wittforge.modules import natural_rep, tensor_field
+        M = tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5)))
+        f = tmp_path / "w2.json"
+        f.write_text(json.dumps(module_to_json(M)))
+        res = invoke("twist", "--module", str(f), "--g", "-1,0;0,-1",
+                     "--window", "1")
+        assert res.exit_code == 0, res.output
+        assert digest(res) == ("481807e535c5644c8fabe37ead20b443"
+                               "0ad95094c715cb9d5e6c576e09d9e70e")
 
     def test_non_unimodular_exits_two(self, tmp_path):
         from fractions import Fraction
@@ -441,3 +476,69 @@ class TestSummaryLine:
         res = invoke("annihilator", "--preset", "punctured_functions",
                      "--m", "3")
         assert "PASS" in res.output
+
+
+COMMANDS = ["verify-identity", "annihilator", "module-check", "acover",
+            "derham", "jets", "twist", "dual"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("args", [
+        ("annihilator", "--preset", "punctured_functions", "--m", "3",
+         "--wind", "3"),
+        ("annihilator", "--preset", "punctured_functions", "--m", "3",
+         "--wind=3"),
+        ("annihilator", "--preset", "punctured_functions", "--m", "3", "-h"),
+        (),
+        ("no-such-command",),
+        ("--m", "3", "annihilator", "--preset", "punctured_functions"),
+    ], ids=["abbreviated", "abbreviated_joined", "short_help",
+            "no_command", "unknown_command", "option_before_command"])
+    def test_usage_error_exits_two(self, args):
+        res = invoke(*args)
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", [None] + COMMANDS)
+    def test_help_exits_zero(self, command):
+        res = invoke(*([command] if command else []), "--help")
+        assert res.exit_code == 0, res.output
+        assert "--help" in res.stdout and res.stderr == ""
+        if command is None:
+            assert all(name in res.stdout for name in COMMANDS)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_closed_stdout_exits_quietly():
+    # more than a pipe buffer of records to a reader that has gone: exit 1,
+    # as the click front door did, with no traceback and no internal_error
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wittforge.cli", "derham", "--n", "1",
+         "--window", "1500"],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 1, stderr
+    assert "Traceback" not in stderr and "Exception" not in stderr
+
+
+def test_traced_run_spans_the_identity(tmp_path):
+    # `perfbench/run.py --trace 1` runs each operation through tracer.py,
+    # which imports wittforge.cli, wraps the layer modules it finds loaded
+    # and calls main.main(args=..., prog_name=...)
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
+         "verify-identity", "--m", "2", "--r", "2"],
+        env=_src_env(), capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    keys = {row[2] for row in json.loads(spans.read_text())["spans"]}
+    assert "enveloping.verify_key_identity" in keys

@@ -22,11 +22,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wittforge.cli import main
+from conftest import run_cli
 from wittforge.modules import (PRESET_NAMES, build_preset, module_to_json,
                                natural_rep, tensor_field)
 
@@ -115,8 +114,7 @@ def _run_mutant(data, commands, option):
         path = Path(tmp) / "mutant.json"
         path.write_text(json.dumps(data))
         for command, *extra in commands:
-            res = CliRunner().invoke(main, [command, option, str(path),
-                                            *extra])
+            res = run_cli([command, option, str(path), *extra])
             assert res.exit_code in (0, 1, 2, 3), (command, data, res.output)
             assert res.exception is None or isinstance(res.exception,
                                                        SystemExit)
@@ -139,7 +137,7 @@ def test_mutated_jets_files_keep_the_exit_contract(data):
 
 # -- command-line options -------------------------------------------------
 
-# Integers as click reads them (int() of the text), kept small: a large
+# Integers as the parser reads them (int() of the text), kept small: a large
 # --n makes the de Rham check slow, not wrong.
 SMALL_INT = st.sampled_from(["-1", "0", "1", "2", "3", "03", "+1", " 2", "",
                              "x", "1.5", "1/2"])
@@ -175,7 +173,7 @@ def options(draw, spec, fixed=()):
 
 
 def _run_options(args, codes=(0, 1, 2)):
-    res = CliRunner().invoke(main, args)
+    res = run_cli(args)
     assert res.exit_code in codes, (args, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), (
         args, res.exception)

@@ -7,9 +7,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from wittforge.cli import main
+from conftest import run_cli
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 # Recorded wall time under which an operation is cheap enough for Tier-1.
@@ -69,6 +68,6 @@ def test_substituted_ops_are_golden():
 
 @pytest.mark.parametrize("op", OPS, ids=[" ".join(op["args"]) for op in OPS])
 def test_golden_output(op):
-    res = CliRunner().invoke(main, op["args"])
+    res = run_cli(op["args"])
     assert res.exit_code == op["exit"], res.output
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == op["sha256"]
