@@ -7,13 +7,24 @@ configuration (an unknown command or option, a missing or malformed value,
 an option that does not apply), 3 inconclusive (a spare sample of the
 emitted cover module's interpolation missed the interpolant), 4 internal
 error (an unexpected exception: one `internal_error` record naming its type,
-and no traceback).
+and no traceback) or a closed stdout (one `# stdout closed` line on stderr:
+the records were not all delivered, which is no refutation).
 
 The command line is parsed with the standard library's argparse, with three
 rules of its own: the token after an option that takes a value is always
 that value, even when it starts with a dash (`--range -2..2`, `--g
 "-1,0;0,-1"`); an option is never abbreviated; `--help` is the only help
 option. The package needs nothing outside the standard library.
+
+Imports are per command. At the top this module imports the standard
+library only, and each command imports the layers it calls when it runs:
+`verify-identity` loads `enveloping` (with `lie`, `linalg` and `scalars`),
+the module checkers load `modules` and no `enveloping` or `cover`, and
+`acover` loads every layer but `enveloping`. A process started as `python -m
+wittforge.cli` therefore compiles only what its command needs. Imported as
+`wittforge.cli` instead (the console script, and perfbench/tracer.py, which
+wraps the layer modules it finds loaded before it calls `main`), the module
+loads all six layers at import; see the end of this file.
 """
 
 from __future__ import annotations
@@ -24,13 +35,6 @@ import itertools
 import json
 import sys
 from fractions import Fraction
-
-from . import cover as cover_mod
-from . import modules as mod
-from .enveloping import verify_key_identity, verify_solenoidal_identity
-from .lie import AlgebraError, LatticeAutomorphism
-from .modules import ModuleError
-from .scalars import ScalarError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -105,8 +109,15 @@ def _window(default: int, help: str | None = None) -> tuple:
                 help=f"{help or 'window radius'} (default {default})")
 
 
-# The --preset / --module pair; _load_module takes exactly one.
-_MODULE_SOURCE = (_opt("--preset", choices=mod.PRESET_NAMES),
+def _preset_names() -> tuple:
+    from .modules import PRESET_NAMES
+    return PRESET_NAMES
+
+
+# The --preset / --module pair; _load_module takes exactly one. A callable
+# `choices` is called when _parser builds the command's parser, so only a
+# command that takes --preset imports `modules` to list them.
+_MODULE_SOURCE = (_opt("--preset", choices=_preset_names),
                   _opt("--module", dest="module_file"))
 
 _EMIT = _opt("--emit", choices=["json", "csv"], default="json")
@@ -132,19 +143,21 @@ def _parse_beta(text: str, n: int) -> tuple:
 
 
 def _load_module(preset: str | None, module_file: str | None):
+    from . import modules as mod
+    from .scalars import ScalarError
     if (preset is None) == (module_file is None):
         raise UsageError("give exactly one of --preset / --module")
     if preset is not None:
         try:
             return mod.build_preset(preset)
-        except ModuleError as e:
+        except mod.ModuleError as e:
             raise UsageError(str(e))
     try:
         with open(module_file) as f:
             data = json.load(f)
         return mod.module_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError, ModuleError, ScalarError) as e:
+            ZeroDivisionError, mod.ModuleError, ScalarError) as e:
         raise UsageError(f"cannot load module file: {e}")
 
 
@@ -153,6 +166,7 @@ def _module_errors(fn):
     refutation (exit 1)."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        from .modules import ModuleError
         try:
             return fn(*args, **kwargs)
         except ModuleError as e:
@@ -179,6 +193,8 @@ def _module_errors(fn):
           _EMIT)
 def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
     """Verify the quadratic differentiator identity."""
+    from .enveloping import verify_key_identity, verify_solenoidal_identity
+    from .lie import AlgebraError
     run = _Run(emit)
     if m < 2 or r < 2:
         raise UsageError("the identity requires m, r >= 2")
@@ -215,6 +231,7 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
 @_module_errors
 def cmd_annihilator(preset, module_file, m, window, emit):
     """Certify whether the order-m differentiators kill a module."""
+    from . import modules as mod
     M = _load_module(preset, module_file)
     if m < 0:
         raise UsageError("--m must be nonnegative")
@@ -231,6 +248,7 @@ def cmd_annihilator(preset, module_file, m, window, emit):
 @_module_errors
 def cmd_module_check(preset, module_file, window, aw, emit):
     """Run the symbolic/window module-axiom suite on a module."""
+    from . import modules as mod
     M = _load_module(preset, module_file)
     run = _Run(emit)
     rep = mod.check_module_axioms(M, window=window)
@@ -249,6 +267,8 @@ def cmd_module_check(preset, module_file, window, aw, emit):
           _opt("--seed", type=int, default=0, help="(default 0)"), _EMIT)
 def cmd_acover(preset, module_file, window, seed, emit):
     """Build the A-cover, certify cuspidality, and check pi."""
+    from . import cover as cover_mod
+    from . import modules as mod
     M = _load_module(preset, module_file)
     run = _Run(emit)
     try:
@@ -283,7 +303,7 @@ def cmd_acover(preset, module_file, window, seed, emit):
     except cover_mod.DegreeBoundError as e:
         run.record({"kind": "inconclusive", "detail": str(e)})
         run.finish(False, f"acover {M.name} (inconclusive)", EXIT_INCONCLUSIVE)
-    except (cover_mod.CoverError, ModuleError) as e:
+    except (cover_mod.CoverError, mod.ModuleError) as e:
         raise UsageError(str(e))
     run.finish(ok, f"acover {M.name}")
 
@@ -294,6 +314,7 @@ def cmd_acover(preset, module_file, window, seed, emit):
           _window(2), _EMIT)
 def cmd_derham(n, beta, window, emit):
     """Homology table of the de Rham complex plus chain checks."""
+    from . import modules as mod
     if n < 1:
         raise UsageError("--n must be positive")
     bvec = _parse_beta(beta, n) if beta is not None else (Fraction(0),) * n
@@ -307,12 +328,14 @@ def cmd_derham(n, beta, window, emit):
     run.finish(chain.passed, f"derham n={n} beta={beta or '0'}")
 
 
-def _load_jets_rep(path: str) -> mod.JPlusRepData:
+def _load_jets_rep(path: str):
+    """The `modules.JPlusRepData` in the JSON file at `path`."""
+    from . import modules as mod
     try:
         with open(path) as f:
             return mod.jets_rep_from_json(json.load(f))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError, ModuleError) as e:
+            ZeroDivisionError, mod.ModuleError) as e:
         raise UsageError(f"cannot load representation file: {e}")
 
 
@@ -323,6 +346,7 @@ def _load_jets_rep(path: str) -> mod.JPlusRepData:
 @_module_errors
 def cmd_jets(rep_file, beta, window, emit):
     """Build the jets module from a representation file and check it."""
+    from . import modules as mod
     rho = _load_jets_rep(rep_file)
     bvec = _parse_beta(beta, rho.n)
     run = _Run(emit)
@@ -344,6 +368,8 @@ def cmd_jets(rep_file, beta, window, emit):
 @_module_errors
 def cmd_twist(module_file, gtext, window, emit):
     """Twist a W_n module by a torus automorphism."""
+    from . import modules as mod
+    from .lie import AlgebraError, LatticeAutomorphism
     M = _load_module(None, module_file)
     try:
         rows = [[int(x) for x in row.split(",")] for row in gtext.split(";")]
@@ -362,6 +388,7 @@ def cmd_twist(module_file, gtext, window, emit):
 @_module_errors
 def cmd_dual(preset, module_file, window, emit):
     """Graded dual of a module, with axiom check and double-dual round trip."""
+    from . import modules as mod
     M = _load_module(preset, module_file)
     D = mod.graded_dual(M)
     run = _Run(emit)
@@ -375,9 +402,11 @@ def cmd_dual(preset, module_file, window, emit):
     run.finish(axioms.passed and round_trip, f"dual {M.name}")
 
 
-def _parser(prog: str, names: list) -> tuple:
-    """The parser of the command line with the commands `names`, and the
-    option strings that take a value."""
+def _parser(prog: str, command: str | None) -> tuple:
+    """The parser of the command line, and the option strings that take a
+    value. With a `command` it knows that command and its options; without
+    one it knows every command by name only, which is all that the top-level
+    help and errors show."""
     def parser_for(prog, description, **kwargs):
         p = argparse.ArgumentParser(prog=prog, description=description,
                                     add_help=False, allow_abbrev=False,
@@ -390,11 +419,13 @@ def _parser(prog: str, names: list) -> tuple:
     commands = parser.add_subparsers(metavar="COMMAND", required=True,
                                      parser_class=parser_for)
     takes_value = set()
-    for name in names:
+    for name in [command] if command else _COMMANDS:
         fn, options = _COMMANDS[name]
         sub = commands.add_parser(name, description=fn.__doc__,
                                   help=fn.__doc__)
-        for flags, kwargs in options:
+        for flags, kwargs in options if command else ():
+            if callable(kwargs.get("choices")):
+                kwargs = dict(kwargs, choices=kwargs["choices"]())
             sub.add_argument(*flags, **kwargs)
             if "action" not in kwargs:
                 takes_value.update(flags)
@@ -421,10 +452,10 @@ def main(args: list | None = None, prog_name: str = "wittforge") -> None:
     """Exact verification suites for rank-1 and W_n weight-module
     computations."""
     argv = sys.argv[1:] if args is None else list(args)
-    # The parsers of all commands take about 2 ms to build, a sizeable part
-    # of a short run; they are needed only for the top-level help and errors.
-    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
-    parser, takes_value = _parser(prog_name, names)
+    # Only the named command's options are built: all of them take about
+    # 2 ms, and listing the presets imports `modules`.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser, takes_value = _parser(prog_name, command)
     kwargs = vars(parser.parse_args(_attach_values(argv, takes_value)))
     fn, sub = kwargs.pop("_command")
     try:
@@ -432,10 +463,12 @@ def main(args: list | None = None, prog_name: str = "wittforge") -> None:
     except UsageError as e:
         sub.error(str(e))
     except BrokenPipeError:
-        # the reader of stdout has gone (`| head`): write nothing more
+        # the reader of stdout has gone (`| head`): write nothing more. Some
+        # records were lost, which refutes nothing, so this is not exit 1.
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(EXIT_FAIL)
+        print("# stdout closed", file=sys.stderr)
+        sys.exit(EXIT_INTERNAL)
     except Exception as e:
         # an internal error must never read as a refutation (exit 1)
         print(json.dumps({"kind": "internal_error",
@@ -450,3 +483,12 @@ main.main = main
 
 if __name__ == "__main__":
     main()
+else:
+    # Imported, not run: perfbench/tracer.py imports this module and then
+    # wraps the layer modules it finds in sys.modules, so load them all here.
+    # The tracer change of ROADMAP item 5 (its install() importing each
+    # layer itself) deletes this branch.
+    import importlib
+    for _layer in ("scalars", "linalg", "lie", "enveloping", "modules",
+                   "cover"):
+        importlib.import_module(f"{__package__}.{_layer}")

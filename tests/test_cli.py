@@ -518,27 +518,34 @@ def _src_env():
 
 
 def test_closed_stdout_exits_quietly():
-    # more than a pipe buffer of records to a reader that has gone: exit 1,
-    # as the click front door did, with no traceback and no internal_error
+    # more than a pipe buffer of records to a reader that has gone: exit 4,
+    # since lost records refute nothing (exit 1 would claim a witness), with
+    # one stderr line, no traceback and no internal_error record
     proc = subprocess.Popen(
         [sys.executable, "-m", "wittforge.cli", "derham", "--n", "1",
          "--window", "1500"],
         env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     stderr = proc.communicate(timeout=120)[1].decode()
-    assert proc.returncode == 1, stderr
-    assert "Traceback" not in stderr and "Exception" not in stderr
+    assert proc.returncode == 4, stderr
+    assert stderr == "# stdout closed\n"
 
 
-def test_traced_run_spans_the_identity(tmp_path):
+@pytest.mark.parametrize("args, span", [
+    (("verify-identity", "--m", "2", "--r", "2"),
+     "enveloping.verify_key_identity"),
+    (("annihilator", "--preset", "punctured_functions", "--m", "3"),
+     "modules.annihilates"),
+], ids=["verify-identity", "annihilator"])
+def test_traced_run_spans_the_identity(tmp_path, args, span):
     # `perfbench/run.py --trace 1` runs each operation through tracer.py,
     # which imports wittforge.cli, wraps the layer modules it finds loaded
     # and calls main.main(args=..., prog_name=...)
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
-         "verify-identity", "--m", "2", "--r", "2"],
+         *args],
         env=_src_env(), capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     keys = {row[2] for row in json.loads(spans.read_text())["spans"]}
-    assert "enveloping.verify_key_identity" in keys
+    assert span in keys

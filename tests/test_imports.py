@@ -1,8 +1,6 @@
 """Every name a library module imports is read somewhere in that module,
-and the package imports nothing outside the standard library.
-
-`__init__.py` imports names in order to re-export them, so it is not
-scanned for unused imports.
+the package imports nothing outside the standard library, and a CLI
+command imports only the layers it calls.
 """
 
 import ast
@@ -16,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wittforge"
 FILES = sorted(SRC.glob("*.py"))
-MODULES = [p for p in FILES if p.name != "__init__.py"]
+LAYERS = {"cover", "enveloping", "lie", "linalg", "modules", "scalars"}
 
 
 def unused_imports(source: str) -> list:
@@ -37,11 +35,10 @@ def unused_imports(source: str) -> list:
 
 
 def test_scan_sees_every_module():
-    assert {p.stem for p in MODULES} >= {"cli", "cover", "enveloping", "lie",
-                                         "linalg", "modules", "scalars"}
+    assert {p.stem for p in FILES} >= LAYERS | {"__init__", "cli"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -78,16 +75,65 @@ def test_stdlib_scan_flags_third_party_imports():
             if n not in sys.stdlib_module_names] == ["click", "hypothesis"]
 
 
-def test_cli_import_loads_no_third_party_module():
-    # -S: no site hooks, so every module loaded comes from the import
-    code = ("import json, sys; before = set(sys.modules); "
-            "import wittforge.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
+def loaded_after(code: str) -> list:
+    """The modules that a fresh `python -S` process has loaded after running
+    `code` and that it had not loaded before, sorted. -S: no site hooks, so
+    every module loaded comes from `code`. A SystemExit ends `code` only."""
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              f"try:\n    exec({code!r})\nexcept SystemExit:\n    pass\n"
+              "sys.stdout = sys.__stdout__\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = {name.split(".")[0] for name in json.loads(proc.stdout)}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_third_party_module():
+    loaded = {name.split(".")[0]
+              for name in loaded_after("import wittforge.cli")}
     assert "click" not in loaded
     assert loaded - set(sys.stdlib_module_names) == {"wittforge"}
+
+
+def layers_loaded(code: str) -> set:
+    return {name.split(".")[1] for name in loaded_after(code)
+            if name.split(".")[0] == "wittforge" and "." in name}
+
+
+def layers_of_command(*args) -> set:
+    """The layers `python -m wittforge.cli ARGS` loads, run as __main__."""
+    return layers_loaded(
+        f"sys.argv = ['wittforge', *{args!r}]\n"
+        "import io, runpy\nsys.stdout = io.StringIO()\n"
+        "runpy.run_module('wittforge.cli', run_name='__main__')")
+
+
+def test_identity_loads_neither_modules_nor_cover():
+    assert layers_of_command("verify-identity", "--m", "2", "--r", "2") == {
+        "enveloping", "lie", "linalg", "scalars"}
+
+
+@pytest.mark.parametrize("command", [("annihilator", "--m", "3"),
+                                     ("module-check",), ("dual",)],
+                         ids=lambda c: c[0])
+def test_checker_loads_neither_cover_nor_enveloping(command):
+    assert layers_of_command(*command, "--preset", "punctured_functions") == {
+        "lie", "linalg", "modules", "scalars"}
+
+
+def test_acover_loads_no_enveloping():
+    assert layers_of_command("acover", "--preset", "punctured_functions",
+                             "--window", "1") == LAYERS - {"enveloping"}
+
+
+def test_help_loads_no_layer():
+    assert layers_of_command("--help") == set()
+
+
+def test_imported_cli_loads_every_layer():
+    # perfbench/tracer.py imports wittforge.cli and wraps the layers loaded
+    assert layers_loaded("import wittforge.cli") == LAYERS | {"cli"}
