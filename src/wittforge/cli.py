@@ -4,7 +4,8 @@ One process runs exactly one subcommand and emits newline-delimited JSON
 records (deterministic ordering) on stdout plus a short summary line on
 stderr. Exit codes: 0 all assertions pass, 1 an assertion failed, 2 invalid
 configuration (an unknown command or option, a missing or malformed value,
-an option that does not apply), 3 inconclusive (a spare sample of the
+an option that does not apply, a `--module` file that `annihilator`, `dual`
+or `acover` finds is not a module), 3 inconclusive (a spare sample of the
 emitted cover module's interpolation missed the interpolant), 4 internal
 error (an unexpected exception: one `internal_error` record naming its type,
 and no traceback) or a closed stdout (one `# stdout closed` line on stderr:
@@ -142,7 +143,12 @@ def _parse_beta(text: str, n: int) -> tuple:
     return tuple(parts)
 
 
-def _load_module(preset: str | None, module_file: str | None):
+def _load_module(preset: str | None, module_file: str | None,
+                 prove: bool = False):
+    """The module of --preset or --module. With `prove`, a module file must
+    pass `check_module_axioms` at its default window, or the input is not a
+    module and the command exits 2 naming the first failing relation; the
+    presets are modules (tests/test_modules.py pins them)."""
     from . import modules as mod
     from .scalars import ScalarError
     if (preset is None) == (module_file is None):
@@ -155,10 +161,21 @@ def _load_module(preset: str | None, module_file: str | None):
     try:
         with open(module_file) as f:
             data = json.load(f)
-        return mod.module_from_json(data)
+        M = mod.module_from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ZeroDivisionError, mod.ModuleError, ScalarError) as e:
         raise UsageError(f"cannot load module file: {e}")
+    if prove:
+        try:
+            rep = mod.check_module_axioms(M)
+        except mod.ModuleError as e:
+            raise UsageError(str(e))
+        if not rep.passed:
+            where = "symbolic" if rep.symbolic_failures else "window"
+            first = (rep.symbolic_failures or rep.window_failures)[0]
+            raise UsageError(f"not a module: [x, y] v = x(y v) - y(x v) "
+                             f"fails, first at {where} {first}")
+    return M
 
 
 def _module_errors(fn):
@@ -232,7 +249,7 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
 def cmd_annihilator(preset, module_file, m, window, emit):
     """Certify whether the order-m differentiators kill a module."""
     from . import modules as mod
-    M = _load_module(preset, module_file)
+    M = _load_module(preset, module_file, prove=True)
     if m < 0:
         raise UsageError("--m must be nonnegative")
     run = _Run(emit)
@@ -269,7 +286,7 @@ def cmd_acover(preset, module_file, window, seed, emit):
     """Build the A-cover, certify cuspidality, and check pi."""
     from . import cover as cover_mod
     from . import modules as mod
-    M = _load_module(preset, module_file)
+    M = _load_module(preset, module_file, prove=True)
     run = _Run(emit)
     try:
         C = cover_mod.CoverModule(M)
@@ -389,7 +406,7 @@ def cmd_twist(module_file, gtext, window, emit):
 def cmd_dual(preset, module_file, window, emit):
     """Graded dual of a module, with axiom check and double-dual round trip."""
     from . import modules as mod
-    M = _load_module(preset, module_file)
+    M = _load_module(preset, module_file, prove=True)
     D = mod.graded_dual(M)
     run = _Run(emit)
     axioms = mod.check_module_axioms(D, window=window)

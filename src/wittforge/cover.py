@@ -16,9 +16,12 @@ the rank is uniform and the A-action invertible by construction.
 Cover vectors are exact. The polynomial part of psi(e_k, u) and of
 e_p theta is read off the module's action polynomials by substitution, and
 the exceptional modes (punctures, finite supports and the modes where a
-constraint term fires) get their values from the concrete action. The
-emitted module's action comes from c_p, the matrix of e_p on the weight-0
-space over its t^p-translate, one expansion per exponent p: since
+constraint term fires) get their values from the concrete action. Every
+span question is one `linalg` elimination of its family, shared by all the
+vectors asked about it: a weight space's basis and frame, its generators'
+membership, the images of one e_p, the pi rows against the action rows.
+The emitted module's action comes from c_p, the matrix of e_p on the
+weight-0 space over its t^p-translate, one expansion per exponent p: since
 [e_p, t^w] = w t^(w+p), c_p and the weights' frames give each (p, w)
 sample. Only these samples are interpolated in (p, w), at one degree fixed
 by the module; samples beyond that grid check the interpolant, and a
@@ -238,13 +241,14 @@ def _from_coordinates(M: PolyWeightModule, w: int, row, degree: int,
     return QuasiPolyVector(M, w, poly, overrides)
 
 
-def expand_in_family(v: QuasiPolyVector, family: Sequence[QuasiPolyVector]):
-    """Coefficients of v over a linearly independent family, or None if v
-    is outside its span."""
-    deg, modes = _common_frame(list(family) + [v])
-    rows = [_coordinates(b, deg, modes) for b in family]
-    target = _coordinates(v, deg, modes)
-    return linalg.solve_in_span(rows, target)
+def expand_in_family(vectors: Sequence[QuasiPolyVector],
+                     family: Sequence[QuasiPolyVector]) -> list:
+    """For each vector, its coefficients over a linearly independent family,
+    or None if it is outside the span: one frame and one elimination of the
+    family for all the vectors."""
+    deg, modes = _common_frame(list(family) + list(vectors))
+    return linalg.solve_in_span([_coordinates(b, deg, modes) for b in family],
+                                [_coordinates(v, deg, modes) for v in vectors])
 
 
 # -- the cover ----------------------------------------------------------------
@@ -269,23 +273,15 @@ class CoverWeightSpace:
 
 def span_basis(M: PolyWeightModule, w: int, vectors: Sequence[QuasiPolyVector]
                ) -> CoverWeightSpace:
-    """The row-echelon basis of the span of the nonzero weight-w `vectors`.
-    The transform is read off the echelon of their coordinate rows
-    augmented by the identity; the inverse holds each row's entries at the
-    pivot columns, since the echelon is reduced."""
-    n = len(vectors)
+    """The row-echelon basis of the span of the nonzero weight-w `vectors`,
+    with its transform and inverse from one `linalg.span_frame` of their
+    coordinate rows."""
     degree, modes = _common_frame(vectors)
-    width = (degree + 1 + len(modes)) * len(M.fiber)
-    rows = [_coordinates(v, degree, modes) for v in vectors]
-    ech, pivots = linalg.row_echelon(
-        [r + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)])
-    rank = sum(c < width for c in pivots)
+    basis, transform, inverse, _ = linalg.span_frame(
+        [_coordinates(v, degree, modes) for v in vectors])
     return CoverWeightSpace(
-        w, [_from_coordinates(M, w, r[:width], degree, modes)
-            for r in ech[:rank]],
-        [r[width:] for r in ech[:rank]],
-        [[r[c] for c in pivots[:rank]] for r in rows])
+        w, [_from_coordinates(M, w, r, degree, modes) for r in basis],
+        transform, inverse)
 
 
 class CoverModule:
@@ -336,8 +332,8 @@ def cover_basis(M: PolyWeightModule, w: int) -> CoverWeightSpace:
     gens = _generator_pool(M, w)
     vectors = [psi_evaluate(M, g) for g in gens]
     space = span_basis(M, w, [v for v in vectors if not v.is_zero()])
-    for g, v in zip(gens, vectors):
-        if expand_in_family(v, space.basis) is None:
+    for g, coords in zip(gens, expand_in_family(vectors, space.basis)):
+        if coords is None:
             raise CoverError(f"generator {g} escaped its own span")
     return space
 
@@ -398,15 +394,12 @@ def _action_columns(C: CoverModule, image: Callable, name: str, p: int,
                     w: int) -> list:
     """Coordinates over the weight-(w+p) basis of image(b, p) for each
     weight-w basis vector b."""
-    tgt = C.weight_space(w + p).basis
-    cols = []
-    for b in C.weight_space(w).basis:
-        coords = expand_in_family(image(b, p), tgt)
-        if coords is None:
-            raise CoverError(
-                f"{name} image of a weight-{w} basis vector is outside the "
-                f"weight-{w + p} cover basis")
-        cols.append(coords)
+    cols = expand_in_family([image(b, p) for b in C.weight_space(w).basis],
+                            C.weight_space(w + p).basis)
+    if None in cols:
+        raise CoverError(
+            f"{name} image of a weight-{w} basis vector is outside the "
+            f"weight-{w + p} cover basis")
     return cols
 
 
@@ -447,26 +440,21 @@ def cuspidality_certificate(C: CoverModule, window: Sequence[int]
 def pi_surjectivity_check(C: CoverModule, w: int) -> dict:
     """Check that the algebra's action landing in the weight-w space of M
     (generators e_k with |k| <= 4) lies in the span of pi on the weight-w
-    cover basis; both ranks are reported."""
+    cover basis, with one elimination of the pi rows; both ranks are
+    reported."""
     M = C.module
-    space = C.weight_space(w)
     labels = list(M.fiber)
 
     def as_row(vec: ModuleVector):
         return [vec.terms.get(((w,), lab), Fraction(0)) for lab in labels]
 
-    ech, pivots = linalg.row_echelon([as_row(pi_map(b)) for b in space.basis])
-    pi_span = ech[:len(pivots)]
-    act_rows = []
-    for k in range(-4, 5):
-        for lab in M.labels_at((w - k,)):
-            v = act(M.algebra.basis((k,)), M.basis_vector((w - k,), lab))
-            act_rows.append(as_row(v))
-    return {"weight": w, "pi_rank": len(pivots),
+    pi_rows = [as_row(pi_map(b)) for b in C.weight_space(w).basis]
+    act_rows = [as_row(act(M.algebra.basis((k,)), M.basis_vector((w - k,), lab)))
+                for k in range(-4, 5) for lab in M.labels_at((w - k,))]
+    return {"weight": w, "pi_rank": linalg.rank(pi_rows),
             "action_rank": linalg.rank(act_rows),
-            "surjective_onto_action": all(
-                linalg.solve_in_span(pi_span, row) is not None
-                for row in act_rows)}
+            "surjective_onto_action": None not in linalg.solve_in_span(
+                pi_rows, act_rows)}
 
 
 def pi_homomorphism_check(C: CoverModule, w: int) -> bool:
@@ -495,9 +483,9 @@ def _emission_grid(M: PolyWeightModule):
 def _e_p_matrix(C: CoverModule, p: int) -> list:
     """c_p: row k holds the coordinates of e_p b_k over the translates
     t^p b_l, for the reference basis b."""
-    family = [a_action(b, p) for b in C.reference.basis]
-    rows = [expand_in_family(lie_action(b, p), family)
-            for b in C.reference.basis]
+    ref = C.reference.basis
+    rows = expand_in_family([lie_action(b, p) for b in ref],
+                            [a_action(b, p) for b in ref])
     if None in rows:
         raise CoverError(f"e_{p} image of a weight-0 basis vector is outside "
                          f"the weight-{p} cover basis")
@@ -670,10 +658,9 @@ def adjoint_cover_report(V: PolyWeightModule, pbox: int = 3, jbox: int = 3
     ok = True
     for p in range(-pbox, pbox + 1):
         for j in range(-jbox, jbox + 1):
-            frame_tgt = adjoint_cover_frame(V, j + p)
-            frame_src = adjoint_cover_frame(V, j)
-            coeffs = [expand_in_family(lie_action(b, p), frame_tgt)
-                      for b in frame_src]
+            coeffs = expand_in_family(
+                [lie_action(b, p) for b in adjoint_cover_frame(V, j)],
+                adjoint_cover_frame(V, j + p))
             match = coeffs == [[j - 2 * p, 2 * p * p, -p ** 4],
                                [0, j - p, p ** 3], [0, 0, j + p]]
             ok = ok and match

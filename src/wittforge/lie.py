@@ -296,9 +296,10 @@ class LatticeAutomorphism:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise AlgebraError("automorphism matrix must be square")
-        det = linalg.int_matrix_det(rows)
-        if det not in (1, -1):
-            raise AlgebraError(f"matrix must be unimodular, det = {det}")
+        try:  # an integer matrix is unimodular when its inverse is integral
+            linalg.int_matrix_inverse(rows)
+        except ValueError as e:
+            raise AlgebraError(f"matrix must be unimodular: {e}")
         object.__setattr__(self, "matrix", rows)
 
     @property

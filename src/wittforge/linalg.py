@@ -2,6 +2,12 @@
 
 Everything here works on lists of lists of field elements and returns new
 lists; inputs are never mutated.
+
+Gaussian elimination is written once, in `row_echelon`, and every span
+question goes through `span_frame`: one elimination of a family's rows
+augmented by the identity serves all the vectors asked about it, whether
+they are solved over the family (`solve_in_span`), are the family itself
+(its basis and frame) or are unit vectors (`int_matrix_inverse`).
 """
 
 from __future__ import annotations
@@ -44,36 +50,49 @@ def row_echelon(rows):
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = row_echelon(rows)
-    return len(pivots)
+    return len(row_echelon(rows)[1])
 
 
-def solve_in_span(basis_rows, target):
-    """Coefficients c with sum(c_i * basis_rows[i]) == target, or None.
+def span_frame(rows):
+    """One elimination of `rows` augmented by the identity.
 
-    basis_rows must be linearly independent.
+    Returns (basis, transform, coordinates, pivots): `basis` is the reduced
+    echelon basis of the span of `rows`, `transform` the matrix T with
+    basis = T rows, `coordinates` the matrix X with rows = X basis, read off
+    each row at the basis' pivot columns `pivots` (the echelon is reduced).
+    The rows may be dependent; X then has more rows than the basis.
     """
-    if not basis_rows:
-        return None if any(target) else []
-    ncols = len(target)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(len(basis_rows))]
-           for i, r in enumerate(basis_rows)]
-    ech, pivots = row_echelon(aug)
-    # Reduce target against echelon rows, tracking the combination.
-    residue = list(target)
-    combo = [Fraction(0)] * len(basis_rows)
-    for row, p in zip(ech, pivots):
-        if p >= ncols:
-            break
-        if residue[p]:
-            f = residue[p]
-            residue = [a - f * b for a, b in zip(residue, row[:ncols])]
-            combo = [a + f * b for a, b in zip(combo, row[ncols:])]
-    if any(residue):
-        return None
-    return combo
+    n = len(rows)
+    width = len(rows[0]) if n else 0
+    ech, pivots = row_echelon(
+        [list(r) + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)])
+    pivots = [c for c in pivots if c < width]
+    rank = len(pivots)
+    return ([r[:width] for r in ech[:rank]], [r[width:] for r in ech[:rank]],
+            [[r[c] for c in pivots] for r in rows], pivots)
+
+
+def solve_in_span(rows, targets):
+    """For each target, coefficients c with sum(c_i * rows[i]) == target, or
+    None when the target is outside the span of `rows`. One elimination
+    serves every target; the rows may be dependent."""
+    if not rows:
+        return [None if any(t) else [] for t in targets]
+    basis, transform, _, pivots = span_frame(rows)
+    out = []
+    for target in targets:
+        # reduce the target against the echelon basis, tracking the
+        # combination of the rows
+        residue = list(target)
+        combo = [Fraction(0)] * len(rows)
+        for row, tr, p in zip(basis, transform, pivots):
+            if residue[p]:
+                f = residue[p]
+                residue = [a - f * b for a, b in zip(residue, row)]
+                combo = [a + f * b for a, b in zip(combo, tr)]
+        out.append(None if any(residue) else combo)
+    return out
 
 
 def matrix_mul(a, b):
@@ -86,41 +105,15 @@ def matrix_add(a, b, c=1):
     return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def int_matrix_det(m) -> int:
-    """Determinant of a square integer matrix (fraction-free via Fractions)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    assert det.denominator == 1
-    return det.numerator
-
-
 def int_matrix_inverse(m):
-    """Inverse of a unimodular integer matrix, with integer entries."""
+    """Inverse of a unimodular integer matrix, with integer entries: row i
+    holds the coordinates of the i-th unit vector over the rows of m. An
+    integer matrix has an integral inverse exactly when det = +-1."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    ech, pivots = row_echelon(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for row in ech[:n]:
-        out = []
-        for x in row[n:]:
-            assert x.denominator == 1
-            out.append(x.numerator)
-        inv.append(out)
-    return inv
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    inv = solve_in_span([[Fraction(x) for x in row] for row in m], unit)
+    if None in inv:
+        raise ValueError("singular matrix")
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("non-integral inverse")
+    return [[x.numerator for x in row] for row in inv]

@@ -385,13 +385,12 @@ class PolyScalar:
         return result
 
     def __truediv__(self, other):
-        # Division by a base-field scalar only; polynomial quotients go
-        # through exact_div.
+        # Division by a base-field scalar only.
         if isinstance(other, PolyScalar):
-            if other.is_constant():
-                other = other.constant_value()
-            else:
-                return self.exact_div(other)
+            if not other.is_constant():
+                raise ScalarError(f"division by a non-constant polynomial: "
+                                  f"{other}")
+            other = other.constant_value()
         if isinstance(other, int):
             other = Fraction(other)
         if not other:
@@ -401,29 +400,6 @@ class PolyScalar:
         else:
             inv = Fraction(1) / other
         return PolyScalar(self.ctx, {e: c * inv for e, c in self.terms.items()})
-
-    def exact_div(self, other: "PolyScalar") -> "PolyScalar":
-        """Exact polynomial quotient; raises if the division has a remainder."""
-        o = self._coerce(other)
-        if not o.terms:
-            raise ZeroDivisionError("division by zero polynomial")
-        quotient = self.ctx.zero()
-        rem = self
-        okey = max(o.terms, key=_grlex_key)
-        ocoeff = o.terms[okey]
-        while rem.terms:
-            rkey = max(rem.terms, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(rkey, okey))
-            if any(d < 0 for d in diff):
-                raise ScalarError("inexact polynomial division")
-            if isinstance(ocoeff, QuadExtScalar):
-                c = rem.terms[rkey] * ocoeff.inverse()
-            else:
-                c = rem.terms[rkey] / ocoeff
-            mono = PolyScalar(self.ctx, {diff: c})
-            quotient = quotient + mono
-            rem = rem - mono * o
-        return quotient
 
     # -- queries ----------------------------------------------------------
 

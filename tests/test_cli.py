@@ -247,6 +247,41 @@ class TestModuleCheck:
         assert res.exit_code == 2, res.output
 
 
+class TestNotAModule:
+    """e_p v_s = (2p^2 + s) v_{s+p} breaks [e_a, e_b] = (b - a) e_{a+b}.
+    module-check refutes it (exit 1); the commands that take a module as
+    their input reject it (exit 2), name the first failing relation and
+    print no record. The order-5 differentiator kills any action of degree
+    2 in the mode, so `annihilator --m 5` once certified it."""
+
+    DATA = {"algebra": {"type": "witt", "n": 1}, "beta": ["0"],
+            "fiber": ["u"],
+            "terms": [{"direction": 1, "src": "u", "tgt": "u",
+                       "poly": "2*m^2 + s"}]}
+
+    def test_module_check_refutes(self, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(self.DATA))
+        res = invoke("module-check", "--module", str(f))
+        assert res.exit_code == 1
+        assert not json_lines(res.stdout)[0]["passed"]
+
+    @pytest.mark.parametrize("args", [("annihilator", "--m", "5"),
+                                      ("annihilator", "--m", "3"),
+                                      ("dual",), ("acover",)],
+                             ids=["annihilator-5", "annihilator-3", "dual",
+                                  "acover"])
+    def test_other_commands_exit_two(self, tmp_path, args):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(self.DATA))
+        res = invoke(args[0], "--module", str(f), *args[1:])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert ("not a module: [x, y] v = x(y v) - y(x v) fails, first at "
+                "symbolic (1, 1, 'u', 'u', '-2*gm1^2*gp1 + 2*gm1*gp1^2')"
+                in res.stderr)
+
+
 class TestACover:
     def test_punctured(self):
         res = invoke("acover", "--preset", "punctured_functions",
@@ -400,8 +435,9 @@ class TestTwistAndDual:
 
     @pytest.mark.parametrize("command", ["dual", "twist"])
     def test_constant_action_term(self, tmp_path, command):
-        # a constant coefficient makes the module fail its axioms, which
-        # must be reported as records, not as a crash
+        # a constant coefficient makes the module fail its axioms, which is
+        # never a crash: `twist` reports it as records, and `dual`, which
+        # takes only modules, exits 2 naming the failing relation
         from fractions import Fraction
         from wittforge.modules import natural_rep, tensor_field
         if command == "dual":
@@ -417,8 +453,12 @@ class TestTwistAndDual:
         f.write_text(json.dumps(data))
         res = invoke(command, "--module", str(f), *extra)
         assert isinstance(res.exception, SystemExit), res.exception
-        assert res.exit_code in (0, 1)
-        assert json_lines(res.stdout)
+        if command == "dual":
+            assert res.exit_code == 2 and res.stdout == ""
+            assert "not a module" in res.stderr
+        else:
+            assert res.exit_code in (0, 1)
+            assert json_lines(res.stdout)
 
 
 class TestW2BytePins:

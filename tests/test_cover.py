@@ -202,20 +202,22 @@ class TestByConstruction:
         assert data["passed"] and data["failing_weight"] is None
 
     def test_emission_expands_only_e_p_images(self, monkeypatch):
-        # one expansion per exponent and reference vector: e_p b over the
-        # translates t^p b of the reference, and none per (p, w) cell
+        # one expansion per exponent, of the e_p b over the translates t^p b
+        # of the reference, and none per (p, w) cell
         C = CoverModule(build_preset("virasoro_adjoint"))
         ref = C.reference.basis
         _, ps, ws = cover._emission_grid(C.module)
-        expanded = []
+        calls, expanded = [], []
         expand = cover.expand_in_family
 
-        def spy_expand(v, family):
-            expanded.append((repr(v), repr(family)))
-            return expand(v, family)
+        def spy_expand(vectors, family):
+            calls.append(len(vectors))
+            expanded.extend((repr(v), repr(family)) for v in vectors)
+            return expand(vectors, family)
 
         monkeypatch.setattr(cover, "expand_in_family", spy_expand)
         emit_induced_module(C)
+        assert calls == [len(ref)] * len(ps)
         assert len(expanded) == len(ps) * len(ref) < len(ps) * len(ws)
         assert sorted(expanded) == sorted(
             (repr(lie_action(b, p)), repr([a_action(x, p) for x in ref]))
@@ -223,7 +225,8 @@ class TestByConstruction:
 
     def test_image_outside_the_span_is_an_error(self, monkeypatch):
         C = CoverModule(build_preset("virasoro_adjoint"))
-        monkeypatch.setattr(cover, "expand_in_family", lambda v, family: None)
+        monkeypatch.setattr(cover, "expand_in_family",
+                            lambda vectors, family: [None] * len(vectors))
         with pytest.raises(CoverError) as info:
             emit_induced_module(C)
         assert not isinstance(info.value, DegreeBoundError)
@@ -261,16 +264,16 @@ class TestSpanStability:
         ws = C.weight_space(2)
         # an arbitrary extra generator must lie in the computed span
         extra = psi_evaluate(P, PsiGenerator(9, -7, "u"))
-        coords = expand_in_family(extra, ws.basis)
+        [coords] = expand_in_family([extra], ws.basis)
         assert coords is not None
 
     def test_expand_in_family(self):
         V = build_preset("virasoro_adjoint")
         psi = psi_evaluate(V, PsiGenerator(3, 2, "u"))
         frame = adjoint_cover_frame(V, psi.weight)
-        coeffs = expand_in_family(psi, frame)
+        coeffs = expand_in_family([psi], frame)
         # psi(e_k, u_j) = -tau + 2j theta - j^3 eta in the weight-(k+j) frame
-        assert coeffs == [Fraction(-1), Fraction(4), Fraction(-8)]
+        assert coeffs == [[Fraction(-1), Fraction(4), Fraction(-8)]]
 
 
 class TestAdjointCoverReport:

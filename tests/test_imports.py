@@ -51,6 +51,28 @@ def test_scan_flags_unused_and_local_imports():
                                       "line 7: json"]
 
 
+def echelon_calls(source: str) -> list:
+    """Lines of `source` that call `row_echelon`, by name or attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "row_echelon" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.stem != "linalg"],
+                         ids=lambda p: p.name)
+def test_elimination_only_in_linalg(path):
+    # span questions go through linalg.span_frame / solve_in_span, which
+    # echelon a family once for all its target vectors
+    assert echelon_calls(path.read_text()) == []
+
+
+def test_echelon_scan_flags_calls():
+    source = ("from .linalg import row_echelon\nx = linalg.row_echelon(a)\n"
+              "y = row_echelon(b)\nz = linalg.rank(c)\n")
+    assert echelon_calls(source) == [2, 3]
+
+
 def absolute_imports(source: str) -> list:
     """The top-level package of every absolute import in `source`."""
     names = []

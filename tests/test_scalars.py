@@ -319,6 +319,15 @@ class TestPolyRing:
         with pytest.raises(MissingSymbolError):
             (CTX.sym("a") + CTX.sym("b")).specialize({"a": 1})
 
+    def test_division_by_a_constant_only(self):
+        a, b = CTX.sym("a"), CTX.sym("b")
+        assert (a * 4 + b) / CTX.const(2) == a * 2 + b * Fraction(1, 2)
+        assert (a * 3) / Fraction(3, 2) == a * 2
+        with pytest.raises(ScalarError):
+            (a * b) / a
+        with pytest.raises(ZeroDivisionError):
+            a / CTX.zero()
+
 
 class TestParsing:
     def test_literal(self):
