@@ -144,11 +144,13 @@ def _parse_beta(text: str, n: int) -> tuple:
 
 
 def _load_module(preset: str | None, module_file: str | None,
-                 prove: bool = False):
+                 prove: bool = False, require=None):
     """The module of --preset or --module. With `prove`, a module file must
     pass `check_module_axioms` at its default window, or the input is not a
     module and the command exits 2 naming the first failing relation; the
-    presets are modules (tests/test_modules.py pins them)."""
+    presets are modules (tests/test_modules.py pins them). `require(M)`, the
+    command's own precondition, runs on a module file before that proof, so
+    a module the command cannot take exits 2 without it."""
     from . import modules as mod
     from .scalars import ScalarError
     if (preset is None) == (module_file is None):
@@ -167,6 +169,8 @@ def _load_module(preset: str | None, module_file: str | None,
         raise UsageError(f"cannot load module file: {e}")
     if prove:
         try:
+            if require is not None:
+                require(M)
             rep = mod.check_module_axioms(M)
         except mod.ModuleError as e:
             raise UsageError(str(e))
@@ -249,7 +253,8 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
 def cmd_annihilator(preset, module_file, m, window, emit):
     """Certify whether the order-m differentiators kill a module."""
     from . import modules as mod
-    M = _load_module(preset, module_file, prove=True)
+    M = _load_module(preset, module_file, prove=True,
+                     require=mod.require_rank1)
     if m < 0:
         raise UsageError("--m must be nonnegative")
     run = _Run(emit)
@@ -286,7 +291,8 @@ def cmd_acover(preset, module_file, window, seed, emit):
     """Build the A-cover, certify cuspidality, and check pi."""
     from . import cover as cover_mod
     from . import modules as mod
-    M = _load_module(preset, module_file, prove=True)
+    M = _load_module(preset, module_file, prove=True,
+                     require=cover_mod.require_coverable)
     run = _Run(emit)
     try:
         C = cover_mod.CoverModule(M)

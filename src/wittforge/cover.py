@@ -54,7 +54,9 @@ class DegreeBoundError(CoverError):
 _MCTX = PolyContext(("m",))
 
 
-def _require_rank1_concrete(M: PolyWeightModule):
+def require_coverable(M: PolyWeightModule) -> None:
+    """A-covers are built for rank-1 modules with concrete parameters and a
+    rational beta."""
     if isinstance(M.algebra, WnAlgebra) or M.n != 1:
         raise ModuleError("covers are implemented for rank-1 modules")
     if M.param_symbols():
@@ -197,7 +199,7 @@ class PsiGenerator:
 
 def psi_evaluate(M: PolyWeightModule, g: PsiGenerator) -> QuasiPolyVector:
     """psi(e_k, u)(t^m) = e_{k+m} u, materialized."""
-    _require_rank1_concrete(M)
+    require_coverable(M)
     u = M.basis_vector((g.j,), g.label)
     poly = _generic_image(M, g.k + _MCTX.sym("m"), M.beta[0] + g.j,
                           {lab: c for (_, lab), c in u.terms.items()})
@@ -296,7 +298,7 @@ class CoverModule:
     """
 
     def __init__(self, M: PolyWeightModule):
-        _require_rank1_concrete(M)
+        require_coverable(M)
         self.module = M
         self.reference = cover_basis(M, 0)
         self.spaces: dict = {}

@@ -22,49 +22,18 @@ from math import comb
 from .lie import (AlgebraError, Rank1Algebra, add_points, scale_point,
                   sub_points, symbolic_witt_algebra, witt_algebra,
                   IndexLattice)
-from .scalars import (ContextMismatchError, PolyContext, PolyScalar,
-                      is_zero_scalar, scalar_str)
+from .scalars import (Combination, ContextMismatchError, PolyContext,
+                      PolyScalar, scalar_str)
 
 Monomial = tuple  # tuple of lattice points (each a tuple of ints)
 
 
-class UEAElement:
+class UEAElement(Combination):
     """Finite scalar combination of monomials in the generators e_x."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: Rank1Algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if not is_zero_scalar(c)}
-
-    def _check(self, other: "UEAElement"):
-        if other.algebra != self.algebra:
-            raise AlgebraError("elements belong to different algebras")
-
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return UEAElement(self.algebra, terms)
-
-    def __neg__(self):
-        return UEAElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "UEAElement":
-        if is_zero_scalar(c):
-            return UEAElement(self.algebra, {})
-        return UEAElement(self.algebra, {m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, UEAElement) and other.algebra == self.algebra
-                and other.terms == self.terms)
+    __slots__ = ()
+    _mismatch = (AlgebraError, "elements belong to different algebras")
+    algebra = property(lambda self: self.parent)
 
     def __repr__(self):
         if not self.terms:

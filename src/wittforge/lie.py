@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .scalars import PolyContext, is_zero_scalar, scalar_str
+from .scalars import Combination, PolyContext, is_zero_scalar, scalar_str
 
 
 class AlgebraError(Exception):
@@ -145,41 +145,12 @@ class WnAlgebra:
         return LieElement(self, {(r, a): 1})
 
 
-class LieElement:
+class LieElement(Combination):
     """Finite formal sum of basis vector fields with scalar coefficients."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = {k: v for k, v in terms.items() if not is_zero_scalar(v)}
-
-    def _check(self, other: "LieElement"):
-        if other.algebra != self.algebra:
-            raise AlgebraError("elements belong to different algebras")
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0) + v
-        return LieElement(self.algebra, terms)
-
-    def __neg__(self):
-        return LieElement(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LieElement":
-        return LieElement(self.algebra, {k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, LieElement) and other.algebra == self.algebra
-                and other.terms == self.terms)
+    __slots__ = ()
+    _mismatch = (AlgebraError, "elements belong to different algebras")
+    algebra = property(lambda self: self.parent)
 
     def __repr__(self):
         return f"LieElement({self})"

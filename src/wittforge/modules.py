@@ -25,9 +25,9 @@ from typing import Mapping, Sequence
 from . import linalg
 from .lie import (LatticeAutomorphism, LieElement, WnAlgebra, bracket,
                   witt_algebra)
-from .scalars import (PolyContext, PolyScalar, QuadExtScalar, format_rational,
-                      is_zero_scalar, parse_poly, parse_rational, parse_scalar,
-                      scalar_str)
+from .scalars import (Combination, PolyContext, PolyScalar, QuadExtScalar,
+                      format_rational, is_zero_scalar, parse_poly,
+                      parse_rational, parse_scalar, scalar_str)
 
 
 class ModuleError(Exception):
@@ -203,47 +203,16 @@ class PolyWeightModule:
         return f"PolyWeightModule({self.name or 'anonymous'}, fiber={self.fiber})"
 
 
-class ModuleVector:
+class ModuleVector(Combination):
     """Sparse weight vector: terms keyed by (weight offset, fiber label).
 
     Offsets are integer tuples on the concrete path; the symbolic helpers
     use absolute (polynomial) weights as keys instead.
     """
 
-    __slots__ = ("module", "terms")
-
-    def __init__(self, module: PolyWeightModule, terms: Mapping):
-        self.module = module
-        self.terms = {k: v for k, v in terms.items() if not is_zero_scalar(v)}
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if other.module is not self.module:
-            raise ModuleError("vectors from different modules")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms[k] + v if k in terms else v
-        return ModuleVector(self.module, terms)
-
-    def __neg__(self):
-        return ModuleVector(self.module, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        if other.module is not self.module:
-            raise ModuleError("vectors from different modules")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms[k] - v if k in terms else -v
-        return ModuleVector(self.module, terms)
-
-    def scale(self, c) -> "ModuleVector":
-        return ModuleVector(self.module, {k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleVector) and other.module is self.module
-                and other.terms == self.terms)
+    __slots__ = ()
+    _mismatch = (ModuleError, "vectors from different modules")
+    module = property(lambda self: self.parent)
 
     def __repr__(self):
         if not self.terms:
@@ -542,7 +511,6 @@ def tensor_field(U: GLnRepData, beta) -> PolyWeightModule:
     mod = PolyWeightModule(
         WnAlgebra(n), beta, U.labels, terms,
         name=f"tensor_field(dim {U.dim}, beta {_rationals_text(beta)})")
-    mod.gl_rep = U
     return mod
 
 
@@ -1052,6 +1020,12 @@ class AnnihilationCertificate:
         }
 
 
+def require_rank1(M: PolyWeightModule) -> None:
+    """Differentiator certificates are defined over the rank-1 family."""
+    if isinstance(M.algebra, WnAlgebra):
+        raise ModuleError("differentiator certificates are rank-1 only")
+
+
 def annihilates(order: int, M: PolyWeightModule, window: int = 3
                 ) -> AnnihilationCertificate:
     """Decide whether every order-`order` differentiator
@@ -1068,8 +1042,7 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     Failures are reported in (k, s), then cell, order, and the witness is
     the first of them.
     """
-    if isinstance(M.algebra, WnAlgebra):
-        raise ModuleError("differentiator certificates are rank-1 only")
+    require_rank1(M)
     _, base, (k, s, wt) = _symbolic_frame(M, ("k", "s", "wt"))
     labels = _generic_labels(M)
     omega: dict = {}

@@ -21,8 +21,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-Rational = Fraction
-
 
 class ScalarError(Exception):
     pass
@@ -669,3 +667,52 @@ def is_zero_scalar(x) -> bool:
     if isinstance(x, PolyScalar):
         return x.is_zero()
     return not x
+
+
+class Combination:
+    """Finite formal sum {key: coefficient} over a parent, an algebra or a
+    module. Zero coefficients are dropped, so equal sums have equal terms.
+    Sums of different parents raise the subclass's `_mismatch` error;
+    parents are equal when they are the same object or compare equal."""
+
+    __slots__ = ("parent", "terms")
+    _mismatch: tuple  # (exception class, message)
+
+    def __init__(self, parent, terms: Mapping):
+        self.parent = parent
+        self.terms = {k: v for k, v in terms.items() if not is_zero_scalar(v)}
+
+    def _same_parent(self, other) -> bool:
+        return other.parent is self.parent or other.parent == self.parent
+
+    def _check(self, other):
+        if not self._same_parent(other):
+            error, message = self._mismatch
+            raise error(message)
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms[k] + v if k in terms else v
+        return type(self)(self.parent, terms)
+
+    def __neg__(self):
+        return type(self)(self.parent, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms[k] - v if k in terms else -v
+        return type(self)(self.parent, terms)
+
+    def scale(self, c):
+        return type(self)(self.parent, {k: c * v for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._same_parent(other)
+                and other.terms == self.terms)

@@ -224,13 +224,15 @@ class TestModuleCheck:
 
     @pytest.mark.parametrize("command,param", [
         ("annihilator", None), ("annihilator", "k"), ("module-check", "gm1"),
-        ("annihilator", "w1")],
+        ("annihilator", "w1"), ("acover", None), ("acover", "w1")],
         ids=["annihilator-w2", "annihilator-param_k", "module-check-param_gm1",
-             "annihilator-w1"])
-    def test_checker_error_exits_two(self, tmp_path, command, param):
+             "annihilator-w1", "acover-w2", "acover-w1"])
+    def test_checker_error_exits_two(self, tmp_path, monkeypatch, command,
+                                     param):
         # a module the checker cannot handle (a W_n module, even W_1, for
-        # the rank-1 annihilator, a parameter named like a checker symbol)
-        # is a usage error, not a refutation
+        # the rank-1 annihilator and A-cover, a parameter named like a
+        # checker symbol) is a usage error, not a refutation; a W_n module
+        # is rejected before its module axioms are proved
         from wittforge.modules import natural_rep, tensor_field
         if param == "w1":
             data = module_to_json(tensor_field(natural_rep(1), (Fraction(0),)))
@@ -240,11 +242,21 @@ class TestModuleCheck:
         else:
             data = module_to_json(build_preset("punctured_functions"))
             data["terms"][0]["poly"] = f"s + {param}*m"
+        if param in (None, "w1"):
+            def gate(*args, **kwargs):
+                raise AssertionError("the module axioms were proved")
+            monkeypatch.setattr(modules, "check_module_axioms", gate)
         f = tmp_path / "m.json"
         f.write_text(json.dumps(data))
         extra = ("--m", "3") if command == "annihilator" else ()
         res = invoke(command, "--module", str(f), *extra)
         assert res.exit_code == 2, res.output
+        if param in (None, "w1"):
+            assert res.stdout == ""
+            assert {"annihilator": "differentiator certificates are rank-1 "
+                                   "only",
+                    "acover": "covers are implemented for rank-1 modules",
+                    }[command] in res.stderr
 
 
 class TestNotAModule:

@@ -73,6 +73,47 @@ def test_echelon_scan_flags_calls():
     assert echelon_calls(source) == [2, 3]
 
 
+SUM_METHODS = {"__init__", "__add__", "__sub__", "__neg__", "scale",
+               "is_zero", "__eq__"}
+FORMAL_SUMS = [("lie", "LieElement"), ("enveloping", "UEAElement"),
+               ("modules", "ModuleVector")]
+
+
+def class_attributes(source: str, name: str) -> set:
+    """The names that the body of class `name` in `source` defines or
+    assigns."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            names = set()
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target])
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+            return names
+    raise LookupError(name)
+
+
+@pytest.mark.parametrize("layer, name", FORMAL_SUMS, ids=lambda x: x)
+def test_formal_sums_share_one_arithmetic(layer, name):
+    # LieElement, UEAElement and ModuleVector inherit the sparse-sum
+    # arithmetic of scalars.Combination and define none of it themselves
+    source = (SRC / f"{layer}.py").read_text()
+    assert class_attributes(source, name) & SUM_METHODS == set()
+    assert class_attributes((SRC / "scalars.py").read_text(),
+                            "Combination") >= SUM_METHODS
+
+
+def test_sum_scan_flags_definitions():
+    source = ("class A(B):\n    __slots__ = ()\n    def __add__(self, o):\n"
+              "        pass\n    scale = B.scale\n    x: int = 0\n"
+              "class C:\n    def is_zero(self):\n        pass\n")
+    assert class_attributes(source, "A") == {"__slots__", "__add__", "scale",
+                                             "x"}
+
+
 def absolute_imports(source: str) -> list:
     """The top-level package of every absolute import in `source`."""
     names = []
