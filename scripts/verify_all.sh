@@ -5,10 +5,14 @@
 # 4 internal error.
 set -uo pipefail
 
+# Runs from a plain checkout: the CLI is imported from this checkout's src/.
+src="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+export PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+
 failures=0
 run() {
     echo "\$ wittforge $*" >&2
-    wittforge "$@" || failures=$((failures + 1))
+    python3 -m wittforge.cli "$@" || failures=$((failures + 1))
 }
 
 # Enveloping-algebra identities

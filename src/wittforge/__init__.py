@@ -27,10 +27,10 @@ _EXPORTS = {
                 "omega_forms", "tensor_density", "tensor_field",
                 "trivial_rep", "twist", "wedge_rep", "weight_report"),
     "cover": ("CoverModule", "PsiGenerator", "QuasiPolyVector",
-              "adjoint_cover_report", "cover_basis",
-              "cuspidality_certificate", "emit_induced_module",
-              "induced_action", "pi_homomorphism_check", "pi_map",
-              "pi_star_check", "pi_surjectivity_check", "psi_evaluate"),
+              "adjoint_cover_report", "cuspidality_certificate",
+              "emit_induced_module", "induced_action", "pi_homomorphism_check",
+              "pi_map", "pi_star_check", "pi_surjectivity_check",
+              "psi_evaluate"),
     "scalars": ("PolyContext", "PolyScalar", "QuadExtScalar", "parse_poly",
                 "parse_scalar"),
 }

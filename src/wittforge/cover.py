@@ -18,14 +18,16 @@ e_p theta is read off the module's action polynomials by substitution, and
 the exceptional modes (punctures, finite supports and the modes where a
 constraint term fires) get their values from the concrete action. Every
 span question is one `linalg` elimination of its family, shared by all the
-vectors asked about it: a weight space's basis and frame, its generators'
-membership, the images of one e_p, the pi rows against the action rows.
-The emitted module's action comes from c_p, the matrix of e_p on the
-weight-0 space over its t^p-translate, one expansion per exponent p: since
-[e_p, t^w] = w t^(w+p), c_p and the weights' frames give each (p, w)
-sample. Only these samples are interpolated in (p, w), at one degree fixed
-by the module; samples beyond that grid check the interpolant, and a
-mismatch raises DegreeBoundError, never a silent wrong answer.
+vectors asked about it: the reference's basis and frame (whose coordinates
+put every generator in the span, so none is expanded again), a weight
+space's frame, the images of one e_p, the pi rows against the action rows.
+The induced action comes from c_p, the matrix of e_p on the weight-0 space
+over its t^p-translate, one expansion per exponent p: since
+[e_p, t^w] = w t^(w+p), c_p and the weights' frames give e_p from any
+weight w to w + p, and the frames alone give t^p. The emitted module
+interpolates these matrices in (p, w), at one degree fixed by the module;
+samples beyond that grid check the interpolant, and a mismatch raises
+DegreeBoundError, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _MCTX = PolyContext(("m",))
 def require_coverable(M: PolyWeightModule) -> None:
     """A-covers are built for rank-1 modules with concrete parameters and a
     rational beta."""
-    if isinstance(M.algebra, WnAlgebra) or M.n != 1:
+    if isinstance(M.algebra, WnAlgebra):
         raise ModuleError("covers are implemented for rank-1 modules")
     if M.param_symbols():
         raise ModuleError("covers need concrete (non-symbolic) parameters")
@@ -289,18 +291,19 @@ def span_basis(M: PolyWeightModule, w: int, vectors: Sequence[QuasiPolyVector]
 class CoverModule:
     """Finite per-weight bases of the A-cover of a rank-1 module.
 
-    Only the weight-0 space (the reference) is built from psi generators.
-    t^w is invertible on Hom(A, M) and maps the weight-0 generator pool onto
-    the weight-w one, so the weight-w space is the t^w-translate of the
-    reference, in row-echelon form in its own coordinate frame: the same
-    basis, vector for vector, as `cover_basis(M, w)`. Uniform rank and an
-    invertible A-action hold by construction.
+    Only the weight-0 space (the reference) is built, as the span of its
+    psi generator pool. t^w is invertible on Hom(A, M) and maps the weight-0
+    pool onto the weight-w one, so the weight-w space is the t^w-translate
+    of the reference, in row-echelon form in its own coordinate frame.
+    Uniform rank and an invertible A-action hold by construction.
     """
 
     def __init__(self, M: PolyWeightModule):
         require_coverable(M)
         self.module = M
-        self.reference = cover_basis(M, 0)
+        vectors = [psi_evaluate(M, g) for g in _generator_pool(M)]
+        self.reference = span_basis(M, 0, [v for v in vectors
+                                           if not v.is_zero()])
         self.spaces: dict = {}
 
     def weight_space(self, w: int) -> CoverWeightSpace:
@@ -313,31 +316,15 @@ class CoverModule:
         return self.weight_space(w).rank
 
 
-def _generator_pool(M: PolyWeightModule, w: int) -> list:
-    """The psi generators whose span is provably the full weight-w space:
-    degree+1 consecutive generic j (Vandermonde-extraction of the polynomial
-    coefficient family) plus every exceptional j."""
+def _generator_pool(M: PolyWeightModule) -> list:
+    """The weight-0 psi generators whose span is provably the full weight-0
+    space: degree+1 consecutive generic j (Vandermonde-extraction of the
+    polynomial coefficient family) plus every exceptional j."""
     d = base_degree(M)
     exc_offsets = sorted(off[0] for off in M.exceptional_offsets())
     start = _first_clear_mode(exc_offsets)
     js = list(range(start, start + d + 2)) + exc_offsets
-    gens = []
-    for j in js:
-        for lab in M.labels_at((j,)):
-            gens.append(PsiGenerator(w - j, j, lab))
-    return gens
-
-
-def cover_basis(M: PolyWeightModule, w: int) -> CoverWeightSpace:
-    """The weight-w space from its psi generator pool, each generator
-    checked to lie in the span; `CoverModule` builds it at weight 0 only."""
-    gens = _generator_pool(M, w)
-    vectors = [psi_evaluate(M, g) for g in gens]
-    space = span_basis(M, w, [v for v in vectors if not v.is_zero()])
-    for g, coords in zip(gens, expand_in_family(vectors, space.basis)):
-        if coords is None:
-            raise CoverError(f"generator {g} escaped its own span")
-    return space
+    return [PsiGenerator(-j, j, lab) for j in js for lab in M.labels_at((j,))]
 
 
 # -- induced action ------------------------------------------------------------
@@ -392,22 +379,13 @@ class ActionMatrices:
     a_matrix: list
 
 
-def _action_columns(C: CoverModule, image: Callable, name: str, p: int,
-                    w: int) -> list:
-    """Coordinates over the weight-(w+p) basis of image(b, p) for each
-    weight-w basis vector b."""
-    cols = expand_in_family([image(b, p) for b in C.weight_space(w).basis],
-                            C.weight_space(w + p).basis)
-    if None in cols:
-        raise CoverError(
-            f"{name} image of a weight-{w} basis vector is outside the "
-            f"weight-{w + p} cover basis")
-    return cols
-
-
 def induced_action(C: CoverModule, p: int, w: int) -> ActionMatrices:
-    return ActionMatrices(p, w, _action_columns(C, lie_action, f"e_{p}", p, w),
-                          _action_columns(C, a_action, f"t^{p}", p, w))
+    """e_p from `_leibniz_columns` on c_p, and t^p from the frames alone:
+    t^p t^w b = t^(w+p) b, so its matrix is T_w T_(w+p)^-1."""
+    return ActionMatrices(
+        p, w, _leibniz_columns(C, _e_p_matrix(C, p), p, w),
+        linalg.matrix_mul(C.weight_space(w).transform,
+                          C.weight_space(w + p).inverse))
 
 
 @dataclass
@@ -495,10 +473,10 @@ def _e_p_matrix(C: CoverModule, p: int) -> list:
 
 
 def _leibniz_columns(C: CoverModule, c_p: list, p: int, w: int) -> list:
-    """What `_action_columns(C, lie_action, ..., p, w)` returns, from c_p:
-    [e_p, t^w] = w t^(w+p) gives e_p t^w b_k = sum_l (c_p + w I)_kl
-    t^(w+p) b_l, and the matrix is T_w (c_p + w I) T_(w+p)^-1 in the
-    weights' frames (`CoverWeightSpace`)."""
+    """The matrix of e_p from weight w to w + p, columns over the weight-w
+    basis, from c_p: [e_p, t^w] = w t^(w+p) gives e_p t^w b_k =
+    sum_l (c_p + w I)_kl t^(w+p) b_l, and the matrix is
+    T_w (c_p + w I) T_(w+p)^-1 in the weights' frames (`CoverWeightSpace`)."""
     shifted = [[c + w if k == l else c for l, c in enumerate(row)]
                for k, row in enumerate(c_p)]
     return linalg.matrix_mul(

@@ -310,8 +310,9 @@ def _check_square(matrices: Mapping, dim: int):
 class GLnRepData:
     """Finite-dimensional gl_n-module given by matrices for the units E_pa.
 
-    The commutation relations [E_pq, E_rs] = d_qr E_ps - d_sp E_rq are
-    validated on construction.
+    Under E_pa <-> t^(e_p) d_a the commutation relations
+    [E_pq, E_rs] = d_qr E_ps - d_sp E_rq are the first-order jet relations,
+    so they are validated on construction as a `JPlusRepData` of cutoff 1.
     """
 
     def __init__(self, n: int, dim: int, matrices: Mapping, labels=None):
@@ -325,22 +326,9 @@ class GLnRepData:
             for a in range(1, n + 1):
                 m = matrices.get((p, a))
                 self.matrices[(p, a)] = _mat(m if m is not None else [[0] * dim] * dim)
-        self._validate()
-
-    def _validate(self):
-        n = self.n
-        _check_square(self.matrices, self.dim)
-        for p, q, r, s in itertools.product(range(1, n + 1), repeat=4):
-            a, b = self.matrices[(p, q)], self.matrices[(r, s)]
-            res = linalg.matrix_add(linalg.matrix_mul(a, b),
-                                    linalg.matrix_mul(b, a), -1)
-            if q == r:
-                res = linalg.matrix_add(res, self.matrices[(p, s)], -1)
-            if s == p:
-                res = linalg.matrix_add(res, self.matrices[(r, q)])
-            if any(any(row) for row in res):
-                raise ModuleError(
-                    f"gl_{n} relations fail for [E_{p}{q}, E_{r}{s}]")
+        JPlusRepData(n, dim, 1, {
+            (tuple(int(i == p - 1) for i in range(n)), a): m
+            for (p, a), m in self.matrices.items()})
 
 
 def trivial_rep(n: int) -> GLnRepData:
@@ -801,6 +789,13 @@ def _symbolic_frame(M: PolyWeightModule, names: Sequence[str]):
     return ctx, {p: ctx.sym(p) for p in params}, [ctx.sym(x) for x in names]
 
 
+def _require_radius(window: int) -> None:
+    """A negative window samples nothing, and its report would read as a
+    pass."""
+    if window < 0:
+        raise ModuleError(f"window radius must be nonnegative, got {window}")
+
+
 def _window_generators(M: PolyWeightModule, window: int):
     """Exponents and generators of the concrete sweep: exponents in
     [-window, window] for rank 1 and in [-1, 1]^n for W_n, each generator
@@ -875,6 +870,7 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     (x, y) and (y, x). Each ordered pair is still checked against its own
     [x, y] v, and failures are reported in (x, y), then cell, order.
     """
+    _require_radius(window)
     rep = CheckReport("module_axioms", M.name or repr(M))
     n = M.n
     _, base, syms = _symbolic_frame(
@@ -947,6 +943,7 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     polynomial satisfies poly_a(m, s + r) = poly_a(m, s) + r_a * delta.
     The window part computes (t^m d_a) v once per generator and cell and
     reuses it for every shift r."""
+    _require_radius(window)
     rep = CheckReport("aw_compat", M.name or repr(M))
     n = M.n
     _, base, syms = _symbolic_frame(
@@ -1043,6 +1040,10 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     the first of them.
     """
     require_rank1(M)
+    if order < 0:
+        raise ModuleError(f"differentiator order must be nonnegative, "
+                          f"got {order}")
+    _require_radius(window)
     _, base, (k, s, wt) = _symbolic_frame(M, ("k", "s", "wt"))
     labels = _generic_labels(M)
     omega: dict = {}
@@ -1252,6 +1253,7 @@ def jets_rep_from_json(data: Mapping) -> JPlusRepData:
 def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
     """Verify d^2 = 0 and W_n-equivariance of the de Rham differential,
     symbolically in the weight, for generator exponents with |m|_inf <= mbox."""
+    _require_radius(mbox)
     beta = tuple(Fraction(b) for b in (beta or (0,) * n))
     rep = CheckReport("de_rham_chain", f"omega(beta {beta}) on T^{n}")
     ctx = PolyContext(tuple(f"s{i+1}" for i in range(n)))

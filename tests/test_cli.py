@@ -106,6 +106,19 @@ class TestAnnihilator:
     def test_requires_exactly_one_source(self):
         assert invoke("annihilator", "--m", "3").exit_code == 2
 
+    def test_negative_order_exits_two_before_the_axiom_gate(
+            self, tmp_path, monkeypatch):
+        def gate(*args, **kwargs):
+            raise AssertionError("the module axioms were proved")
+
+        monkeypatch.setattr(modules, "check_module_axioms", gate)
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(module_to_json(
+            build_preset("punctured_functions"))))
+        res = invoke("annihilator", "--module", str(f), "--m", "-1")
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "--m must be nonnegative" in res.stderr
+
     def test_deterministic_output(self):
         args = ("annihilator", "--preset", "punctured_functions", "--m", "3")
         assert invoke(*args).output == invoke(*args).output

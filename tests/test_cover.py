@@ -5,12 +5,12 @@ import pytest
 
 from wittforge.cover import (CoverError, CoverModule, DegreeBoundError,
                              PsiGenerator, adjoint_cover_frame,
-                             adjoint_cover_report,
-                             cover_basis, cuspidality_certificate,
+                             adjoint_cover_report, cuspidality_certificate,
                              emit_induced_module, expand_in_family,
                              induced_action, lie_action, a_action, pi_map,
                              pi_homomorphism_check, pi_star_check,
-                             pi_surjectivity_check, psi_evaluate)
+                             pi_surjectivity_check, psi_evaluate,
+                             span_basis)
 from wittforge.modules import (PRESET_NAMES, ActionTerm, Constraint,
                                PolyWeightModule, act, action_polynomials,
                                build_preset, check_module_axioms, graded_dual,
@@ -20,6 +20,30 @@ from wittforge.lie import witt_algebra
 from wittforge.scalars import PolyContext
 
 WITT = witt_algebra()
+
+
+# -- brute-force oracles of what `CoverModule` builds by translation ---------
+
+
+def _pool_basis(M, w):
+    """The weight-w space from weight w's own psi generator pool, each
+    generator checked to lie in its span: the weight-0 pool shifted to
+    e_(k+w) u_j."""
+    gens = [PsiGenerator(g.k + w, g.j, g.label)
+            for g in cover._generator_pool(M)]
+    vectors = [psi_evaluate(M, g) for g in gens]
+    space = span_basis(M, w, [v for v in vectors if not v.is_zero()])
+    assert None not in expand_in_family(vectors, space.basis), w
+    return space
+
+
+def _action_columns(C, image, p, w):
+    """Coordinates over the weight-(w+p) basis of image(b, p) for each
+    weight-w basis vector b, one expansion per cell."""
+    cols = expand_in_family([image(b, p) for b in C.weight_space(w).basis],
+                            C.weight_space(w + p).basis)
+    assert None not in cols, (p, w)
+    return cols
 
 
 class TestPsiEvaluation:
@@ -107,7 +131,23 @@ class TestReferenceTranslate:
         C = CoverModule(M)
         for w in (-7, -1, 0, 4, 11):
             assert (repr(C.weight_space(w).basis)
-                    == repr(cover_basis(M, w).basis)), w
+                    == repr(_pool_basis(M, w).basis)), w
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_reference_is_one_elimination(self, monkeypatch, name):
+        # the reference's frame already puts every generator in its span,
+        # so no second elimination checks their membership
+        M = build_preset(name)
+        calls = []
+        real = cover.linalg.span_frame
+
+        def spy(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(cover.linalg, "span_frame", spy)
+        CoverModule(M)
+        assert len(calls) == 1
 
 
 class TestCoverRanks:
@@ -163,7 +203,7 @@ class TestEmittedWeight:
         C = CoverModule(tensor_density(Fraction(2, 3), beta))
         E = emit_induced_module(C)
         for p, w in [(3, 0), (-2, 1), (1, -4), (0, 2)]:
-            cols = cover._action_columns(C, lie_action, f"e_{p}", p, w)
+            cols = _action_columns(C, lie_action, p, w)
             for isrc, src in enumerate(E.fiber):
                 got = act(WITT.basis((p,)), E.basis_vector(w, src))
                 assert got.terms == {
@@ -340,7 +380,8 @@ class TestLeibnizSamples:
     """Each emission sample, made from c_p and two weights' frames, is the
     matrix that expanding every e_p image over the target basis gives: the
     brute-force `_action_columns`, at every (p, w) of the emission grid,
-    spare samples included."""
+    spare samples included. There, too, `induced_action`'s t^p matrix, made
+    from the two weights' frames alone, is the brute-force t^p expansion."""
 
     @pytest.mark.parametrize("M", _leibniz_modules(), ids=lambda M: M.name)
     def test_samples_match_action_columns(self, M):
@@ -350,7 +391,9 @@ class TestLeibnizSamples:
             c_p = cover._e_p_matrix(C, p)
             for w in ws:
                 assert cover._leibniz_columns(C, c_p, p, w) == \
-                    cover._action_columns(C, lie_action, f"e_{p}", p, w), (p, w)
+                    _action_columns(C, lie_action, p, w), (p, w)
+                assert induced_action(C, p, w).a_matrix == \
+                    _action_columns(C, a_action, p, w), (p, w)
 
 
 class TestLieActionConstraintModes:

@@ -12,7 +12,8 @@ from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
                                _decode_generator, _window_generators,
                                action_polynomials, act,
                                annihilates, build_preset, check_aw_compat,
-                               check_module_axioms, gamma_tensor_module,
+                               check_de_rham_chain, check_module_axioms,
+                               gamma_tensor_module,
                                graded_dual, jets_module, module_from_json,
                                module_to_json, natural_rep, omega_forms,
                                tensor_density,
@@ -248,6 +249,31 @@ class TestWindowSweepOrder:
         assert rep.window_checked == 100 and len(rep.window_failures) == 64
         assert rep.window_failures[0] == (
             "e[-2]", "e[-1]", (-2,), "u", "ModuleVector((32)*u[-5])")
+
+
+class TestNegativeRadius:
+    """A negative window, exponent box or differentiator order samples
+    nothing, so a report from one would read as a pass: the checkers
+    refuse it."""
+
+    def test_negative_window_is_refused(self):
+        # the central term m^3 turned into m^2: not a module
+        data = module_to_json(build_preset("virasoro_adjoint"))
+        data["terms"][1]["poly"] = "m^2"
+        M = module_from_json(data)
+        assert len(check_module_axioms(M, window=2).window_failures) == 8
+        for checker in (lambda: check_module_axioms(M, window=-1),
+                        lambda: check_aw_compat(M, window=-1),
+                        lambda: annihilates(3, M, window=-1),
+                        lambda: check_de_rham_chain(2, mbox=-1)):
+            with pytest.raises(ModuleError, match="window radius must be "
+                                                  "nonnegative, got -1"):
+                checker()
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ModuleError, match="differentiator order must be "
+                                              "nonnegative, got -1"):
+            annihilates(-1, build_preset("feigin_fuks_length2"))
 
 
 # The concrete window loops of the three checkers as they were written
