@@ -18,8 +18,8 @@ _EXPORTS = {
             "apply_automorphism", "bracket", "jacobi_check",
             "solenoidal_algebra", "symbolic_witt_algebra", "witt_algebra"),
     "linalg": (),
-    "modules": ("ActionTerm", "Constraint", "GLnRepData", "JPlusRepData",
-                "ModuleVector", "PolyWeightModule", "act", "annihilates",
+    "modules": ("ActionTerm", "Constraint", "JPlusRepData", "ModuleVector",
+                "PolyWeightModule", "act", "annihilates",
                 "build_preset", "check_aw_compat", "check_de_rham_chain",
                 "check_module_axioms", "de_rham_d", "de_rham_homology",
                 "gamma_tensor_module", "graded_dual", "jets_module",

@@ -150,16 +150,15 @@ def _load_module(preset: str | None, module_file: str | None,
     module and the command exits 2 naming the first failing relation; the
     presets are modules (tests/test_modules.py pins them). `require(M)`, the
     command's own precondition, runs on a module file before that proof, so
-    a module the command cannot take exits 2 without it."""
+    a module the command cannot take exits 2 without it. A ModuleError
+    from `require` or the proof exits 2 through the command's
+    `_module_errors`."""
     from . import modules as mod
     from .scalars import ScalarError
     if (preset is None) == (module_file is None):
         raise UsageError("give exactly one of --preset / --module")
     if preset is not None:
-        try:
-            return mod.build_preset(preset)
-        except mod.ModuleError as e:
-            raise UsageError(str(e))
+        return mod.build_preset(preset)
     try:
         with open(module_file) as f:
             data = json.load(f)
@@ -168,12 +167,9 @@ def _load_module(preset: str | None, module_file: str | None,
             ZeroDivisionError, mod.ModuleError, ScalarError) as e:
         raise UsageError(f"cannot load module file: {e}")
     if prove:
-        try:
-            if require is not None:
-                require(M)
-            rep = mod.check_module_axioms(M)
-        except mod.ModuleError as e:
-            raise UsageError(str(e))
+        if require is not None:
+            require(M)
+        rep = mod.check_module_axioms(M)
         if not rep.passed:
             where = "symbolic" if rep.symbolic_failures else "window"
             first = (rep.symbolic_failures or rep.window_failures)[0]
@@ -287,6 +283,7 @@ def cmd_module_check(preset, module_file, window, aw, emit):
 @_command("acover", *_MODULE_SOURCE,
           _window(7, "weight window radius for rank certification"),
           _opt("--seed", type=int, default=0, help="(default 0)"), _EMIT)
+@_module_errors
 def cmd_acover(preset, module_file, window, seed, emit):
     """Build the A-cover, certify cuspidality, and check pi."""
     from . import cover as cover_mod
@@ -325,7 +322,7 @@ def cmd_acover(preset, module_file, window, seed, emit):
     except cover_mod.DegreeBoundError as e:
         run.record({"kind": "inconclusive", "detail": str(e)})
         run.finish(False, f"acover {M.name} (inconclusive)", EXIT_INCONCLUSIVE)
-    except (cover_mod.CoverError, mod.ModuleError) as e:
+    except cover_mod.CoverError as e:
         raise UsageError(str(e))
     run.finish(ok, f"acover {M.name}")
 

@@ -94,9 +94,6 @@ class Rank1Algebra:
             return 0 * self.phi_values[0] if self.phi_values else 0
         return total
 
-    def element(self, terms) -> "LieElement":
-        return LieElement(self, dict(terms))
-
     def basis(self, point: tuple) -> "LieElement":
         return LieElement(self, {point: 1})
 
@@ -134,9 +131,6 @@ class WnAlgebra:
     def __post_init__(self):
         if self.n < 1:
             raise AlgebraError("n must be positive")
-
-    def element(self, terms) -> "LieElement":
-        return LieElement(self, dict(terms))
 
     def basis(self, r: Sequence[int], a: int) -> "LieElement":
         r = tuple(int(x) for x in r)

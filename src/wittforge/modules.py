@@ -58,11 +58,21 @@ class ActionTerm:
     constraint: Constraint | None = None
 
 
+def _coordinate_symbols(algebra) -> tuple:
+    """The coefficient variables of a module over `algebra`, as the pair
+    (generator exponents, weight): (("m",), ("s",)) over a rank-1 algebra
+    and (("m1".."mn"), ("s1".."sn")) over W_n."""
+    if isinstance(algebra, WnAlgebra):
+        return (tuple(f"m{i+1}" for i in range(algebra.n)),
+                tuple(f"s{i+1}" for i in range(algebra.n)))
+    return ("m",), ("s",)
+
+
 class PolyWeightModule:
     """Weight module with polynomial action coefficients.
 
-    For rank-1 algebras the coefficient variables are ("m", "s"); for W_n
-    they are ("m1".."mn", "s1".."sn"). Extra parameter symbols (alpha,
+    The coefficient variables are `m_symbols` and `s_symbols`, as
+    `_coordinate_symbols` names them. Extra parameter symbols (alpha,
     beta, ...) may precede them in the context.
     """
 
@@ -73,6 +83,7 @@ class PolyWeightModule:
                  name: str = ""):
         self.algebra = algebra
         self.n = algebra.n if isinstance(algebra, WnAlgebra) else 1
+        self.m_symbols, self.s_symbols = _coordinate_symbols(algebra)
         self.beta = tuple(beta)
         if len(self.beta) != self.n:
             raise ModuleError(f"beta must have length {self.n}")
@@ -119,18 +130,8 @@ class PolyWeightModule:
             raise ModuleError(f"offset {off} must have length {self.n}")
         return off
 
-    def m_symbols(self) -> tuple:
-        if isinstance(self.algebra, WnAlgebra):
-            return tuple(f"m{i+1}" for i in range(self.n))
-        return ("m",)
-
-    def s_symbols(self) -> tuple:
-        if isinstance(self.algebra, WnAlgebra):
-            return tuple(f"s{i+1}" for i in range(self.n))
-        return ("s",)
-
     def param_symbols(self) -> tuple:
-        mv, sv = set(self.m_symbols()), set(self.s_symbols())
+        mv, sv = set(self.m_symbols), set(self.s_symbols)
         out = []
         for t in self.terms:
             for sym in sorted(t.poly.symbols_used()):
@@ -251,8 +252,8 @@ def _cell_action(M: PolyWeightModule, idx, off: tuple, lab: str) -> tuple:
         return cell
     mvals, shift, direction = _decode_generator(M, idx)
     svals = M.weight_value(off)
-    mapping = dict(zip(M.m_symbols(), mvals))
-    mapping.update(zip(M.s_symbols(), svals))
+    mapping = dict(zip(M.m_symbols, mvals))
+    mapping.update(zip(M.s_symbols, svals))
     new_off = tuple(o + d for o, d in zip(off, shift))
     pairs = []
     for term in M.terms_for(direction, lab):
@@ -294,64 +295,93 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     return ModuleVector(M, out)
 
 
-# -- gl_n and jet-algebra representation data ---------------------------------
+# -- jet-algebra representation data -----------------------------------------
 
 
 def _mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """A matrix as a tuple of rows of field elements: QuadExtScalar entries
+    stay as they are, anything else becomes a Fraction."""
+    return tuple(tuple(x if isinstance(x, QuadExtScalar) else Fraction(x)
+                       for x in row) for row in rows)
 
 
-def _check_square(matrices: Mapping, dim: int):
-    for key, m in matrices.items():
-        if len(m) != dim or any(len(row) != dim for row in m):
-            raise ModuleError(f"matrix {key} is not {dim} x {dim}")
+def _unit(n: int, p: int) -> tuple:
+    """The unit exponent e_p of Z^n, p in 1..n."""
+    return tuple(int(i == p - 1) for i in range(n))
 
 
-class GLnRepData:
-    """Finite-dimensional gl_n-module given by matrices for the units E_pa.
+class JPlusRepData:
+    """Finite-dimensional representation of the nonnegative part of the jet
+    algebra: matrices rho(t^k d/dt_j) for 1 <= |k| <= cutoff, zero beyond,
+    with rational or `QuadExtScalar` entries.
 
-    Under E_pa <-> t^(e_p) d_a the commutation relations
-    [E_pq, E_rs] = d_qr E_ps - d_sp E_rq are the first-order jet relations,
-    so they are validated on construction as a `JPlusRepData` of cutoff 1.
+    The relations [t^k d_i, t^l d_j] = l_i t^{k+l-e_i} d_j - k_j t^{k+l-e_j} d_i
+    are validated exactly. A gl_n-module is the cutoff-1 case: under
+    E_pa <-> t^(e_p) d_a, the relations at |k| = |l| = 1 are
+    [E_pq, E_rs] = d_qr E_ps - d_sp E_rq.
     """
 
-    def __init__(self, n: int, dim: int, matrices: Mapping, labels=None):
+    def __init__(self, n: int, dim: int, cutoff: int, matrices: Mapping,
+                 labels=None):
+        if n < 1 or dim < 1 or cutoff < 0:
+            raise ModuleError(f"need n >= 1, dim >= 1 and cutoff >= 0, got "
+                              f"n={n}, dim={dim}, cutoff={cutoff}")
         self.n = n
         self.dim = dim
-        self.labels = tuple(labels) if labels else tuple(f"u{i+1}" for i in range(dim))
-        if len(self.labels) != dim:
-            raise ModuleError("label count must equal dim")
+        self.cutoff = cutoff
+        self.labels = (tuple(labels) if labels is not None
+                       else tuple(f"v{i+1}" for i in range(dim)))
+        if len(self.labels) != dim or len(set(self.labels)) != dim:
+            raise ModuleError(f"need {dim} distinct labels, got "
+                              f"{list(self.labels)}")
+        # the exponents k with 1 <= |k| <= cutoff, in lexicographic order
+        self.exponents = tuple(
+            k for k in itertools.product(range(cutoff + 1), repeat=n)
+            if 1 <= sum(k) <= cutoff)
+        self._zero = _mat([[0] * dim] * dim)
         self.matrices = {}
-        for p in range(1, n + 1):
-            for a in range(1, n + 1):
-                m = matrices.get((p, a))
-                self.matrices[(p, a)] = _mat(m if m is not None else [[0] * dim] * dim)
-        JPlusRepData(n, dim, 1, {
-            (tuple(int(i == p - 1) for i in range(n)), a): m
-            for (p, a), m in self.matrices.items()})
+        for key, m in matrices.items():
+            k, j = tuple(key[0]), key[1]
+            if k not in self.exponents or not 1 <= j <= n:
+                raise ModuleError(f"bad jet index {key}")
+            m = _mat(m)
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise ModuleError(f"matrix {(k, j)} is not {dim} x {dim}")
+            self.matrices[(k, j)] = m
+        self._validate()
 
+    def rho(self, k: tuple, j: int):
+        if any(x < 0 for x in k) or sum(k) < 1:
+            raise ModuleError(f"invalid jet exponent {k}")
+        return self.matrices.get((k, j), self._zero)
 
-def trivial_rep(n: int) -> GLnRepData:
-    return GLnRepData(n, 1, {}, labels=("1",))
-
-
-def natural_rep(n: int) -> GLnRepData:
-    mats = {}
-    for p in range(1, n + 1):
-        for a in range(1, n + 1):
-            rows = [[Fraction(int(i == p - 1 and j == a - 1)) for j in range(n)]
-                    for i in range(n)]
-            mats[(p, a)] = rows
-    return GLnRepData(n, n, mats, labels=tuple(f"e{i+1}" for i in range(n)))
+    def _validate(self):
+        for k, l in itertools.product(self.exponents, repeat=2):
+            for i, j in itertools.product(range(1, self.n + 1), repeat=2):
+                a, b = self.rho(k, i), self.rho(l, j)
+                res = linalg.matrix_add(linalg.matrix_mul(a, b),
+                                        linalg.matrix_mul(b, a), -1)
+                if l[i - 1]:
+                    kl = tuple(x + y - z for x, y, z
+                               in zip(k, l, _unit(self.n, i)))
+                    res = linalg.matrix_add(res, self.rho(kl, j), -l[i - 1])
+                if k[j - 1]:
+                    kl = tuple(x + y - z for x, y, z
+                               in zip(k, l, _unit(self.n, j)))
+                    res = linalg.matrix_add(res, self.rho(kl, i), k[j - 1])
+                if any(any(row) for row in res):
+                    raise ModuleError(
+                        f"jet relations fail for [t^{k} d_{i}, t^{l} d_{j}]")
 
 
 def _wedge_label(subset: tuple) -> str:
     return "^".join(f"e{i}" for i in subset) if subset else "1"
 
 
-def wedge_rep(n: int, k: int) -> GLnRepData:
-    """k-th exterior power of the natural representation, with the
-    lexicographic wedge basis and the derivation action of gl_n."""
+def wedge_rep(n: int, k: int) -> JPlusRepData:
+    """k-th exterior power of the natural gl_n-module, as first-order jet
+    data: the lexicographic wedge basis, and E_pa = rho(t^(e_p) d_a) acting
+    as a derivation."""
     if not 0 <= k <= n:
         raise ModuleError(f"k must lie in 0..{n}")
     basis = sorted(itertools.combinations(range(1, n + 1), k))
@@ -374,66 +404,19 @@ def wedge_rep(n: int, k: int) -> GLnRepData:
                     newpos = new.index(p)
                     sign = (-1) ** (pos + newpos)
                     rows[index[new]][col] += sign
-            mats[(p, a)] = rows
-    return GLnRepData(n, dim, mats,
-                      labels=tuple(_wedge_label(b) for b in basis))
+            mats[(_unit(n, p), a)] = rows
+    return JPlusRepData(n, dim, 1, mats,
+                        labels=tuple(_wedge_label(b) for b in basis))
 
 
-class JPlusRepData:
-    """Finite-dimensional representation of the nonnegative part of the jet
-    algebra: matrices rho(t^k d/dt_j) for 1 <= |k| <= cutoff, zero beyond.
+def natural_rep(n: int) -> JPlusRepData:
+    """The natural gl_n-module: basis e1..en, E_pa e_b = d_ab e_p."""
+    return wedge_rep(n, 1)
 
-    The relations [t^k d_i, t^l d_j] = l_i t^{k+l-e_i} d_j - k_j t^{k+l-e_j} d_i
-    are validated exactly.
-    """
 
-    def __init__(self, n: int, dim: int, cutoff: int, matrices: Mapping,
-                 labels=None):
-        if n < 1 or dim < 1 or cutoff < 0:
-            raise ModuleError(f"need n >= 1, dim >= 1 and cutoff >= 0, got "
-                              f"n={n}, dim={dim}, cutoff={cutoff}")
-        self.n = n
-        self.dim = dim
-        self.cutoff = cutoff
-        self.labels = (tuple(labels) if labels is not None
-                       else tuple(f"v{i+1}" for i in range(dim)))
-        if len(self.labels) != dim or len(set(self.labels)) != dim:
-            raise ModuleError(f"need {dim} distinct labels, got "
-                              f"{list(self.labels)}")
-        self.matrices = {}
-        for key, m in matrices.items():
-            k, j = tuple(key[0]), key[1]
-            if (len(k) != n or any(x < 0 for x in k)
-                    or not 1 <= sum(k) <= cutoff or not 1 <= j <= n):
-                raise ModuleError(f"bad jet index {key}")
-            self.matrices[(k, j)] = _mat(m)
-        self._validate()
-
-    def rho(self, k: tuple, j: int):
-        if any(x < 0 for x in k) or sum(k) < 1:
-            raise ModuleError(f"invalid jet exponent {k}")
-        return self.matrices.get((k, j), _mat([[0] * self.dim] * self.dim))
-
-    def _validate(self):
-        _check_square(self.matrices, self.dim)
-        exps = [k for k in itertools.product(range(self.cutoff + 1), repeat=self.n)
-                if 1 <= sum(k) <= self.cutoff]
-        for k, l in itertools.product(exps, repeat=2):
-            for i, j in itertools.product(range(1, self.n + 1), repeat=2):
-                a, b = self.rho(k, i), self.rho(l, j)
-                res = linalg.matrix_add(linalg.matrix_mul(a, b),
-                                        linalg.matrix_mul(b, a), -1)
-                if l[i - 1]:
-                    e_i = tuple(int(t == i - 1) for t in range(self.n))
-                    kl = tuple(x + y - z for x, y, z in zip(k, l, e_i))
-                    res = linalg.matrix_add(res, self.rho(kl, j), -l[i - 1])
-                if k[j - 1]:
-                    e_j = tuple(int(t == j - 1) for t in range(self.n))
-                    kl = tuple(x + y - z for x, y, z in zip(k, l, e_j))
-                    res = linalg.matrix_add(res, self.rho(kl, i), k[j - 1])
-                if any(any(row) for row in res):
-                    raise ModuleError(
-                        f"jet relations fail for [t^{k} d_{i}, t^{l} d_{j}]")
+def trivial_rep(n: int) -> JPlusRepData:
+    """The one-dimensional trivial gl_n-module, labelled "1"."""
+    return wedge_rep(n, 0)
 
 
 # -- module constructors ------------------------------------------------------
@@ -473,15 +456,19 @@ def _rationals_text(values) -> str:
     return "(" + ", ".join(format_rational(Fraction(v)) for v in values) + ")"
 
 
-def tensor_field(U: GLnRepData, beta) -> PolyWeightModule:
-    """W_n-module of tensor fields:
+def tensor_field(U: JPlusRepData, beta) -> PolyWeightModule:
+    """W_n-module of tensor fields of the gl_n-module U, given as
+    first-order jet data with E_pa = U.rho(e_p, a):
     (t^m d_a)(t^s x u) = s_a t^{s+m} x u + sum_p m_p t^{s+m} x E_pa u."""
     n = U.n
+    if U.cutoff > 1:
+        raise ModuleError(f"tensor fields take first-order jet data, got "
+                          f"cutoff {U.cutoff}")
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != n:
         raise ModuleError(f"beta must have length {n}")
-    msyms = tuple(f"m{i+1}" for i in range(n))
-    ssyms = tuple(f"s{i+1}" for i in range(n))
+    algebra = WnAlgebra(n)
+    msyms, ssyms = _coordinate_symbols(algebra)
     ctx = PolyContext(msyms + ssyms)
     terms = []
     for a in range(1, n + 1):
@@ -491,15 +478,14 @@ def tensor_field(U: GLnRepData, beta) -> PolyWeightModule:
                 if src_i == tgt_i:
                     poly = poly + ctx.sym(ssyms[a - 1])
                 for p in range(1, n + 1):
-                    c = U.matrices[(p, a)][tgt_i][src_i]
+                    c = U.rho(_unit(n, p), a)[tgt_i][src_i]
                     if c:
                         poly = poly + c * ctx.sym(msyms[p - 1])
                 if not poly.is_zero():
                     terms.append(ActionTerm(a, src, tgt, poly))
-    mod = PolyWeightModule(
-        WnAlgebra(n), beta, U.labels, terms,
+    return PolyWeightModule(
+        algebra, beta, U.labels, terms,
         name=f"tensor_field(dim {U.dim}, beta {_rationals_text(beta)})")
-    return mod
 
 
 def omega_forms(n: int, k: int, beta) -> PolyWeightModule:
@@ -579,11 +565,9 @@ def jets_module(rho: JPlusRepData, beta) -> PolyWeightModule:
     """
     n = rho.n
     beta = tuple(Fraction(b) for b in beta)
-    msyms = tuple(f"m{i+1}" for i in range(n))
-    ssyms = tuple(f"s{i+1}" for i in range(n))
+    algebra = WnAlgebra(n)
+    msyms, ssyms = _coordinate_symbols(algebra)
     ctx = PolyContext(msyms + ssyms)
-    exps = [k for k in itertools.product(range(rho.cutoff + 1), repeat=n)
-            if 1 <= sum(k) <= rho.cutoff]
     terms = []
     for j in range(1, n + 1):
         for src_i, src in enumerate(rho.labels):
@@ -591,7 +575,7 @@ def jets_module(rho: JPlusRepData, beta) -> PolyWeightModule:
                 poly = ctx.zero()
                 if src_i == tgt_i:
                     poly = poly + ctx.sym(ssyms[j - 1])
-                for k in exps:
+                for k in rho.exponents:
                     c = rho.rho(k, j)[tgt_i][src_i]
                     if not c:
                         continue
@@ -605,7 +589,7 @@ def jets_module(rho: JPlusRepData, beta) -> PolyWeightModule:
                     poly = poly + mono
                 if not poly.is_zero():
                     terms.append(ActionTerm(j, src, tgt, poly))
-    return PolyWeightModule(WnAlgebra(n), beta, rho.labels, terms,
+    return PolyWeightModule(algebra, beta, rho.labels, terms,
                             name=f"jets(dim {rho.dim}, N {rho.cutoff})")
 
 
@@ -662,7 +646,7 @@ PRESET_NAMES = ("punctured_functions", "virasoro_adjoint", "feigin_fuks_length2"
 def graded_dual(M: PolyWeightModule) -> PolyWeightModule:
     """Restricted dual with the sign convention (x f)(v) = -f(x v), graded so
     that the weight-nu dual slice pairs with the weight-(-nu) slice."""
-    msyms, ssyms = M.m_symbols(), M.s_symbols()
+    msyms, ssyms = M.m_symbols, M.s_symbols
     terms = []
     for t in M.terms:
         ctx = t.poly.ctx
@@ -699,7 +683,7 @@ def twist(M: PolyWeightModule, g: LatticeAutomorphism) -> PolyWeightModule:
     if g.n != n:
         raise ModuleError(f"matrix size {g.n} does not match W_{n}")
     ginv = g.inverse()
-    msyms, ssyms = M.m_symbols(), M.s_symbols()
+    msyms, ssyms = M.m_symbols, M.s_symbols
     terms = []
     for t in M.terms:
         ctx = t.poly.ctx
@@ -817,7 +801,7 @@ def _generic_action_matrix(M: PolyWeightModule, direction: int,
     generator in `direction` at weight s; skips constraint terms and
     finitely-supported labels."""
     labels = _generic_labels(M)
-    msyms, ssyms = M.m_symbols(), M.s_symbols()
+    msyms, ssyms = M.m_symbols, M.s_symbols
     out: dict = {}
     for src in labels:
         for t in M.terms_for(direction, src):
@@ -1097,16 +1081,14 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
 def weight_report(M: PolyWeightModule, radius: int = 4) -> dict:
     """Componentwise dimensions on a window of weights, plus the uniform
     bound over that window."""
-    if M.n == 1:
-        offsets = [(d,) for d in range(-radius, radius + 1)]
-    else:
-        offsets = sorted(itertools.product(range(-radius, radius + 1), repeat=M.n))
+    _require_radius(radius)
+    offsets = itertools.product(range(-radius, radius + 1), repeat=M.n)
     rows = [{"offset": list(off),
              "weight": [scalar_str(w) for w in M.weight_value(off)],
              "dim": len(M.labels_at(off))} for off in offsets]
     dims = [r["dim"] for r in rows]
     return {"module": M.name or repr(M), "rows": rows,
-            "max_dim": max(dims) if dims else 0,
+            "max_dim": max(dims),
             "generic_dim": len(M.fiber)}
 
 
@@ -1183,15 +1165,10 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
     kind = data["algebra"]["type"]
     if kind not in ("witt", "wn"):
         raise ModuleError(f"algebra type must be 'witt' or 'wn', got {kind!r}")
-    if kind == "wn":
-        algebra = WnAlgebra(n)
-        msyms = tuple(f"m{i+1}" for i in range(n))
-        ssyms = tuple(f"s{i+1}" for i in range(n))
-    else:
-        if n != 1:
-            raise ModuleError("rank-1 module files use n = 1")
-        algebra = witt_algebra()
-        msyms, ssyms = ("m",), ("s",)
+    if kind == "witt" and n != 1:
+        raise ModuleError("rank-1 module files use n = 1")
+    algebra = WnAlgebra(n) if kind == "wn" else witt_algebra()
+    msyms, ssyms = _coordinate_symbols(algebra)
     extra = set()
     for t in _typed(data["terms"], list, "terms"):
         poly = _text(t["poly"], "poly")
@@ -1256,9 +1233,9 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
     _require_radius(mbox)
     beta = tuple(Fraction(b) for b in (beta or (0,) * n))
     rep = CheckReport("de_rham_chain", f"omega(beta {beta}) on T^{n}")
-    ctx = PolyContext(tuple(f"s{i+1}" for i in range(n)))
-    sv = [ctx.sym(f"s{i+1}") for i in range(n)]
     mods = [omega_forms(n, k, beta) for k in range(n + 1)]
+    ctx = PolyContext(mods[0].s_symbols)
+    sv = [ctx.sym(x) for x in mods[0].s_symbols]
 
     for k in range(n - 1):
         dd = _compose_matrices(_de_rham_matrix(n, k + 1, sv),
@@ -1286,19 +1263,22 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
     return rep
 
 
-def gamma_tensor_module(U: GLnRepData, beta, gamma) -> PolyWeightModule:
+def gamma_tensor_module(U: JPlusRepData, beta, gamma) -> PolyWeightModule:
     """Tensor-field module of U extended by one torus direction, with the
     extra direction acting through the constant gamma as the last weight
     coordinate: (t^m d_{n+1})(t^s x u) = (s_{n+1} + gamma) t^{s+m} x u.
 
-    The extension pads the gl_n matrices with a zero row and column.  That
-    zero padding satisfies the gl_{n+1} relations only when the gl_n action
-    itself is trivial (the relation [E_{i,n+1}, E_{n+1,i}] = E_ii forces
+    The extension pads each jet exponent k of U with a trailing 0, which
+    makes rho(t^k d_{n+1}) and rho(t^(e_{n+1}) d_a) zero. That padding
+    satisfies the rank-(n+1) jet relations only when the gl_n action itself
+    is trivial (the relation [E_{i,n+1}, E_{n+1,i}] = E_ii forces
     E_ii = 0), so nontrivial U is rejected during validation; over the
     subalgebra of fields with vanishing last exponent the construction is the
     usual gamma-extension regardless, but that subalgebra action is out of
     scope here."""
-    ext = GLnRepData(U.n + 1, U.dim, U.matrices, labels=U.labels)
+    ext = JPlusRepData(U.n + 1, U.dim, U.cutoff,
+                       {(k + (0,), j): m for (k, j), m in U.matrices.items()},
+                       labels=U.labels)
     mod = tensor_field(ext, tuple(beta) + (Fraction(gamma),))
     mod.name = f"gamma_tensor(dim {U.dim}, gamma {gamma})"
     return mod

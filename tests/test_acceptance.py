@@ -17,7 +17,7 @@ from wittforge.enveloping import (generator, multiply, one, pbw_normal_form,
                                   verify_solenoidal_identity)
 from wittforge.lie import (WnAlgebra, jacobi_check, symbolic_witt_algebra,
                            witt_algebra)
-from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
+from wittforge.modules import (JPlusRepData, ModuleError,
                                PRESET_NAMES, action_polynomials, annihilates,
                                build_preset, check_aw_compat,
                                check_de_rham_chain, check_module_axioms,
@@ -124,16 +124,9 @@ def test_criterion_08_de_rham():
 
 
 def test_criterion_09_jets_cross_validation():
-    n = 2
-    U = natural_rep(n)
-    mats = {}
-    for k in range(1, n + 1):
-        e_k = tuple(int(i == k - 1) for i in range(n))
-        for j in range(1, n + 1):
-            mats[(e_k, j)] = U.matrices[(k, j)]
-    rho = JPlusRepData(n, n, 1, mats, labels=U.labels)
+    U = natural_rep(2)
     beta = (Fraction(1, 3), Fraction(0))
-    ok = (action_polynomials(jets_module(rho, beta))
+    ok = (action_polynomials(jets_module(U, beta))
           == action_polynomials(tensor_field(U, beta)))
     assert record(9, "first-order jets with the natural gl_n block "
                   "reproduce the tensor-field action polynomials", ok)
@@ -162,7 +155,8 @@ def test_criterion_10_axiom_suites():
     data["terms"][0]["poly"] = "s^2 + 1"
     ok = ok and not check_module_axioms(module_from_json(data)).passed
     try:
-        GLnRepData(2, 2, {(1, 2): [[0, 1], [1, 0]], (2, 1): [[0, 1], [1, 0]]})
+        JPlusRepData(2, 2, 1, {((1, 0), 2): [[0, 1], [1, 0]],
+                               ((0, 1), 1): [[0, 1], [1, 0]]})
         ok = False
     except ModuleError:
         pass

@@ -7,7 +7,7 @@ import pytest
 
 from wittforge.lie import (LatticeAutomorphism, LieElement, WnAlgebra,
                            bracket, witt_algebra)
-from wittforge.modules import (GLnRepData, JPlusRepData, ModuleError,
+from wittforge.modules import (JPlusRepData, ModuleError,
                                ModuleVector, PRESET_NAMES, _a_shift,
                                _decode_generator, _window_generators,
                                action_polynomials, act,
@@ -171,9 +171,31 @@ class TestGLnReps:
         assert wedge_rep(2, 0).labels == ("1",)
 
     def test_corrupted_rep_rejected(self):
-        bad = {(1, 2): [[0, 1], [1, 0]], (2, 1): [[0, 1], [1, 0]]}
+        # E_12 and E_21 as first-order jets t^(e_1) d_2 and t^(e_2) d_1
+        bad = {((1, 0), 2): [[0, 1], [1, 0]], ((0, 1), 1): [[0, 1], [1, 0]]}
         with pytest.raises(ModuleError):
-            GLnRepData(2, 2, bad)
+            JPlusRepData(2, 2, 1, bad)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_natural_rep_is_the_unit_matrices(self, n):
+        U = natural_rep(n)
+        assert (U.dim, U.cutoff) == (n, 1)
+        assert U.labels == tuple(f"e{i+1}" for i in range(n))
+        for p in range(1, n + 1):
+            for a in range(1, n + 1):
+                e_p = tuple(int(i == p - 1) for i in range(n))
+                assert U.rho(e_p, a) == tuple(
+                    tuple(Fraction(int((i, j) == (p - 1, a - 1)))
+                          for j in range(n)) for i in range(n))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_trivial_rep_is_zero(self, n):
+        U = trivial_rep(n)
+        assert (U.dim, U.cutoff, U.labels) == (1, 1, ("1",))
+        for p in range(1, n + 1):
+            for a in range(1, n + 1):
+                e_p = tuple(int(i == p - 1) for i in range(n))
+                assert U.rho(e_p, a) == ((Fraction(0),),)
 
 
 class TestTensorFields:
@@ -212,6 +234,14 @@ class TestTensorFields:
         assert M.beta == (Fraction(0), Fraction(0), Fraction(1, 3))
         assert check_module_axioms(M, window=1).passed
         assert check_aw_compat(M, window=1).passed
+
+    def test_higher_jets_are_refused(self):
+        # tensor fields read only E_pa = rho(t^(e_p) d_a); the t^2 d jet
+        # would be dropped without a word
+        rho = JPlusRepData(1, 2, 2, {((1,), 1): [[1, 0], [0, 0]],
+                                     ((2,), 1): [[0, 1], [0, 0]]})
+        with pytest.raises(ModuleError, match="first-order jet data"):
+            tensor_field(rho, (Fraction(0),))
 
     def test_gamma_extension_rejects_nontrivial_action(self):
         # zero-padding the gl_n matrices is only consistent for trivial U
@@ -269,6 +299,15 @@ class TestNegativeRadius:
             with pytest.raises(ModuleError, match="window radius must be "
                                                   "nonnegative, got -1"):
                 checker()
+
+    def test_negative_weight_report_radius_is_refused(self):
+        # a radius of -1 used to report max_dim 0 over no rows
+        with pytest.raises(ModuleError, match="window radius must be "
+                                              "nonnegative, got -1"):
+            weight_report(build_preset("virasoro_adjoint"), radius=-1)
+        rows = weight_report(_w2(), 1)["rows"]
+        assert [tuple(r["offset"]) for r in rows] == sorted(
+            itertools.product(range(-1, 2), repeat=2))
 
     def test_negative_order_is_refused(self):
         with pytest.raises(ModuleError, match="differentiator order must be "
@@ -429,6 +468,20 @@ class TestJets:
         # (t^m d)(t^s x v2) = s t^{s+m} v2 + m t^{s+m} v1
         got = act(alg.basis((2,), 1), M.basis_vector((3,), "v2"))
         assert got.terms == {((5,), "v2"): Fraction(3), ((5,), "v1"): Fraction(2)}
+
+    def test_quadratic_entries(self):
+        # rho(t d) = diag of the two feigin_fuks_length2 densities' alphas:
+        # the entries stay in Q(sqrt(19)) rather than being cast to Fraction
+        r19 = QuadExtScalar(0, 1, 19)
+        a1, a2 = (7 - r19) / 2, (-5 - r19) / 2
+        rho = JPlusRepData(1, 2, 1, {((1,), 1): [[a1, 0], [0, a2]]})
+        assert rho.rho((1,), 1)[0][0] == a1
+        M = jets_module(rho, (Fraction(0),))
+        assert action_polynomials(M) == {
+            (1, "v1", "v1"): "(7/2 - 1/2*sqrt(19))*m1 + s1",
+            (1, "v2", "v2"): "-(5/2 + 1/2*sqrt(19))*m1 + s1"}
+        assert check_module_axioms(M).passed
+        assert check_aw_compat(M).passed
 
     def test_corrupted_rep_rejected(self):
         # [t d, t^2 d] = t^2 d requires [A, B] = B; commuting A, B with B != 0 fail

@@ -13,7 +13,7 @@ from test_imports import layers_loaded
 
 
 def test_every_exported_name_is_its_layers_object():
-    assert len(wittforge.__all__) == 64
+    assert len(wittforge.__all__) == 63
     for name in wittforge.__all__:
         got = getattr(wittforge, name)
         if inspect.ismodule(got):
