@@ -2,15 +2,18 @@
 
 A PolyWeightModule fixes a fiber basis and, per direction, a list of action
 terms (source fiber, target fiber, coefficient polynomial in the generator
-exponent(s) m and the weight s). A term may carry one affine constraint on
-(m, s) — enough to express delta-supported couplings like the central term
-of the Virasoro adjoint module — and the module may declare punctured
-weight components and labels supported on finitely many weights.
+exponent(s) m and the weight s). A rank-1 term may carry one affine
+constraint on (m, s) — enough to express delta-supported couplings like the
+central term of the Virasoro adjoint module — and the module may declare
+punctured weight components and labels supported on finitely many weights.
 
 Symbolic checkers turn the module axioms into polynomial identities in the
-generator exponents and the weight; constraint lines and punctures are
-swept concretely on one shared window, `PolyWeightModule.window`: the
-weights within a radius of zero or of an exceptional weight.
+generator exponents and the weight; the module's exceptional locus
+(punctures, finite supports, and where `constraint_modes` says a constraint
+line fires) is swept concretely, not proved, on one shared window,
+`PolyWeightModule.window`: the weights within a radius of zero or of an
+exceptional weight, under generators that include the exponents where a
+line fires at offset 0.
 """
 
 from __future__ import annotations
@@ -37,16 +40,16 @@ class ModuleError(Exception):
 @dataclass(frozen=True)
 class Constraint:
     """Affine condition sum_i m_coeffs[i]*m_i + sum_i s_coeffs[i]*s_i == const,
-    where s is the absolute weight of the source vector."""
+    where s is the absolute weight of the source vector. Rank-1 only: over
+    W_n a line fires on a hyperplane of offsets, which no window covers."""
 
     m_coeffs: tuple
     s_coeffs: tuple
     const: Fraction
 
     def satisfied(self, mvals, svals) -> bool:
-        lhs = sum((c * v for c, v in zip(self.m_coeffs, mvals)), Fraction(0))
-        lhs = lhs + sum((c * v for c, v in zip(self.s_coeffs, svals)), Fraction(0))
-        return lhs == self.const
+        return (self.m_coeffs[0] * mvals[0] + self.s_coeffs[0] * svals[0]
+                == self.const)
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,15 @@ class ActionTerm:
     tgt: str
     poly: PolyScalar
     constraint: Constraint | None = None
+
+
+def _rational(x):
+    """x as a Fraction when it is rational, else None."""
+    if isinstance(x, PolyScalar):
+        x = x.constant_value() if x.is_constant() else None
+    if isinstance(x, QuadExtScalar):
+        x = None if x.b else x.a
+    return None if x is None else Fraction(x)
 
 
 def _coordinate_symbols(algebra) -> tuple:
@@ -105,9 +117,11 @@ class PolyWeightModule:
                 raise ModuleError(f"action term direction {t.direction} is "
                                   f"not in 1..{self.n}")
             c = t.constraint
-            if c is not None and not len(c.m_coeffs) == len(c.s_coeffs) == self.n:
-                raise ModuleError(f"constraint coefficients must have arity "
-                                  f"{self.n}: {c}")
+            if c is not None and (isinstance(algebra, WnAlgebra) or not
+                                  len(c.m_coeffs) == len(c.s_coeffs) == 1):
+                raise ModuleError(f"constraint terms are rank-1 only, with "
+                                  f"one m and one s coefficient: {t.src} "
+                                  f"-> {t.tgt} in direction {t.direction}")
         unknown = ({lab for _, labels in self.punctures for lab in labels}
                    | set(self.restricted_support)) - set(self.fiber)
         if unknown:
@@ -119,6 +133,11 @@ class PolyWeightModule:
         # (generator index, offset, label) -> image of that basis cell; see
         # `_cell_action`.
         self._cell_actions: dict = {}
+        # solved once: a module is not changed after construction
+        self._exceptional = frozenset().union(
+            [off for off, _ in self.punctures],
+            *self.restricted_support.values(),
+            [(m,) for m in self.constraint_modes((0, 0), (0, 1))])
 
     # -- coordinates --------------------------------------------------------
 
@@ -166,14 +185,32 @@ class PolyWeightModule:
     def labels_at(self, off) -> tuple:
         return tuple(lab for lab in self.fiber if not self.component_is_zero(off, lab))
 
-    def exceptional_offsets(self) -> set:
-        """Weight offsets where the fiber differs from the generic one."""
+    def constraint_modes(self, gen: tuple, src: tuple) -> set:
+        """Integer modes m where some constraint term fires when the
+        generator of exponent gen[0] + gen[1]*m acts on the vector at
+        offset src[0] + src[1]*m. A zero-slope line fires at all modes or
+        none, which `_generic_action_matrix` decides."""
         out = set()
-        for poff, _ in self.punctures:
-            out.add(poff)
-        for supp in self.restricted_support.values():
-            out |= supp
+        for t in self.terms:
+            c = t.constraint
+            if c is None:
+                continue
+            (cm,), (cs,) = c.m_coeffs, c.s_coeffs
+            # cm*(gen0 + gen1*m) + cs*(beta + src0 + src1*m) == const
+            slope = cm * gen[1] + cs * src[1]
+            if slope == 0:
+                continue
+            m = _rational((c.const - cm * gen[0]
+                           - cs * (self.beta[0] + src[0])) / slope)
+            if m is not None and m.denominator == 1:
+                out.add(int(m))
         return out
+
+    def exceptional_offsets(self) -> frozenset:
+        """Weight offsets where the action departs from its generic
+        polynomials: the punctures, the finite supports, and the offsets
+        where a constraint line fires for e_0."""
+        return self._exceptional
 
     def window(self, radius: int) -> list:
         """Sorted (offset, label, basis vector) cells of the concrete sweep:
@@ -351,8 +388,11 @@ class JPlusRepData:
         self._validate()
 
     def rho(self, k: tuple, j: int):
-        if any(x < 0 for x in k) or sum(k) < 1:
+        """rho(t^k d_j); zero beyond the cutoff, as `_validate` needs."""
+        if len(k) != self.n or any(x < 0 for x in k) or sum(k) < 1:
             raise ModuleError(f"invalid jet exponent {k}")
+        if not 1 <= j <= self.n:
+            raise ModuleError(f"jet direction {j} is not in 1..{self.n}")
         return self.matrices.get((k, j), self._zero)
 
     def _validate(self):
@@ -652,14 +692,11 @@ def graded_dual(M: PolyWeightModule) -> PolyWeightModule:
         ctx = t.poly.ctx
         poly = -t.poly.substitute({ss: -ctx.sym(ss) - ctx.sym(ms)
                                    for ms, ss in zip(msyms, ssyms)})
-        constraint = None
-        if t.constraint is not None:
-            c = t.constraint
-            constraint = Constraint(
-                m_coeffs=tuple(am - as_ for am, as_ in zip(c.m_coeffs, c.s_coeffs)),
-                s_coeffs=tuple(-as_ for as_ in c.s_coeffs),
-                const=c.const)
-        terms.append(ActionTerm(t.direction, t.tgt, t.src, poly, constraint))
+        c = t.constraint
+        if c is not None:  # cm*m + cs*s' = const at s' = -s - m
+            (cm,), (cs,) = c.m_coeffs, c.s_coeffs
+            c = Constraint((cm - cs,), (-cs,), c.const)
+        terms.append(ActionTerm(t.direction, t.tgt, t.src, poly, c))
     neg = lambda off: tuple(-x for x in off)
     return PolyWeightModule(
         M.algebra, tuple(-b for b in M.beta), M.fiber, terms,
@@ -691,20 +728,11 @@ def twist(M: PolyWeightModule, g: LatticeAutomorphism) -> PolyWeightModule:
             syms[i]: sum((g.matrix[i][j] * ctx.sym(syms[j]) for j in range(n)),
                          ctx.zero())
             for syms in (msyms, ssyms) for i in range(n)})
-        constraint = None
-        if t.constraint is not None:
-            c = t.constraint
-            constraint = Constraint(
-                m_coeffs=tuple(sum(c.m_coeffs[i] * g.matrix[i][j]
-                                   for i in range(n)) for j in range(n)),
-                s_coeffs=tuple(sum(c.s_coeffs[i] * g.matrix[i][j]
-                                   for i in range(n)) for j in range(n)),
-                const=c.const)
         b = t.direction
         for a in range(1, n + 1):
             f = ginv.matrix[a - 1][b - 1]
             if f:
-                terms.append(ActionTerm(a, t.src, t.tgt, f * base, constraint))
+                terms.append(ActionTerm(a, t.src, t.tgt, f * base))
     beta_new = tuple(sum(Fraction(ginv.matrix[i][j]) * M.beta[j]
                          for j in range(n)) for i in range(n))
     moved = lambda off: ginv.apply_point(off)
@@ -781,11 +809,13 @@ def _require_radius(window: int) -> None:
 
 
 def _window_generators(M: PolyWeightModule, window: int):
-    """Exponents and generators of the concrete sweep: exponents in
-    [-window, window] for rank 1 and in [-1, 1]^n for W_n, each generator
-    in every direction. Returns (exponents, generators)."""
+    """Exponents and generators of the concrete sweep: for rank 1, the
+    exponents in [-window, window] and those where a constraint line fires
+    at offset 0; in [-1, 1]^n for W_n, each generator in every direction.
+    Returns (exponents, generators)."""
     if M.n == 1:
-        exps = [(k,) for k in range(-window, window + 1)]
+        exps = [(k,) for k in sorted(set(range(-window, window + 1))
+                                     | M.constraint_modes((0, 1), (0, 0)))]
     else:
         exps = list(itertools.product(range(-1, 2), repeat=M.n))
     if isinstance(M.algebra, WnAlgebra):
@@ -796,16 +826,22 @@ def _window_generators(M: PolyWeightModule, window: int):
 
 
 def _generic_action_matrix(M: PolyWeightModule, direction: int,
-                           mapping_base: Mapping, mvals, svals) -> dict:
+                           mapping_base: Mapping, mvals, svals,
+                           sources: Sequence[str] | None = None) -> dict:
     """Generic-slice action matrix {(src, tgt): poly} of the degree-m
-    generator in `direction` at weight s; skips constraint terms and
-    finitely-supported labels."""
+    generator in `direction` at weight s, from the labels `sources` (by
+    default the generically supported ones) to the generically supported
+    labels. A constraint term is kept exactly where `Constraint.satisfied`
+    holds identically on the slice, as the dual's -s = 0 does at weight 0;
+    isolated hits are `PolyWeightModule.constraint_modes`."""
     labels = _generic_labels(M)
     msyms, ssyms = M.m_symbols, M.s_symbols
     out: dict = {}
-    for src in labels:
+    for src in labels if sources is None else sources:
         for t in M.terms_for(direction, src):
-            if t.constraint is not None or t.tgt not in labels:
+            if t.tgt not in labels or (
+                    t.constraint is not None
+                    and not t.constraint.satisfied(mvals, svals)):
                 continue
             mapping = dict(mapping_base)
             mapping.update(zip(msyms, mvals))
@@ -951,8 +987,9 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     if rep.symbolic_failures:
         return rep
 
-    # the structure check above leaves no exceptional offset, so the
-    # radius-0 window is the fiber at offset 0
+    # the structure check above leaves no puncture or finite support, so
+    # the radius-0 window is the fiber at offset 0 and at each offset where
+    # a constraint line fires for e_0
     shifts, gens = _window_generators(M, window)
     cells = M.window(0)
     for x in gens:
@@ -1097,8 +1134,6 @@ def weight_report(M: PolyWeightModule, radius: int = 4) -> dict:
 
 def module_to_json(M: PolyWeightModule) -> dict:
     def constraint_json(c):
-        if c is None:
-            return None
         return {"m_coeffs": [format_rational(Fraction(x)) for x in c.m_coeffs],
                 "s_coeffs": [format_rational(Fraction(x)) for x in c.s_coeffs],
                 "const": format_rational(Fraction(c.const))}

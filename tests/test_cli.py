@@ -307,6 +307,50 @@ class TestNotAModule:
                 in res.stderr)
 
 
+def _line_file(extra, n=1):
+    """e_k u_s = s u_{s+k} (in every direction of W_n), plus the term
+    `extra`. At beta 0 no such file is a module."""
+    names = ["s"] if n == 1 else [f"s{a}" for a in range(1, n + 1)]
+    return {"algebra": {"type": "witt" if n == 1 else "wn", "n": n},
+            "beta": ["0"] * n, "fiber": ["u"],
+            "terms": [{"direction": a, "src": "u", "tgt": "u", "poly": s}
+                      for a, s in enumerate(names, 1)] + [
+                {"direction": 1, "src": "u", "tgt": "u", **extra}]}
+
+
+class TestConstraintLines:
+    """A constraint term fires on a line. The window sweeps the offsets
+    where it fires for e_0 and the exponents where it fires at offset 0;
+    each file below used to pass module-check with exit 0, because the
+    window sampled none of its hits. A constraint term on W_n fires on a
+    hyperplane that no window covers, and is refused."""
+
+    LINE = _line_file({"poly": "m^2", "constraint": {
+        "m_coeffs": ["1"], "s_coeffs": ["1"], "const": "10"}})
+    MODE = _line_file({"poly": "1", "constraint": {
+        "m_coeffs": ["1"], "s_coeffs": ["0"], "const": "10"}})
+    W2 = _line_file({"poly": "1", "constraint": {
+        "m_coeffs": ["1", "0"], "s_coeffs": ["1", "0"], "const": "10"}}, n=2)
+
+    @pytest.mark.parametrize("data, code", [(LINE, 1), (MODE, 1), (W2, 2)],
+                             ids=["weight_line", "mode_line", "w2"])
+    def test_module_check(self, tmp_path, data, code):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(data))
+        res = invoke("module-check", "--module", str(f))
+        assert res.exit_code == code, res.output
+        if code == 1:
+            assert json_lines(res.stdout)[0]["window_failures"]
+
+    def test_annihilator_gate_refuses_the_weight_line(self, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(self.LINE))
+        res = invoke("annihilator", "--module", str(f), "--m", "2")
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert "not a module" in res.stderr
+
+
 class TestACover:
     def test_punctured(self):
         res = invoke("acover", "--preset", "punctured_functions",

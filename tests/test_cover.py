@@ -410,12 +410,12 @@ class TestLieActionConstraintModes:
                      V.basis_vector((w + m,), "u")).terms)]
         assert fired == [-5]
         solved = []
-        real = cover._constraint_modes
+        real = PolyWeightModule.constraint_modes
 
-        def spy(*args):
-            solved.append(real(*args))
+        def spy(self, *args):
+            solved.append(real(self, *args))
             return solved[-1]
 
-        monkeypatch.setattr(cover, "_constraint_modes", spy)
+        monkeypatch.setattr(PolyWeightModule, "constraint_modes", spy)
         lie_action(theta, p)
         assert len(solved) == 1 and set(fired) <= solved[0]

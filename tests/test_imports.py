@@ -1,6 +1,8 @@
 """Every name a library module imports is read somewhere in that module,
-the package imports nothing outside the standard library, and a CLI
-command imports only the layers it calls.
+the package imports nothing outside the standard library, a CLI command
+imports only the layers it calls, and each concept has one home: row
+echelon in `linalg`, constraint lines in `modules`, sparse-sum arithmetic
+in `scalars.Combination`.
 """
 
 import ast
@@ -71,6 +73,33 @@ def test_echelon_scan_flags_calls():
     source = ("from .linalg import row_echelon\nx = linalg.row_echelon(a)\n"
               "y = row_echelon(b)\nz = linalg.rank(c)\n")
     assert echelon_calls(source) == [2, 3]
+
+
+def constraint_reads(source: str) -> list:
+    """Lines of `source` that read an attribute `constraint` or call
+    `satisfied`, by name or attribute."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "constraint"
+                   or isinstance(node, ast.Call)
+                   and "satisfied" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))})
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.stem != "modules"],
+                         ids=lambda p: p.name)
+def test_constraints_read_only_in_modules(path):
+    # where a constraint term fires is decided by the module alone:
+    # PolyWeightModule.constraint_modes, exceptional_offsets and the
+    # generic slice of _generic_action_matrix
+    assert constraint_reads(path.read_text()) == []
+
+
+def test_constraint_scan_flags_reads():
+    source = ("c = t.constraint\nok = c.satisfied(m, s)\n"
+              "x = satisfied(a)\ny = ActionTerm(1, u, v, p, constraint=c)\n"
+              "constraint = None\nz = t.poly\n")
+    assert constraint_reads(source) == [1, 2, 3]
 
 
 SUM_METHODS = {"__init__", "__add__", "__sub__", "__neg__", "scale",

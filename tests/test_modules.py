@@ -7,8 +7,9 @@ import pytest
 
 from wittforge.lie import (LatticeAutomorphism, LieElement, WnAlgebra,
                            bracket, witt_algebra)
-from wittforge.modules import (JPlusRepData, ModuleError,
-                               ModuleVector, PRESET_NAMES, _a_shift,
+from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
+                               ModuleError, ModuleVector, PolyWeightModule,
+                               PRESET_NAMES, _a_shift,
                                _decode_generator, _window_generators,
                                action_polynomials, act,
                                annihilates, build_preset, check_aw_compat,
@@ -188,6 +189,17 @@ class TestGLnReps:
                     tuple(Fraction(int((i, j) == (p - 1, a - 1)))
                           for j in range(n)) for i in range(n))
 
+    def test_bad_jet_index_is_refused(self):
+        U = natural_rep(2)
+        with pytest.raises(ModuleError, match="invalid jet exponent"):
+            U.rho((1, 0, 0), 1)
+        with pytest.raises(ModuleError, match="jet direction 3 is not in"):
+            U.rho((1, 0), 3)
+        with pytest.raises(ModuleError, match="jet direction 0 is not in"):
+            U.rho((1, 0), 0)
+        # beyond the cutoff reads zero, which the relation check relies on
+        assert U.rho((2, 0), 1) == ((Fraction(0),) * 2,) * 2
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_trivial_rep_is_zero(self, n):
         U = trivial_rep(n)
@@ -279,6 +291,79 @@ class TestWindowSweepOrder:
         assert rep.window_checked == 100 and len(rep.window_failures) == 64
         assert rep.window_failures[0] == (
             "e[-2]", "e[-1]", (-2,), "u", "ModuleVector((32)*u[-5])")
+
+
+_CTX = PolyContext(("b", "m", "s"))
+
+
+def _constraint_module(poly, m_coeff, s_coeff, beta=Fraction(0)):
+    """e_k u_s = s u_{s+k}, plus `poly` u_{s+k} on the line
+    m_coeff*k + s_coeff*s = 10. Not a module where the line meets integer
+    weights."""
+    line = Constraint((Fraction(m_coeff),), (Fraction(s_coeff),), Fraction(10))
+    return PolyWeightModule(
+        WITT, (beta,), ("u",),
+        [ActionTerm(1, "u", "u", _CTX.sym("s")),
+         ActionTerm(1, "u", "u", parse_poly(poly, _CTX), constraint=line)],
+        name="line")
+
+
+class TestExceptionalLocus:
+    """The module is the one owner of where its action departs from its
+    generic polynomials: punctures, finite supports and the offsets where a
+    constraint line fires for e_0. The window sweeps them, and the rank-1
+    generators include the exponents where a line fires at offset 0."""
+
+    def test_virasoro_and_its_dual_keep_the_golden_locus(self):
+        V = build_preset("virasoro_adjoint")
+        for M in (V, graded_dual(V)):
+            assert M.exceptional_offsets() == {(0,)}
+            assert _window_generators(M, 2)[0] == [(k,) for k in range(-2, 3)]
+
+    def test_weight_line_is_swept_where_it_fires(self):
+        # m^2 on m + s = 10 is not a module; the window used to miss it
+        M = _constraint_module("m^2", 1, 1)
+        assert M.exceptional_offsets() == {(10,)}
+        assert {off for off, _, _ in M.window(0)} == {(0,), (10,)}
+        rep = check_module_axioms(M, window=2)
+        assert rep.window_failures and not rep.symbolic_failures
+        assert all(abs(off[0] - 10) <= 2 or "e[10]" in (x, y)
+                   for x, y, off, _, _ in rep.window_failures)
+
+    def test_mode_line_adds_its_exponent(self):
+        # 1 on m = 10 fires for e_10 at every offset
+        M = _constraint_module("1", 1, 0)
+        assert M.exceptional_offsets() == set()
+        assert _window_generators(M, 1)[0] == [(-1,), (0,), (1,), (10,)]
+        rep = check_module_axioms(M, window=2)
+        assert rep.window_failures
+        assert all("e[10]" in (x, y) for x, y, *_ in rep.window_failures)
+
+    @pytest.mark.parametrize("beta", [
+        QuadExtScalar(0, 1, 19),
+        parse_poly("sqrt(19)", _CTX),
+        _CTX.sym("b")], ids=["quad", "poly", "symbol"])
+    def test_irrational_or_symbolic_beta_fires_nowhere(self, beta):
+        M = _constraint_module("m^2", 1, 1, beta)
+        assert M.exceptional_offsets() == set()
+        assert M.constraint_modes((0, 1), (0, 0)) == set()
+        assert M.constraint_modes((3, 1), (-2, 1)) == set()
+
+    def test_fractional_solution_is_no_mode(self):
+        # k + 4s = 10 meets no integer offset for e_0
+        M = _constraint_module("m^2", 1, 4)
+        assert M.exceptional_offsets() == set()
+        assert M.constraint_modes((0, 1), (1, 0)) == {6}
+
+    def test_wn_constraint_is_refused(self):
+        data = module_to_json(_w2())
+        data["terms"].append({"direction": 1, "src": "e1", "tgt": "e1",
+                              "poly": "1", "constraint": {
+                                  "m_coeffs": ["1", "0"],
+                                  "s_coeffs": ["1", "0"], "const": "10"}})
+        with pytest.raises(ModuleError, match="constraint terms are rank-1 "
+                                              "only"):
+            module_from_json(data)
 
 
 class TestNegativeRadius:
