@@ -34,7 +34,6 @@ DegreeBoundError, never a silent wrong answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -42,7 +41,7 @@ from . import linalg
 from .lie import WnAlgebra
 from .modules import (ActionTerm, ModuleError, ModuleVector, PolyWeightModule,
                       _generic_action_matrix, act)
-from .scalars import PolyContext, PolyScalar, is_zero_scalar, scalar_str
+from .scalars import Frozen, PolyContext, PolyScalar, is_zero_scalar, scalar_str
 
 
 class CoverError(Exception):
@@ -159,13 +158,15 @@ def _generic_image(M: PolyWeightModule, k, s, coeffs: Mapping) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PsiGenerator:
+class PsiGenerator(Frozen):
     """Descriptor of psi(e_k, u_{j,t}); its cover weight is j + k."""
 
-    k: int
-    j: int
-    label: str
+    __slots__ = ("k", "j", "label")
+
+    def __init__(self, k: int, j: int, label: str):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "label", label)
 
     @property
     def weight(self) -> int:
@@ -234,17 +235,18 @@ def expand_in_family(vectors: Sequence[QuasiPolyVector],
 # -- the cover ----------------------------------------------------------------
 
 
-@dataclass
 class CoverWeightSpace:
     """A weight space of the cover and its frame over the vectors v it was
     spanned from: basis = transform (v), and row k of `inverse` holds the
     coordinates of v_k over the basis. For independent v, such as the
     translates t^w b of the reference basis, the two are inverse matrices."""
 
-    weight: int
-    basis: list
-    transform: list
-    inverse: list
+    def __init__(self, weight: int, basis: list, transform: list,
+                 inverse: list):
+        self.weight = weight
+        self.basis = basis
+        self.transform = transform
+        self.inverse = inverse
 
     @property
     def rank(self) -> int:
@@ -344,15 +346,15 @@ def pi_map(theta: QuasiPolyVector) -> ModuleVector:
     return theta.value(0)
 
 
-@dataclass
 class ActionMatrices:
     """Induced action of e_p and t^p from weight w to weight w+p, columns
     over the weight-w basis, rows over the weight-(w+p) basis."""
 
-    p: int
-    weight: int
-    lie_matrix: list
-    a_matrix: list
+    def __init__(self, p: int, weight: int, lie_matrix: list, a_matrix: list):
+        self.p = p
+        self.weight = weight
+        self.lie_matrix = lie_matrix
+        self.a_matrix = a_matrix
 
 
 def induced_action(C: CoverModule, p: int, w: int) -> ActionMatrices:
@@ -364,11 +366,11 @@ def induced_action(C: CoverModule, p: int, w: int) -> ActionMatrices:
                           C.weight_space(w + p).inverse))
 
 
-@dataclass
 class CuspidalityCertificate:
-    module: str
-    window: list
-    rank: int
+    def __init__(self, module: str, window: list, rank: int):
+        self.module = module
+        self.window = window
+        self.rank = rank
 
     def to_json(self) -> dict:
         return {

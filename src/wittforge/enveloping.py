@@ -15,7 +15,6 @@ formal step h; its grid and solenoidal records are specialisations of it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -195,15 +194,16 @@ def differentiator(algebra: Rank1Algebra, m: int, k, s, h) -> UEAElement:
     return UEAElement(algebra, terms)
 
 
-@dataclass
 class IdentityRecord:
-    mode: str
-    m: int
-    r: int
-    tuple_values: tuple | None
-    h: tuple | None
-    residue_term_count: int
-    passed: bool
+    def __init__(self, mode: str, m: int, r: int, tuple_values: tuple | None,
+                 h: tuple | None, residue_term_count: int, passed: bool):
+        self.mode = mode
+        self.m = m
+        self.r = r
+        self.tuple_values = tuple_values
+        self.h = h
+        self.residue_term_count = residue_term_count
+        self.passed = passed
 
     def to_json(self) -> dict:
         out = {"mode": self.mode, "m": self.m, "r": self.r,
@@ -215,9 +215,9 @@ class IdentityRecord:
         return out
 
 
-@dataclass
 class IdentityReport:
-    records: list = field(default_factory=list)
+    def __init__(self, records: list | None = None):
+        self.records = [] if records is None else records
 
     @property
     def passed(self) -> bool:

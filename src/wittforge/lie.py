@@ -13,20 +13,19 @@ a direction index a in 1..n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .scalars import Combination, PolyContext, is_zero_scalar, scalar_str
+from .scalars import (Combination, Frozen, PolyContext, is_zero_scalar,
+                      scalar_str)
 
 
 class AlgebraError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IndexLattice:
+class IndexLattice(Frozen):
     """Free abelian group Z^rank with named generators.
 
     A generator name is either a formal symbol (mapped by the algebra's
@@ -35,7 +34,7 @@ class IndexLattice:
     translation invariant.
     """
 
-    generator_names: tuple
+    __slots__ = ("generator_names",)
 
     def __init__(self, generator_names: Iterable[str]):
         object.__setattr__(self, "generator_names", tuple(generator_names))
@@ -64,8 +63,7 @@ def scale_point(c: int, x: tuple) -> tuple:
     return tuple(c * a for a in x)
 
 
-@dataclass(frozen=True)
-class Rank1Algebra:
+class Rank1Algebra(Frozen):
     """Witt-type algebra: basis e_x for lattice points x, with
     [e_x, e_y] = phi(y - x) e_{x+y}.
 
@@ -74,8 +72,7 @@ class Rank1Algebra:
     A solenoidal algebra W_mu uses concrete axes with phi = mu.
     """
 
-    lattice: IndexLattice
-    phi_values: tuple
+    __slots__ = ("lattice", "phi_values")
 
     def __init__(self, lattice: IndexLattice, phi_values: Sequence):
         if len(phi_values) != lattice.rank:
@@ -122,15 +119,15 @@ def solenoidal_algebra(mu: Sequence) -> Rank1Algebra:
     return Rank1Algebra(IndexLattice(names), tuple(mu))
 
 
-@dataclass(frozen=True)
-class WnAlgebra:
+class WnAlgebra(Frozen):
     """Vector fields on the n-torus; basis t^r d_a indexed by (r, a)."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise AlgebraError("n must be positive")
+    def __init__(self, n: int):
+        if type(n) is not int or n < 1:
+            raise AlgebraError(f"n must be a positive integer, got {n!r}")
+        object.__setattr__(self, "n", n)
 
     def basis(self, r: Sequence[int], a: int) -> "LieElement":
         r = tuple(int(x) for x in r)
@@ -195,10 +192,10 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(alg, terms)
 
 
-@dataclass
 class JacobiReport:
-    checked: int
-    failures: list
+    def __init__(self, checked: int, failures: list):
+        self.checked = checked
+        self.failures = failures
 
     @property
     def passed(self) -> bool:
@@ -250,14 +247,22 @@ def solenoidal_embed(x: LieElement, target: WnAlgebra) -> LieElement:
     return LieElement(target, terms)
 
 
-@dataclass(frozen=True)
-class LatticeAutomorphism:
-    """Unimodular integer matrix acting on the torus by t^r -> t^{gr}."""
+def _integer_entry(x) -> int:
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if type(x) is not int:
+        raise AlgebraError(f"automorphism entry {x!r} is not an integer")
+    return x
 
-    matrix: tuple
+
+class LatticeAutomorphism(Frozen):
+    """Unimodular integer matrix acting on the torus by t^r -> t^{gr}.
+    Entries are ints or integral Fractions."""
+
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(tuple(_integer_entry(x) for x in row) for row in matrix)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise AlgebraError("automorphism matrix must be square")

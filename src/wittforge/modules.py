@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Sequence
@@ -28,7 +27,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .lie import (LatticeAutomorphism, LieElement, WnAlgebra, bracket,
                   witt_algebra)
-from .scalars import (Combination, PolyContext, PolyScalar, QuadExtScalar,
+from .scalars import (Combination, Frozen, PolyContext, PolyScalar, QuadExtScalar,
                       format_rational, is_zero_scalar, parse_poly,
                       parse_rational, parse_scalar, scalar_str)
 
@@ -37,28 +36,34 @@ class ModuleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Frozen):
     """Affine condition sum_i m_coeffs[i]*m_i + sum_i s_coeffs[i]*s_i == const,
     where s is the absolute weight of the source vector. Rank-1 only: over
     W_n a line fires on a hyperplane of offsets, which no window covers."""
 
-    m_coeffs: tuple
-    s_coeffs: tuple
-    const: Fraction
+    __slots__ = ("m_coeffs", "s_coeffs", "const")
+
+    def __init__(self, m_coeffs: tuple, s_coeffs: tuple, const: Fraction):
+        object.__setattr__(self, "m_coeffs", m_coeffs)
+        object.__setattr__(self, "s_coeffs", s_coeffs)
+        object.__setattr__(self, "const", const)
 
     def satisfied(self, mvals, svals) -> bool:
         return (self.m_coeffs[0] * mvals[0] + self.s_coeffs[0] * svals[0]
                 == self.const)
 
 
-@dataclass(frozen=True)
-class ActionTerm:
-    direction: int  # 1-based; always 1 for rank-1 modules
-    src: str
-    tgt: str
-    poly: PolyScalar
-    constraint: Constraint | None = None
+class ActionTerm(Frozen):
+    # direction is 1-based; always 1 for rank-1 modules
+    __slots__ = ("direction", "src", "tgt", "poly", "constraint")
+
+    def __init__(self, direction: int, src: str, tgt: str, poly: PolyScalar,
+                 constraint: Constraint | None = None):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "constraint", constraint)
 
 
 def _rational(x):
@@ -318,7 +323,7 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     is sound because a module is not changed after construction, so the
     image depends only on the generator, the offset and the label."""
     M = v.module
-    if x.algebra != M.algebra:
+    if x.algebra is not M.algebra and x.algebra != M.algebra:
         raise ModuleError("element and module algebras differ")
     out: dict = {}
     for idx, c in x.terms.items():
@@ -760,14 +765,18 @@ def action_polynomials(M: PolyWeightModule) -> dict:
 # -- checkers -----------------------------------------------------------------
 
 
-@dataclass
 class CheckReport:
-    kind: str
-    module: str
-    symbolic_failures: list = field(default_factory=list)
-    window_failures: list = field(default_factory=list)
-    symbolic_checked: int = 0
-    window_checked: int = 0
+    def __init__(self, kind: str, module: str,
+                 symbolic_failures: list | None = None,
+                 window_failures: list | None = None,
+                 symbolic_checked: int = 0, window_checked: int = 0):
+        self.kind = kind
+        self.module = module
+        self.symbolic_failures = ([] if symbolic_failures is None
+                                  else symbolic_failures)
+        self.window_failures = [] if window_failures is None else window_failures
+        self.symbolic_checked = symbolic_checked
+        self.window_checked = window_checked
 
     @property
     def passed(self) -> bool:
@@ -1011,16 +1020,19 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
 # -- differentiator annihilation certificates ---------------------------------
 
 
-@dataclass
 class AnnihilationCertificate:
-    order: int
-    module: str
-    annihilates: bool
-    symbolic_residues: list
-    window_failures: list
-    witness: tuple | None
-    symbolic_checked: int = 0
-    window_checked: int = 0
+    def __init__(self, order: int, module: str, annihilates: bool,
+                 symbolic_residues: list, window_failures: list,
+                 witness: tuple | None, symbolic_checked: int = 0,
+                 window_checked: int = 0):
+        self.order = order
+        self.module = module
+        self.annihilates = annihilates
+        self.symbolic_residues = symbolic_residues
+        self.window_failures = window_failures
+        self.witness = witness
+        self.symbolic_checked = symbolic_checked
+        self.window_checked = window_checked
 
     def to_json(self) -> dict:
         return {

@@ -669,6 +669,38 @@ def is_zero_scalar(x) -> bool:
     return not x
 
 
+class Frozen:
+    """Immutable value whose fields are its `__slots__`, in constructor
+    order; a subclass's `__init__` sets them with `object.__setattr__`.
+    Values of one type are equal when their fields are, the hash is that of
+    the field tuple, and copy and pickle rebuild through the constructor."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class Combination:
     """Finite formal sum {key: coefficient} over a parent, an algebra or a
     module. Zero coefficients are dropped, so equal sums have equal terms.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from _values import assert_types_never_equal, assert_value_semantics
 from wittforge.cover import (CoverError, CoverModule, DegreeBoundError,
                              PsiGenerator, adjoint_cover_frame,
                              adjoint_cover_report, cuspidality_certificate,
@@ -60,6 +61,20 @@ class TestPsiEvaluation:
         V = build_preset("virasoro_adjoint")
         th = psi_evaluate(V, PsiGenerator(1, 0, "z"))
         assert th.is_zero()
+
+    def test_generator_is_a_value(self):
+        assert_value_semantics(lambda: PsiGenerator(2, 3, "u"),
+                               {"k": 2, "j": 3, "label": "u"})
+        assert PsiGenerator(k=2, j=3, label="u").weight == 5
+        assert repr(PsiGenerator(2, 3, "u")) == "PsiGenerator(k=2, j=3, label='u')"
+        assert str(PsiGenerator(2, 3, "u")) == "psi(e[2], u[3])"
+
+    def test_generator_never_equals_another_type(self):
+        # equal field tuples and hashes, different types
+        g, line = PsiGenerator(2, 3, "u"), Constraint(2, 3, "u")
+        assert hash(g) == hash(line)
+        assert_types_never_equal([g, line, PsiGenerator(2, 3, "v")])
+        assert len({g, line}) == 2
 
 
 def _skips_module():

@@ -1,8 +1,10 @@
 """Every name a library module imports is read somewhere in that module,
 the package imports nothing outside the standard library, a CLI command
-imports only the layers it calls, and each concept has one home: row
-echelon in `linalg`, constraint lines in `modules`, sparse-sum arithmetic
-in `scalars.Combination`.
+imports only the layers it calls, loading the layers pulls in neither
+`dataclasses` nor `inspect` (each command process pays for what its layers
+import and run at import), and each concept has one home: row echelon in
+`linalg`, constraint lines in `modules`, sparse-sum arithmetic in
+`scalars.Combination`.
 """
 
 import ast
@@ -189,6 +191,19 @@ def test_cli_import_loads_no_third_party_module():
               for name in loaded_after("import wittforge.cli")}
     assert "click" not in loaded
     assert loaded - set(sys.stdlib_module_names) == {"wittforge"}
+
+
+# modules whose import a command process would pay for and no command uses:
+# `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`
+HEAVY = {"dataclasses", "inspect"}
+
+
+def test_layers_load_neither_dataclasses_nor_inspect():
+    assert HEAVY & set(loaded_after("import wittforge.cli")) == set()
+
+
+def test_heavy_scan_flags_dataclasses():
+    assert HEAVY <= set(loaded_after("import dataclasses"))
 
 
 def layers_loaded(code: str) -> set:

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from wittforge.lie import (AlgebraError, LatticeAutomorphism, WnAlgebra,
+from _values import assert_types_never_equal, assert_value_semantics
+from wittforge.lie import (AlgebraError, IndexLattice, JacobiReport,
+                           LatticeAutomorphism, Rank1Algebra, WnAlgebra,
                            apply_automorphism, bracket, jacobi_check,
                            parse_element, solenoidal_algebra,
                            solenoidal_embed, symbolic_witt_algebra,
                            witt_algebra)
+from wittforge.scalars import PolyContext
 
 WITT = witt_algebra()
 
@@ -130,6 +133,72 @@ class TestAutomorphisms:
     def test_non_unimodular_rejected(self):
         with pytest.raises(AlgebraError):
             LatticeAutomorphism([[2, 0], [0, 1]])
+
+    @pytest.mark.parametrize("entry", [Fraction(3, 2), Fraction(-1, 2), 1.0,
+                                       True, "1"], ids=repr)
+    def test_non_integral_entry_rejected(self, entry):
+        # int() used to truncate 3/2 to 1, a silent twist by the identity
+        with pytest.raises(AlgebraError, match="not an integer"):
+            LatticeAutomorphism([[entry, 0], [0, 1]])
+
+    def test_integral_fraction_entries_read_as_ints(self):
+        g = LatticeAutomorphism([[Fraction(1), Fraction(2)], [0, Fraction(1)]])
+        assert g.matrix == ((1, 2), (0, 1))
+        assert all(type(x) is int for row in g.matrix for x in row)
+
+
+class TestAlgebraRank:
+    @pytest.mark.parametrize("n", [1.5, 2.0, 0, -1, True, "2", None],
+                             ids=repr)
+    def test_bad_rank_rejected(self, n):
+        with pytest.raises(AlgebraError, match="positive integer"):
+            WnAlgebra(n)
+
+    def test_keyword_rank(self):
+        assert WnAlgebra(n=3).n == 3
+
+
+_SYMBOLIC = PolyContext(("k",))
+
+VALUES = [
+    (lambda: IndexLattice(("k", "1")), {"generator_names": ("k", "1")}),
+    (witt_algebra, {"lattice": IndexLattice(("1",)), "phi_values": (1,)}),
+    (lambda: symbolic_witt_algebra(("k",)),
+     {"lattice": IndexLattice(("k", "1")),
+      "phi_values": (_SYMBOLIC.sym("k"), _SYMBOLIC.const(1))}),
+    (lambda: WnAlgebra(2), {"n": 2}),
+    (lambda: LatticeAutomorphism([[1, 1], [0, 1]]),
+     {"matrix": ((1, 1), (0, 1))}),
+]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("make, fields", VALUES,
+                             ids=["lattice", "witt", "symbolic", "wn",
+                                  "automorphism"])
+    def test_value(self, make, fields):
+        assert_value_semantics(make, fields)
+
+    def test_types_never_equal(self):
+        assert_types_never_equal([make() for make, _ in VALUES]
+                                 + [WnAlgebra(1), IndexLattice((1,)),
+                                    LatticeAutomorphism.identity(1)])
+
+    def test_repr_names_the_fields(self):
+        assert repr(witt_algebra()) == (
+            "Rank1Algebra(lattice=IndexLattice(generator_names=('1',)), "
+            "phi_values=(1,))")
+        assert repr(WnAlgebra(2)) == "WnAlgebra(n=2)"
+
+    def test_equal_algebras_are_one_dict_key(self):
+        table = {witt_algebra(): "w1", WnAlgebra(2): "w2"}
+        assert table[Rank1Algebra(IndexLattice(("1",)), (1,))] == "w1"
+        assert table[WnAlgebra(2)] == "w2"
+
+    def test_jacobi_report_keywords(self):
+        rep = JacobiReport(checked=3, failures=[])
+        assert rep.checked == 3 and rep.passed
+        assert not JacobiReport(1, [("x", "r")]).passed
 
 
 class TestParsing:

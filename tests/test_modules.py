@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from _values import assert_types_never_equal, assert_value_semantics
 from wittforge.lie import (LatticeAutomorphism, LieElement, WnAlgebra,
                            bracket, witt_algebra)
 from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
@@ -730,6 +731,69 @@ class TestActCoefficients:
         got = act(x, v)
         assert key not in got.terms and all(got.terms.values())
         assert got == act(g1, v) + act(g2, v).scale(gamma)
+
+
+_LINE_FIELDS = {"m_coeffs": (Fraction(1),), "s_coeffs": (Fraction(1),),
+                "const": Fraction(0)}
+
+
+def _line():
+    return Constraint(**_LINE_FIELDS)
+
+
+_MS = PolyContext(("m", "s"))
+_TERM_FIELDS = {"direction": 1, "src": "u", "tgt": "z",
+                "poly": _MS.sym("m") ** 3, "constraint": _line()}
+VALUES = [
+    (_line, _LINE_FIELDS),
+    (lambda: ActionTerm(1, "u", "z", _MS.sym("m") ** 3, constraint=_line()),
+     _TERM_FIELDS),
+    (lambda: ActionTerm(2, "a", "b", _MS.sym("s")),
+     {"direction": 2, "src": "a", "tgt": "b", "poly": _MS.sym("s"),
+      "constraint": None}),
+]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("make, fields", VALUES,
+                             ids=["constraint", "constrained_term", "term"])
+    def test_value(self, make, fields):
+        assert_value_semantics(make, fields)
+
+    def test_types_never_equal(self):
+        assert_types_never_equal(
+            [make() for make, _ in VALUES]
+            + [Constraint(1, "u", "z"), ActionTerm(1, "u", "z", 0, None),
+               WnAlgebra(1), LatticeAutomorphism.identity(1)])
+
+    def test_preset_builds_its_line_by_keyword(self):
+        M = build_preset("virasoro_adjoint")
+        assert M.terms[1] == ActionTerm(**_TERM_FIELDS)
+        assert M.terms[1].constraint == Constraint(**_LINE_FIELDS)
+        assert M.terms[0].constraint is None
+
+
+class TestActAlgebra:
+    """`act` compares the element's algebra with the module's by identity
+    first; an equal algebra is still accepted and a different one refused."""
+
+    def test_foreign_algebra_refused(self):
+        v = build_preset("punctured_functions").basis_vector((1,), "u")
+        with pytest.raises(ModuleError, match="algebras differ"):
+            act(WnAlgebra(2).basis((1, 0), 1), v)
+        w = _w2().basis_vector((0, 1), "e1")
+        with pytest.raises(ModuleError, match="algebras differ"):
+            act(e(1), w)
+
+    def test_equal_distinct_algebra_accepted(self):
+        M = _w2()
+        other = WnAlgebra(2)
+        assert other is not M.algebra and other == M.algebra
+        v = M.basis_vector((0, 1), "e1") + M.basis_vector((1, 0), "e2")
+        for r, a in (((1, 0), 1), ((-1, 2), 2)):
+            assert act(other.basis(r, a), v) == act(M.algebra.basis(r, a), v)
+        u = build_preset("punctured_functions").basis_vector((1,), "u")
+        assert act(witt_algebra().basis((2,)), u) == act(e(2), u)
 
 
 def _cancelling_pair(gens, cells):
