@@ -153,7 +153,7 @@ def _generic_image(M: PolyWeightModule, k, s, coeffs: Mapping) -> dict:
     `coeffs`, summed against them."""
     out: dict = {}
     for (src, tgt), c in _generic_action_matrix(M, 1, {}, [k], [s],
-                                                coeffs).items():
+                                                coeffs).terms.items():
         out[tgt] = out.get(tgt, _MCTX.zero()) + c * coeffs[src]
     return out
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -247,11 +247,8 @@ class PolyWeightModule:
 
 
 class ModuleVector(Combination):
-    """Sparse weight vector: terms keyed by (weight offset, fiber label).
-
-    Offsets are integer tuples on the concrete path; the symbolic helpers
-    use absolute (polynomial) weights as keys instead.
-    """
+    """Sparse weight vector: terms keyed by (integer weight offset tuple,
+    fiber label)."""
 
     __slots__ = ()
     _mismatch = (ModuleError, "vectors from different modules")
@@ -264,6 +261,28 @@ class ModuleVector(Combination):
                  for (off, lab), c in sorted(self.terms.items(),
                                              key=lambda kv: str(kv[0]))]
         return "ModuleVector(" + " + ".join(parts) + ")"
+
+
+class LabelMatrix(Combination):
+    """Sparse matrix {(src, tgt): coefficient} between fiber labels, the
+    symbolic checkers' form of a generic action or de Rham slice. It has no
+    parent: d composes matrices of different modules."""
+
+    __slots__ = ()
+
+    def __matmul__(self, first: "LabelMatrix") -> "LabelMatrix":
+        """The composite with `first` applied first."""
+        out: dict = {}
+        for (src, mid), a in first.terms.items():
+            for (row, tgt), b in self.terms.items():
+                if row == mid:
+                    key = (src, tgt)
+                    out[key] = out[key] + b * a if key in out else b * a
+        return LabelMatrix(None, out)
+
+    def entries(self) -> list:
+        """The nonzero entries as ((src, tgt), text), sorted by (src, tgt)."""
+        return sorted((key, str(c)) for key, c in self.terms.items())
 
 
 # -- concrete action ---------------------------------------------------------
@@ -542,20 +561,15 @@ def omega_forms(n: int, k: int, beta) -> PolyWeightModule:
     return mod
 
 
-def _de_rham_matrix(n: int, k: int, svals) -> dict:
-    """Matrix {(src, tgt): coeff} of d: Omega^k -> Omega^{k+1} on the weight
-    slice with absolute weight svals, keyed by wedge labels:
+def _de_rham_matrix(n: int, k: int, svals) -> LabelMatrix:
+    """Matrix of d: Omega^k -> Omega^{k+1} on the weight slice with
+    absolute weight svals, between wedge labels:
     d(t^s x e_S) = sum_a s_a t^s x (e_a wedge e_S)."""
-    out: dict = {}
-    for subset in itertools.combinations(range(1, n + 1), k):
-        for a in range(1, n + 1):
-            if a in subset:
-                continue
-            sign = (-1) ** sum(1 for x in subset if x < a)
-            new = tuple(sorted(subset + (a,)))
-            key = (_wedge_label(subset), _wedge_label(new))
-            out[key] = out.get(key, 0) + sign * svals[a - 1]
-    return out
+    return LabelMatrix(None, {
+        (_wedge_label(subset), _wedge_label(tuple(sorted(subset + (a,))))):
+            (-1) ** sum(1 for x in subset if x < a) * svals[a - 1]
+        for subset in itertools.combinations(range(1, n + 1), k)
+        for a in range(1, n + 1) if a not in subset})
 
 
 def de_rham_d(v: ModuleVector) -> ModuleVector:
@@ -575,7 +589,7 @@ def de_rham_d(v: ModuleVector) -> ModuleVector:
     out: dict = {}
     for (off, lab), c in v.terms.items():
         d = _de_rham_matrix(M.n, k, M.weight_value(off))
-        for (src, tgt), coeff in d.items():
+        for (src, tgt), coeff in d.terms.items():
             if src == lab:
                 out[(off, tgt)] = out.get((off, tgt), 0) + c * coeff
     return ModuleVector(target, out)
@@ -584,6 +598,8 @@ def de_rham_d(v: ModuleVector) -> ModuleVector:
 def de_rham_homology(n: int, beta, w) -> list:
     """Ranks of ker d / im d on the weight-(beta+w) slices of the de Rham
     complex, k = 0..n, by exact row reduction."""
+    if len(beta) != n or len(w) != n:
+        raise ModuleError(f"beta and w must have length {n}")
     beta = tuple(Fraction(b) for b in beta)
     svals = tuple(b + x for b, x in zip(beta, w))
     labels = [[_wedge_label(b)
@@ -595,7 +611,7 @@ def de_rham_homology(n: int, beta, w) -> list:
         r = 0
         if k < n:
             d = _de_rham_matrix(n, k, svals)
-            r = linalg.rank([[d.get((src, tgt), Fraction(0))
+            r = linalg.rank([[d.terms.get((src, tgt), Fraction(0))
                               for src in labels[k]] for tgt in labels[k + 1]])
         ranks.append(len(labels[k]) - r - prev_rank)
         prev_rank = r
@@ -836,12 +852,14 @@ def _window_generators(M: PolyWeightModule, window: int):
 
 def _generic_action_matrix(M: PolyWeightModule, direction: int,
                            mapping_base: Mapping, mvals, svals,
-                           sources: Sequence[str] | None = None) -> dict:
-    """Generic-slice action matrix {(src, tgt): poly} of the degree-m
-    generator in `direction` at weight s, from the labels `sources` (by
-    default the generically supported ones) to the generically supported
-    labels. A constraint term is kept exactly where `Constraint.satisfied`
-    holds identically on the slice, as the dual's -s = 0 does at weight 0;
+                           sources: Sequence[str] | None = None
+                           ) -> LabelMatrix:
+    """Generic-slice action matrix of the generator of exponents `mvals`
+    in `direction` at absolute weight `svals`, from the labels `sources`
+    (by default the generically supported ones) to the generically
+    supported labels; exponents and weight may be polynomials. A
+    constraint term is kept exactly where `Constraint.satisfied` holds
+    identically on the slice, as the dual's -s = 0 does at weight 0;
     isolated hits are `PolyWeightModule.constraint_modes`."""
     labels = _generic_labels(M)
     msyms, ssyms = M.m_symbols, M.s_symbols
@@ -860,30 +878,8 @@ def _generic_action_matrix(M: PolyWeightModule, direction: int,
                     raise ModuleError(f"unmapped symbol {sym!r}")
             val = t.poly.specialize(mapping)
             key = (src, t.tgt)
-            out[key] = out.get(key, 0) + val
-    return out
-
-
-def _compose_matrices(second: dict, first: dict, labels) -> dict:
-    out: dict = {}
-    for (src, mid), a in first.items():
-        for tgt in labels:
-            b = second.get((mid, tgt))
-            if b is None:
-                continue
-            key = (src, tgt)
-            out[key] = out.get(key, 0) + b * a
-    return out
-
-
-def _matrix_residues(lhs: dict, rhs: dict):
-    keys = set(lhs) | set(rhs)
-    out = []
-    for k in sorted(keys):
-        d = lhs.get(k, 0) - rhs.get(k, 0)
-        if not is_zero_scalar(d):
-            out.append((k, str(d)))
-    return out
+            out[key] = out[key] + val if key in out else val
+    return LabelMatrix(None, out)
 
 
 def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
@@ -893,11 +889,12 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     restricted to unconstrained terms on generically-supported labels.
     Window part: a concrete sweep over generators with exponents in
     [-window, window] and weights near the exceptional set, which exercises
-    constraints, punctures and restricted supports. Each composite is
-    computed once per sweep: x v once per generator and cell, and x(y v)
-    and y(x v) once per unordered generator pair and cell, serving both
-    (x, y) and (y, x). Each ordered pair is still checked against its own
-    [x, y] v, and failures are reported in (x, y), then cell, order.
+    constraints, punctures and restricted supports. It computes x v once
+    per generator and cell, and the defect [x, y] v - x(y v) + y(x v) once
+    per unordered pair of distinct generators and cell: as [y, x] = -[x, y]
+    and the action is bilinear, the defect of (y, x) is its negative, and
+    a diagonal pair has none. Failures are reported in (x, y), then cell,
+    order.
     """
     _require_radius(window)
     rep = CheckReport("module_axioms", M.name or repr(M))
@@ -905,29 +902,20 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     _, base, syms = _symbolic_frame(
         M, [f"{g}{i+1}" for g in ("gm", "gp", "gw") for i in range(n)])
     mv, pv, wv = syms[:n], syms[n:2 * n], syms[2 * n:]
-    labels = _generic_labels(M)
     mp = [a + b for a, b in zip(mv, pv)]
     wp = [a + b for a, b in zip(wv, pv)]
     wm = [a + b for a, b in zip(wv, mv)]
+
+    def A(direction, mvals, svals):
+        return _generic_action_matrix(M, direction, base, mvals, svals)
+
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             # [t^m d_a, t^p d_b] = p_a t^{m+p} d_b - m_b t^{m+p} d_a; at
             # n = 1 this is the Witt bracket (p - m) e_{m+p}
-            lhs = {}
-            for k, v in _generic_action_matrix(M, b, base, mp, wv).items():
-                lhs[k] = lhs.get(k, 0) + pv[a - 1] * v
-            for k, v in _generic_action_matrix(M, a, base, mp, wv).items():
-                lhs[k] = lhs.get(k, 0) - mv[b - 1] * v
-            xy = _compose_matrices(
-                _generic_action_matrix(M, a, base, mv, wp),
-                _generic_action_matrix(M, b, base, pv, wv), labels)
-            yx = _compose_matrices(
-                _generic_action_matrix(M, b, base, pv, wm),
-                _generic_action_matrix(M, a, base, mv, wv), labels)
-            rhs = dict(xy)
-            for k, v in yx.items():
-                rhs[k] = rhs.get(k, 0) - v
-            for key, res in _matrix_residues(lhs, rhs):
+            lhs = A(b, mp, wv).scale(pv[a - 1]) - A(a, mp, wv).scale(mv[b - 1])
+            rhs = A(a, mv, wp) @ A(b, pv, wv) - A(b, pv, wm) @ A(a, mv, wv)
+            for key, res in (lhs - rhs).entries():
                 rep.symbolic_failures.append((a, b) + key + (res,))
             rep.symbolic_checked += 1
 
@@ -935,19 +923,16 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     cells = M.window(window)
     first = [[act(g, v) for _, _, v in cells] for g in gens]
     found = []
-    for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
+    for i, j in itertools.combinations(range(len(gens)), 2):
         x, y = gens[i], gens[j]
-        pairs = [(i * len(gens) + j, x, y, bracket(x, y))]
-        if i != j:
-            pairs.append((j * len(gens) + i, y, x, bracket(y, x)))
+        z = bracket(x, y)
         for c, (off, lab, v) in enumerate(cells):
-            xy = act(x, first[j][c])
-            yx = act(y, first[i][c]) if i != j else xy
-            for (index, p, q, z), rhs_v in zip(pairs, (xy - yx, yx - xy)):
-                lhs_v = act(z, v)
-                if lhs_v != rhs_v:
-                    found.append((index, c, (str(p), str(q), off, lab,
-                                             repr(lhs_v - rhs_v))))
+            diff = act(z, v) - act(x, first[j][c]) + act(y, first[i][c])
+            if not diff.is_zero():
+                found.append((i * len(gens) + j, c,
+                              (str(x), str(y), off, lab, repr(diff))))
+                found.append((j * len(gens) + i, c,
+                              (str(y), str(x), off, lab, repr(-diff))))
     rep.window_checked = len(gens) ** 2 * len(cells)
     rep.window_failures = [f for _, _, f in sorted(found, key=lambda f: f[:2])]
     return rep
@@ -987,10 +972,8 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     for a in range(1, n + 1):
         shifted = _generic_action_matrix(M, a, base, mv, wr)
         plain = _generic_action_matrix(M, a, base, mv, wv)
-        rhs = dict(plain)
-        for lab in labels:
-            rhs[(lab, lab)] = rhs.get((lab, lab), 0) + rv[a - 1]
-        for key, res in _matrix_residues(shifted, rhs):
+        delta = LabelMatrix(None, {(lab, lab): rv[a - 1] for lab in labels})
+        for key, res in (shifted - plain - delta).entries():
             rep.symbolic_failures.append((a,) + key + (res,))
         rep.symbolic_checked += 1
     if rep.symbolic_failures:
@@ -1061,11 +1044,14 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     """Decide whether every order-`order` differentiator
     sum_i (-1)^i C(order, i) e_{k-i} e_{s+i} kills the module.
 
-    Symbolic part: k, s and the starting weight wt are formal and the step
-    is 1. Each term composes two generic action matrices, e_{s+i} at
-    weight wt and then e_{k-i} at weight wt + s + i, so a clean residue
-    table covers all generic placements at once. Window part: concrete k,
-    s and weights near the exceptional set, which covers the
+    Symbolic part: k, s, the starting weight wt and the index i are
+    formal and the step is 1. One composite of two generic action
+    matrices, e_{s+i} at weight wt and then e_{k-i} at weight wt + s + i,
+    covers all generic placements and every term at once. Its entries
+    have some degree d in i, and sum_i (-1)^i C(order, i) f(i) vanishes
+    whenever deg f < order, so an order above d leaves a clean residue
+    table; a lower order sums the composite at i = 0..order. Window part:
+    concrete k, s and weights near the exceptional set, which covers the
     constraint/puncture cases the generic computation skips. It goes one
     cell v at a time and computes each composite e_a e_b v once per cell:
     the terms (k, s, i) with the same a = k - i and b = s + i share it.
@@ -1077,18 +1063,24 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
         raise ModuleError(f"differentiator order must be nonnegative, "
                           f"got {order}")
     _require_radius(window)
-    _, base, (k, s, wt) = _symbolic_frame(M, ("k", "s", "wt"))
-    labels = _generic_labels(M)
-    omega: dict = {}
-    for i in range(order + 1):
-        term = _compose_matrices(
-            _generic_action_matrix(M, 1, base, [k - i], [wt + s + i]),
-            _generic_action_matrix(M, 1, base, [s + i], [wt]), labels)
-        for key, c in term.items():
-            omega[key] = omega.get(key, 0) + (-1) ** i * comb(order, i) * c
+    coeffs = [1]  # (-1)^i C(order, i), each from the one before
+    for j in range(order):
+        coeffs.append(-coeffs[-1] * (order - j) // (j + 1))
+    _, base, (k, s, wt, i) = _symbolic_frame(M, ("k", "s", "wt", "i"))
+    composite = (_generic_action_matrix(M, 1, base, [k - i], [wt + s + i])
+                 @ _generic_action_matrix(M, 1, base, [s + i], [wt]))
+    # i is the last symbol of the context
+    degree = max((e[-1] for c in composite.terms.values()
+                  if isinstance(c, PolyScalar) for e in c.terms), default=0)
+    omega = LabelMatrix(None, {})
+    if order <= degree:
+        for j, coeff in enumerate(coeffs):
+            omega += LabelMatrix(None, {
+                key: c.substitute({"i": j}) if isinstance(c, PolyScalar) else c
+                for key, c in composite.terms.items()}).scale(coeff)
     symbolic_residues = [(src, tgt, str(wt + k + s), scalar_str(c))
                          for src in M.fiber for tgt in M.fiber
-                         if not is_zero_scalar(c := omega.get((src, tgt), 0))]
+                         if (c := omega.terms.get((src, tgt))) is not None]
     cert = AnnihilationCertificate(order, M.name or repr(M),
                                    annihilates=not symbolic_residues,
                                    symbolic_residues=symbolic_residues,
@@ -1097,7 +1089,6 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
 
     gen = {x: M.algebra.basis((x,))
            for x in range(-window - order, window + order + 1)}
-    coeffs = [(-1) ** i * comb(order, i) for i in range(order + 1)]
     points = list(itertools.product(range(-window, window + 1), repeat=2))
     cells = M.window(window)
     found = []
@@ -1285,9 +1276,8 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
     sv = [ctx.sym(x) for x in mods[0].s_symbols]
 
     for k in range(n - 1):
-        dd = _compose_matrices(_de_rham_matrix(n, k + 1, sv),
-                               _de_rham_matrix(n, k, sv), mods[k + 2].fiber)
-        for key, res in _matrix_residues(dd, {}):
+        dd = _de_rham_matrix(n, k + 1, sv) @ _de_rham_matrix(n, k, sv)
+        for key, res in dd.entries():
             rep.symbolic_failures.append(("d^2", k) + key + (res,))
         rep.symbolic_checked += 1
 
@@ -1298,13 +1288,11 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
         for k in range(n):
             mk, mk1 = mods[k], mods[k + 1]
             for a in range(1, n + 1):
-                lhs = _compose_matrices(
-                    _generic_action_matrix(mk1, a, {}, mv, sv),
-                    _de_rham_matrix(n, k, sv), mk1.fiber)
-                rhs = _compose_matrices(
-                    _de_rham_matrix(n, k, smv),
-                    _generic_action_matrix(mk, a, {}, mv, sv), mk1.fiber)
-                for key, res in _matrix_residues(lhs, rhs):
+                lhs = (_generic_action_matrix(mk1, a, {}, mv, sv)
+                       @ _de_rham_matrix(n, k, sv))
+                rhs = (_de_rham_matrix(n, k, smv)
+                       @ _generic_action_matrix(mk, a, {}, mv, sv))
+                for key, res in (lhs - rhs).entries():
                     rep.symbolic_failures.append((mvec, a, k) + key + (res,))
                 rep.symbolic_checked += 1
     return rep

@@ -1,6 +1,7 @@
 """LieElement, UEAElement and ModuleVector share the sparse-sum arithmetic of
 `scalars.Combination`: checked against plain dicts, with each subclass's
-parent rule and parent alias."""
+parent rule and parent alias. The module checkers' LabelMatrix adds only
+composition and its sorted entries, checked against dicts too."""
 
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from wittforge.enveloping import UEAElement
 from wittforge.lie import AlgebraError, LieElement, WnAlgebra, witt_algebra
-from wittforge.modules import ModuleError, ModuleVector, build_preset
+from wittforge.modules import (LabelMatrix, ModuleError, ModuleVector,
+                               build_preset)
 from wittforge.scalars import PolyContext, PolyScalar, QuadExtScalar
 
 CTX = PolyContext(("a", "b"))
@@ -77,6 +79,26 @@ def test_arithmetic_matches_dicts(case):
         assert all(v != 0 for v in result.terms.values())
     assert (x == y) == (nonzero(a) == nonzero(b))
     assert (x - y).is_zero() == (x == y)
+
+
+LABEL_PAIRS = st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair=st.sampled_from(sorted(COEFFICIENTS)).flatmap(
+    lambda family: st.tuples(*[st.dictionaries(
+        LABEL_PAIRS, COEFFICIENTS[family], max_size=4)] * 2)))
+def test_label_matrix_composition_matches_dicts(pair):
+    second, first = pair
+    expected = {}
+    for (src, mid), a in first.items():
+        for (row, tgt), b in second.items():
+            if row == mid:
+                expected[(src, tgt)] = expected.get((src, tgt), 0) + b * a
+    got = LabelMatrix(None, second) @ LabelMatrix(None, first)
+    assert type(got) is LabelMatrix and got.terms == nonzero(expected)
+    assert got.entries() == sorted((key, str(v)) for key, v
+                                   in nonzero(expected).items())
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

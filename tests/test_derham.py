@@ -50,6 +50,13 @@ class TestHomology:
         assert de_rham_homology(2, (Fraction(0), Fraction(0)), (1, 0)) == [0, 0, 0]
         assert de_rham_homology(3, (Fraction(0),) * 3, (0, -2, 1)) == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("n, beta, w", [
+        (1, (0, 0), (0,)), (2, (0, 0), (0, 0, 5)), (2, (0, 0), (1,))])
+    def test_wrong_lengths_are_refused(self, n, beta, w):
+        # zip would truncate the longer of beta and w without a word
+        with pytest.raises(ModuleError, match=f"must have length {n}"):
+            de_rham_homology(n, beta, w)
+
     def test_vanishes_for_nonintegral_beta(self):
         assert de_rham_homology(2, (Fraction(1, 2), Fraction(0)), (0, 0)) == [0, 0, 0]
 

@@ -4,7 +4,8 @@ imports only the layers it calls, loading the layers pulls in neither
 `dataclasses` nor `inspect` (each command process pays for what its layers
 import and run at import), and each concept has one home: row echelon in
 `linalg`, constraint lines in `modules`, sparse-sum arithmetic in
-`scalars.Combination`.
+`scalars.Combination`, which the Lie, enveloping and module vectors and
+the label matrices of the module checkers inherit.
 """
 
 import ast
@@ -107,7 +108,7 @@ def test_constraint_scan_flags_reads():
 SUM_METHODS = {"__init__", "__add__", "__sub__", "__neg__", "scale",
                "is_zero", "__eq__"}
 FORMAL_SUMS = [("lie", "LieElement"), ("enveloping", "UEAElement"),
-               ("modules", "ModuleVector")]
+               ("modules", "ModuleVector"), ("modules", "LabelMatrix")]
 
 
 def class_attributes(source: str, name: str) -> set:
@@ -129,8 +130,9 @@ def class_attributes(source: str, name: str) -> set:
 
 @pytest.mark.parametrize("layer, name", FORMAL_SUMS, ids=lambda x: x)
 def test_formal_sums_share_one_arithmetic(layer, name):
-    # LieElement, UEAElement and ModuleVector inherit the sparse-sum
-    # arithmetic of scalars.Combination and define none of it themselves
+    # LieElement, UEAElement, ModuleVector and LabelMatrix inherit the
+    # sparse-sum arithmetic of scalars.Combination and define none of it
+    # themselves
     source = (SRC / f"{layer}.py").read_text()
     assert class_attributes(source, name) & SUM_METHODS == set()
     assert class_attributes((SRC / "scalars.py").read_text(),

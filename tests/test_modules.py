@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from _values import assert_types_never_equal, assert_value_semantics
+from wittforge import modules
 from wittforge.lie import (LatticeAutomorphism, LieElement, WnAlgebra,
                            bracket, witt_algebra)
 from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
@@ -21,7 +22,8 @@ from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
                                tensor_density,
                                tensor_field, trivial_rep, twist,
                                weight_report, wedge_rep)
-from wittforge.scalars import PolyContext, QuadExtScalar, parse_poly
+from wittforge.scalars import (PolyContext, QuadExtScalar, is_zero_scalar,
+                               parse_poly, scalar_str)
 
 WITT = witt_algebra()
 
@@ -536,6 +538,128 @@ class TestSweepEquivalence:
         ref = _reference_aw_sweep(M, window, _without_window(rep))
         assert rep.to_json() == ref.to_json()
         assert rep.window_checked and not rep.symbolic_failures
+
+
+
+def _reference_differentiator(order, M):
+    """The symbolic residues of `annihilates`, one term at a time: for each
+    i, the generic matrix of e_{s+i} at weight wt, then that of e_{k-i} at
+    weight wt + s + i, composed and summed with (-1)^i C(order, i)."""
+    params = M.param_symbols()
+    ctx = PolyContext(params + ("k", "s", "wt"))
+    base = {p: ctx.sym(p) for p in params}
+    k, s, wt = (ctx.sym(x) for x in ("k", "s", "wt"))
+    labels = [lab for lab in M.fiber if lab not in M.restricted_support]
+
+    def matrix(m, w):
+        out = {}
+        for src in labels:
+            for t in M.terms_for(1, src):
+                if t.tgt in labels and (t.constraint is None
+                                        or t.constraint.satisfied([m], [w])):
+                    val = t.poly.specialize(
+                        {**base, M.m_symbols[0]: m, M.s_symbols[0]: w})
+                    out[(src, t.tgt)] = out.get((src, t.tgt), 0) + val
+        return out
+
+    omega = {}
+    for i in range(order + 1):
+        first, second = matrix(s + i, wt), matrix(k - i, wt + s + i)
+        for (src, mid), a in first.items():
+            for (row, tgt), b in second.items():
+                if row == mid:
+                    omega[(src, tgt)] = (omega.get((src, tgt), 0)
+                                         + (-1) ** i * comb(order, i) * b * a)
+    return [(src, tgt, str(wt + k + s), scalar_str(c))
+            for src in M.fiber for tgt in M.fiber
+            if not is_zero_scalar(c := omega.get((src, tgt), 0))]
+
+
+def _counting(monkeypatch, name):
+    """The argument tuples of every call to `modules.<name>` from now on."""
+    calls = []
+    original = getattr(modules, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(modules, name, spy)
+    return calls
+
+
+# (module, the degree in i of its differentiator composite)
+COMPOSITE_DEGREES = [
+    (lambda: build_preset("punctured_functions"), 1),
+    (lambda: build_preset("virasoro_adjoint"), 2),
+    (lambda: build_preset("feigin_fuks_length2"), 8),
+    (lambda: graded_dual(build_preset("punctured_functions")), 1),
+    (lambda: graded_dual(build_preset("virasoro_adjoint")), 2),
+    (lambda: graded_dual(build_preset("feigin_fuks_length2")), 8),
+    (lambda: tensor_density(Fraction(2, 3), Fraction(1, 5)), 2),
+    (lambda: tensor_density("a", "b"), 2),
+]
+COMPOSITE_IDS = ["punctured_functions", "virasoro_adjoint",
+                 "feigin_fuks_length2", "dual_punctured_functions",
+                 "dual_virasoro_adjoint", "dual_feigin_fuks_length2",
+                 "tensor_density", "symbolic_density"]
+# rank-1 and W_2 window generators
+SWEEPS = [(lambda: build_preset("virasoro_adjoint"), 2), (_w2, 1)]
+
+
+class TestOneRelationOnce:
+    """Each relation of the module checkers is computed once: one
+    differentiator composite with a formal index for every order, and one
+    window defect per unordered pair of distinct generators."""
+
+    @pytest.mark.parametrize("make, degree", COMPOSITE_DEGREES,
+                             ids=COMPOSITE_IDS)
+    def test_composite_matches_per_order_terms(self, make, degree):
+        M = make()
+        for order in range(degree + 2):
+            got = annihilates(order, M, window=0).symbolic_residues
+            assert got == _reference_differentiator(order, M)
+        # the degree is reached, and the next order leaves no residue
+        assert _reference_differentiator(degree, M)
+        assert not _reference_differentiator(degree + 1, M)
+
+    @pytest.mark.parametrize("order", [3, 9, 40])
+    def test_two_generic_matrices_at_any_order(self, monkeypatch, order):
+        calls = _counting(monkeypatch, "_generic_action_matrix")
+        cert = annihilates(order, build_preset("feigin_fuks_length2"),
+                           window=0)
+        assert len(calls) == 2
+        assert bool(cert.symbolic_residues) == (order <= 8)
+
+    def test_index_symbol_is_reserved(self):
+        with pytest.raises(ModuleError, match=r"collide with checker "
+                                              r"symbols: \['i'\]"):
+            annihilates(3, tensor_density("i", "b"))
+
+    def test_order_16000_at_window_zero(self):
+        # the radius-0 window of this module is its puncture, so no cell is
+        # swept: what remains is the symbolic part and the coefficients
+        cert = annihilates(16000, build_preset("punctured_functions"),
+                           window=0)
+        assert cert.annihilates and cert.symbolic_residues == []
+
+    @pytest.mark.parametrize("make, window", SWEEPS, ids=["rank1", "w2"])
+    def test_one_bracket_per_unordered_pair(self, monkeypatch, make, window):
+        M = make()
+        g = len(_window_generators(M, window)[1])
+        calls = _counting(monkeypatch, "bracket")
+        rep = check_module_axioms(M, window=window)
+        assert len(calls) == comb(g, 2)
+        assert rep.window_checked == g ** 2 * len(M.window(window))
+
+    @pytest.mark.parametrize("make, window", SWEEPS, ids=["rank1", "w2"])
+    def test_window_brackets_are_antisymmetric(self, make, window):
+        # the one-pass sweep reads the defect of (y, x) as that of (x, y),
+        # negated, and skips the diagonal
+        _, gens = _window_generators(make(), window)
+        for x, y in itertools.product(gens, repeat=2):
+            assert bracket(y, x) == -bracket(x, y)
+        assert all(bracket(x, x).is_zero() for x in gens)
 
 
 class TestJets:
