@@ -293,9 +293,8 @@ def cmd_acover(preset, module_file, window, seed, emit):
     run = _Run(emit)
     try:
         C = cover_mod.CoverModule(M)
-        cert = cover_mod.cuspidality_certificate(
-            C, range(-window, window + 1))
-        run.record(cert.to_json())
+        run.record(cover_mod.cuspidality_certificate(
+            C, range(-window, window + 1)))
         surj = [cover_mod.pi_surjectivity_check(C, w)
                 for w in range(-2, 3)]
         hom = all(cover_mod.pi_homomorphism_check(C, w) for w in (-1, 0, 2))
@@ -310,9 +309,7 @@ def cmd_acover(preset, module_file, window, seed, emit):
         ok = ok and axioms.passed
         if preset == "virasoro_adjoint":
             rep = cover_mod.adjoint_cover_report(M, 2, 2)
-            run.record({"kind": rep["kind"], "passed": rep["passed"],
-                        "action_match": rep["action_match"],
-                        "pi_match": rep["pi_match"]})
+            run.record(rep)
             ok = ok and rep["passed"]
         psr = cover_mod.pi_star_check(M, mod.graded_dual(M), samples=50,
                                       seed=seed)

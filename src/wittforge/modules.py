@@ -75,6 +75,13 @@ def _rational(x):
     return None if x is None else Fraction(x)
 
 
+def _radicands(x) -> set:
+    """The radicands d of the Q(sqrt(d)) values in a scalar, or in the
+    coefficients of a polynomial."""
+    values = x.terms.values() if isinstance(x, PolyScalar) else (x,)
+    return {c.d for c in values if isinstance(c, QuadExtScalar)}
+
+
 def _coordinate_symbols(algebra) -> tuple:
     """The coefficient variables of a module over `algebra`, as the pair
     (generator exponents, weight): (("m",), ("s",)) over a rank-1 algebra
@@ -127,6 +134,13 @@ class PolyWeightModule:
                 raise ModuleError(f"constraint terms are rank-1 only, with "
                                   f"one m and one s coefficient: {t.src} "
                                   f"-> {t.tgt} in direction {t.direction}")
+        # one field: values over two radicands cannot be added or multiplied
+        radicands = sorted(set().union(*map(
+            _radicands, [t.poly for t in self.terms] + list(self.beta))))
+        if len(radicands) > 1:
+            raise ModuleError("coefficients and beta use more than one "
+                              "radicand: " + ", ".join(
+                                  f"sqrt({d})" for d in radicands))
         unknown = ({lab for _, labels in self.punctures for lab in labels}
                    | set(self.restricted_support)) - set(self.fiber)
         if unknown:
@@ -420,8 +434,13 @@ class JPlusRepData:
         return self.matrices.get((k, j), self._zero)
 
     def _validate(self):
+        """Each relation once, on the unordered pairs of distinct generators
+        in (k, l, i, j) sweep order: swapping a pair negates both sides, and
+        a diagonal pair is zero on both."""
         for k, l in itertools.product(self.exponents, repeat=2):
             for i, j in itertools.product(range(1, self.n + 1), repeat=2):
+                if (l, j) <= (k, i):
+                    continue
                 a, b = self.rho(k, i), self.rho(l, j)
                 res = linalg.matrix_add(linalg.matrix_mul(a, b),
                                         linalg.matrix_mul(b, a), -1)
@@ -862,7 +881,9 @@ def _generic_action_matrix(M: PolyWeightModule, direction: int,
     identically on the slice, as the dual's -s = 0 does at weight 0;
     isolated hits are `PolyWeightModule.constraint_modes`."""
     labels = _generic_labels(M)
-    msyms, ssyms = M.m_symbols, M.s_symbols
+    mapping = dict(mapping_base)
+    mapping.update(zip(M.m_symbols, mvals))
+    mapping.update(zip(M.s_symbols, svals))
     out: dict = {}
     for src in labels if sources is None else sources:
         for t in M.terms_for(direction, src):
@@ -870,9 +891,6 @@ def _generic_action_matrix(M: PolyWeightModule, direction: int,
                     t.constraint is not None
                     and not t.constraint.satisfied(mvals, svals)):
                 continue
-            mapping = dict(mapping_base)
-            mapping.update(zip(msyms, mvals))
-            mapping.update(zip(ssyms, svals))
             for sym in t.poly.symbols_used():
                 if sym not in mapping:
                     raise ModuleError(f"unmapped symbol {sym!r}")
@@ -1267,31 +1285,32 @@ def jets_rep_from_json(data: Mapping) -> JPlusRepData:
 
 def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
     """Verify d^2 = 0 and W_n-equivariance of the de Rham differential,
-    symbolically in the weight, for generator exponents with |m|_inf <= mbox."""
+    symbolically in the weight, for generator exponents with |m|_inf <= mbox.
+    Each matrix is built once: d per degree and per (m, degree), and each
+    Omega^k action slice per (m, direction)."""
     _require_radius(mbox)
     beta = tuple(Fraction(b) for b in (beta or (0,) * n))
     rep = CheckReport("de_rham_chain", f"omega(beta {beta}) on T^{n}")
     mods = [omega_forms(n, k, beta) for k in range(n + 1)]
     ctx = PolyContext(mods[0].s_symbols)
     sv = [ctx.sym(x) for x in mods[0].s_symbols]
+    d = [_de_rham_matrix(n, k, sv) for k in range(n)]
 
     for k in range(n - 1):
-        dd = _de_rham_matrix(n, k + 1, sv) @ _de_rham_matrix(n, k, sv)
-        for key, res in dd.entries():
+        for key, res in (d[k + 1] @ d[k]).entries():
             rep.symbolic_failures.append(("d^2", k) + key + (res,))
         rep.symbolic_checked += 1
 
-    exps = itertools.product(range(-mbox, mbox + 1), repeat=n)
-    for mvec in exps:
+    for mvec in itertools.product(range(-mbox, mbox + 1), repeat=n):
         mv = [ctx.const(Fraction(x)) for x in mvec]
         smv = [s + m for s, m in zip(sv, mv)]
+        A = {(k, a): _generic_action_matrix(mods[k], a, {}, mv, sv)
+             for k in range(n + 1) for a in range(1, n + 1)}
         for k in range(n):
-            mk, mk1 = mods[k], mods[k + 1]
+            d_shifted = _de_rham_matrix(n, k, smv)
             for a in range(1, n + 1):
-                lhs = (_generic_action_matrix(mk1, a, {}, mv, sv)
-                       @ _de_rham_matrix(n, k, sv))
-                rhs = (_de_rham_matrix(n, k, smv)
-                       @ _generic_action_matrix(mk, a, {}, mv, sv))
+                lhs = A[k + 1, a] @ d[k]
+                rhs = d_shifted @ A[k, a]
                 for key, res in (lhs - rhs).entries():
                     rep.symbolic_failures.append((mvec, a, k) + key + (res,))
                 rep.symbolic_checked += 1

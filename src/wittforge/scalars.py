@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Union
 
 
@@ -51,16 +51,21 @@ class QuadExtScalar:
     Stored as integers: (p + q*sqrt(d))/n with n > 0 and gcd(p, q, n) = 1,
     so equal values have equal fields and a product costs a few integer
     products and one gcd. `a` and `b` give the rational parts as Fractions.
-    The radicand d is a fixed square-free positive integer per context;
-    mixing distinct radicands raises ContextMismatchError.
+    The radicand d is an integer >= 2 that is not a perfect square, so
+    sqrt(d) is irrational and a + b*sqrt(d) is zero only when a = b = 0; d
+    is not factored, so a huge d costs one integer square root. Mixing
+    distinct radicands raises ContextMismatchError.
     """
 
     __slots__ = ("p", "q", "n", "d")
 
     def __new__(cls, a, b=0, d: int = 19):
+        if type(d) is not int or d < 2 or isqrt(d) ** 2 == d:
+            raise ScalarError(f"the radicand of sqrt(d) must be an integer "
+                              f">= 2 that is not a perfect square, got {d!r}")
         a, b = Fraction(a), Fraction(b)
         return _quad(a.numerator * b.denominator, b.numerator * a.denominator,
-                     a.denominator * b.denominator, int(d))
+                     a.denominator * b.denominator, d)
 
     @property
     def a(self) -> Fraction:

@@ -351,6 +351,55 @@ class TestConstraintLines:
         assert "not a module" in res.stderr
 
 
+def _density_file(polys, fiber=("v",)):
+    """A rank-1 file at beta 0 with the terms src -> tgt: poly of `polys`."""
+    return {"algebra": {"type": "witt", "n": 1}, "beta": ["0"],
+            "fiber": list(fiber),
+            "terms": [{"direction": 1, "src": src, "tgt": tgt, "poly": poly}
+                      for (src, tgt), poly in polys.items()]}
+
+
+class TestRadicands:
+    """sqrt(d) is formal, so a rational sqrt(d) read as one would make
+    false refutations: `s + sqrt(4)*m - 2*m` is T(0, 0), which `s` certifies,
+    but `annihilator --m 2` exited 1 on it and `acover` exited 4. Two
+    radicands in one module cannot be added, and every command exited 4
+    mid-check. Each such file is now refused on load."""
+
+    FILES = {
+        "sqrt4": _density_file({("v", "v"): "s + sqrt(4)*m - 2*m"}),
+        "sqrt1": _density_file({("v", "v"): "s + sqrt(1)*m"}),
+        "sqrt0": _density_file({("v", "v"): "s + sqrt(0)*m"}),
+        "mixed": _density_file({("u", "u"): "s + sqrt(19)*m",
+                                ("w", "w"): "s + sqrt(5)*m",
+                                ("w", "u"): "m^3"}, fiber=("u", "w")),
+    }
+    COMMANDS = [("module-check",), ("annihilator", "--m", "2"), ("acover",)]
+
+    @pytest.mark.parametrize("command", COMMANDS,
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_refused_on_load(self, tmp_path, name, command):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(self.FILES[name]))
+        res = invoke(command[0], "--module", str(f), *command[1:])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert "cannot load module file" in res.stderr
+        assert ("more than one radicand" if name == "mixed"
+                else "not a perfect square") in res.stderr
+
+    @pytest.mark.parametrize("command, code", [
+        (("module-check",), 0), (("annihilator", "--m", "2"), 1),
+        (("annihilator", "--m", "3"), 0)], ids=["check", "m2", "m3"])
+    def test_one_irrational_radicand_is_read(self, tmp_path, command, code):
+        # T(sqrt(19), 0): order 3 kills a density module, order 2 does not
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(_density_file({("v", "v"): "s + sqrt(19)*m"})))
+        res = invoke(command[0], "--module", str(f), *command[1:])
+        assert res.exit_code == code, res.output
+
+
 class TestACover:
     def test_punctured(self):
         res = invoke("acover", "--preset", "punctured_functions",

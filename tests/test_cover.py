@@ -1,8 +1,11 @@
 import itertools
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import run_cli
 from _values import assert_types_never_equal, assert_value_semantics
 from wittforge.cover import (CoverError, CoverModule, DegreeBoundError,
                              PsiGenerator, adjoint_cover_frame,
@@ -236,8 +239,7 @@ class TestEmittedWeight:
 class TestCuspidality:
     def test_punctured_certificate(self):
         C = CoverModule(build_preset("punctured_functions"))
-        cert = cuspidality_certificate(C, range(-3, 4))
-        data = cert.to_json()
+        data = cuspidality_certificate(C, range(-3, 4))
         assert data["passed"] and data["uniform_rank"] and data["a_action_invertible"]
 
 
@@ -252,7 +254,7 @@ class TestByConstruction:
         C = CoverModule(build_preset("virasoro_adjoint"))
         monkeypatch.setattr(cover, "induced_action", boom)
         monkeypatch.setattr(cover.linalg, "rank", boom)
-        data = cuspidality_certificate(C, range(-2, 3)).to_json()
+        data = cuspidality_certificate(C, range(-2, 3))
         assert data["ranks"] == {str(w): 3 for w in range(-2, 3)}
         assert data["passed"] and data["failing_weight"] is None
 
@@ -336,6 +338,103 @@ class TestAdjointCoverReport:
         rep = adjoint_cover_report(build_preset("virasoro_adjoint"),
                                    pbox=2, jbox=2)
         assert rep["passed"] and rep["action_match"] and rep["pi_match"]
+
+    def test_doubled_action_fails_only_the_action(self, monkeypatch):
+        # pi reads the frames alone, so it still matches
+        lie = cover.lie_action
+
+        def doubled(theta, p):
+            v = lie(theta, p)
+            return cover.QuasiPolyVector(
+                v.module, v.weight, {lab: q * 2 for lab, q in v.poly.items()},
+                {key: 2 * x for key, x in v.overrides.items()})
+
+        monkeypatch.setattr(cover, "lie_action", doubled)
+        rep = adjoint_cover_report(build_preset("virasoro_adjoint"),
+                                   pbox=2, jbox=2)
+        assert rep["action_match"] is False and rep["pi_match"] is True
+        assert rep["passed"] is False
+
+    @pytest.mark.parametrize("pbox, jbox", [(2, 2), (1, 3), (3, 0)])
+    def test_one_frame_and_one_expansion_per_weight(self, monkeypatch, pbox,
+                                                    jbox):
+        frames, expanded = [], []
+        frame, expand = cover.adjoint_cover_frame, cover.expand_in_family
+
+        def spy_frame(V, j):
+            frames.append(j)
+            return frame(V, j)
+
+        def spy_expand(vectors, family):
+            expanded.append((len(vectors), family[0].weight))
+            return expand(vectors, family)
+
+        monkeypatch.setattr(cover, "adjoint_cover_frame", spy_frame)
+        monkeypatch.setattr(cover, "expand_in_family", spy_expand)
+        rep = adjoint_cover_report(build_preset("virasoro_adjoint"),
+                                   pbox=pbox, jbox=jbox)
+        assert rep["passed"]
+        weights = range(-pbox - jbox, pbox + jbox + 1)
+        assert sorted(frames) == list(weights)
+        # every (p, j) image lands in weight j + p, three per cell
+        assert sorted(expanded, key=lambda e: e[1]) == [
+            (3 * sum(abs(t - p) <= jbox for p in range(-pbox, pbox + 1)), t)
+            for t in weights]
+
+
+class TestAcoverRecords:
+    """acover prints the cuspidality and adjoint records as `cover`
+    returns them."""
+
+    def test_records_are_the_returned_ones(self):
+        res = run_cli(["acover", "--preset", "virasoro_adjoint",
+                       "--window", "3"])
+        assert res.exit_code == 0, res.output
+        recs = {r["kind"]: r for r in map(json.loads,
+                                          res.stdout.splitlines())}
+        V = build_preset("virasoro_adjoint")
+        assert recs["cuspidality"] == cuspidality_certificate(
+            CoverModule(V), range(-3, 4))
+        assert recs["adjoint_cover"] == adjoint_cover_report(V, 2, 2)
+        assert not hasattr(cover, "CuspidalityCertificate")
+
+    def test_spy_counts(self, monkeypatch):
+        counts = Counter()
+        for owner, name in ((cover, "adjoint_cover_frame"),
+                            (cover, "expand_in_family"),
+                            (cover.linalg, "row_echelon")):
+            original = getattr(owner, name)
+
+            def spy(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        res = run_cli(["acover", "--preset", "virasoro_adjoint",
+                       "--window", "3"])
+        assert res.exit_code == 0, res.output
+        # 9 frames at weights -4..4, one expansion per target weight and 9
+        # for c_p, and 3 eliminations for each of the five pi weights
+        assert counts == {"adjoint_cover_frame": 9, "expand_in_family": 18,
+                          "row_echelon": 55}
+
+    def test_pi_surjectivity_eliminates_three_times(self, monkeypatch):
+        C = CoverModule(build_preset("virasoro_adjoint"))
+        C.weight_space(1)
+        calls = []
+        echelon = cover.linalg.row_echelon
+
+        def spy(rows):
+            calls.append(len(rows))
+            return echelon(rows)
+
+        monkeypatch.setattr(cover.linalg, "row_echelon", spy)
+        rec = pi_surjectivity_check(C, 1)
+        assert rec["surjective_onto_action"]
+        # the pi rows, the action rows, then the pi rows again to solve
+        M = C.module
+        action_rows = sum(len(M.labels_at((1 - k,))) for k in range(-4, 5))
+        assert calls == [3, action_rows, 3]
 
 
 class TestDualPairing:

@@ -700,6 +700,129 @@ class TestJets:
                                    ((2,), 1): [[0, 1], [0, 0]]})
 
 
+def _first_failing_relation(n, cutoff, mats):
+    """The jet relation that the full sweep over ordered (k, l, i, j) finds
+    failing first, as `JPlusRepData._validate` names it, or None; `mats`
+    maps (k, j) to a square matrix, and a missing one is zero."""
+    dim = len(next(iter(mats.values())))
+    zero = [[0] * dim for _ in range(dim)]
+    exponents = [k for k in itertools.product(range(cutoff + 1), repeat=n)
+                 if 1 <= sum(k) <= cutoff]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+
+    def add(a, b, c=1):
+        return [[x + c * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+    def rho(k, j):
+        return mats.get((tuple(k), j), zero)
+
+    for k, l in itertools.product(exponents, repeat=2):
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            a, b = rho(k, i), rho(l, j)
+            res = add(mul(a, b), mul(b, a), -1)
+            for coeff, e, d in ((-l[i - 1], i, j), (k[j - 1], j, i)):
+                if coeff:
+                    kl = [x + y - (q == e - 1)
+                          for q, (x, y) in enumerate(zip(k, l))]
+                    res = add(res, rho(kl, d), coeff)
+            if any(any(row) for row in res):
+                return f"jet relations fail for [t^{k} d_{i}, t^{l} d_{j}]"
+    return None
+
+
+class TestJetRelationsOnce:
+    """`JPlusRepData` checks each jet relation once, on an unordered pair of
+    distinct generators: swapping the pair negates both sides, and on the
+    diagonal both sides are zero."""
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2)])
+    def test_two_products_per_unordered_pair(self, monkeypatch, n, k):
+        calls = []
+        mul = modules.linalg.matrix_mul
+
+        def spy(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(modules.linalg, "matrix_mul", spy)
+        wedge_rep(n, k)
+        assert len(calls) == 2 * comb(n * n, 2)
+
+    @pytest.mark.parametrize("listed", ["first", "last"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_one_corrupted_relation_is_rejected(self, listed, p):
+        # adding I to E_pp breaks exactly [E_12, E_21] = E_11 - E_22 and
+        # [E_21, E_12] = E_22 - E_11, one relation with its pair in either
+        # order; the corrupted matrix is listed first or last
+        key = ((int(p == 1), int(p == 2)), p)
+        mats = dict(natural_rep(2).matrices)
+        corrupted = [[x + (r == c) for c, x in enumerate(row)]
+                     for r, row in enumerate(mats.pop(key))]
+        mats = ({key: corrupted, **mats} if listed == "first"
+                else {**mats, key: corrupted})
+        expected = _first_failing_relation(2, 1, mats)
+        assert expected == ("jet relations fail for "
+                            "[t^(0, 1) d_1, t^(1, 0) d_2]")
+        with pytest.raises(ModuleError) as info:
+            JPlusRepData(2, 2, 1, mats)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_failure_matches_the_ordered_sweep(self, seed):
+        # one random entry change in cutoff-2 jets of gl_1, where
+        # [t d, t^2 d] = t^2 d reads [A, B] = B, or in natural_rep(2)
+        import random
+        rng = random.Random(seed)
+        n, cutoff = (1, 2) if seed % 2 else (2, 1)
+        base = ({((1,), 1): [[1, 0], [0, 0]], ((2,), 1): [[0, 1], [0, 0]]}
+                if n == 1 else natural_rep(2).matrices)
+        assert _first_failing_relation(n, cutoff, base) is None
+        key = rng.choice(sorted(base))
+        mats = {k: [list(row) for row in m] for k, m in base.items()}
+        mats[key][rng.randrange(2)][rng.randrange(2)] += rng.choice([-1, 1])
+        expected = _first_failing_relation(n, cutoff, mats)
+        if expected is None:
+            JPlusRepData(n, 2, cutoff, mats)
+            return
+        with pytest.raises(ModuleError) as info:
+            JPlusRepData(n, 2, cutoff, mats)
+        assert str(info.value) == expected
+
+
+class TestOneRadicand:
+    """Values over Q(sqrt(19)) and Q(sqrt(5)) cannot meet in one sum, so a
+    module that uses both is refused when it is built, not mid-check."""
+
+    CTX = PolyContext(("m", "s"))
+
+    def _term(self, src, tgt, text):
+        return ActionTerm(1, src, tgt, parse_poly(text, self.CTX))
+
+    def test_two_term_radicands(self):
+        with pytest.raises(ModuleError, match=r"radicand: sqrt\(5\), "
+                                              r"sqrt\(19\)"):
+            PolyWeightModule(WITT, (Fraction(0),), ("u", "w"), [
+                self._term("u", "u", "s + sqrt(19)*m"),
+                self._term("w", "w", "s + sqrt(5)*m"),
+                self._term("w", "u", "m^3")])
+
+    @pytest.mark.parametrize("beta", [QuadExtScalar(0, 1, 5), "1 + sqrt(5)"])
+    def test_beta_and_term_radicands(self, beta):
+        if isinstance(beta, str):
+            beta = parse_poly(beta, self.CTX)
+        with pytest.raises(ModuleError, match="more than one radicand"):
+            PolyWeightModule(WITT, (beta,), ("u",),
+                             [self._term("u", "u", "s + sqrt(19)*m")])
+
+    def test_one_radicand_builds(self):
+        M = PolyWeightModule(WITT, (parse_poly("1 + sqrt(19)", self.CTX),),
+                             ("u",), [self._term("u", "u", "s + sqrt(19)*m")])
+        assert check_module_axioms(M, window=1).passed
+
+
 class TestDuality:
     def test_dual_satisfies_axioms(self):
         for name in PRESET_NAMES:

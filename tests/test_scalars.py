@@ -91,6 +91,33 @@ class TestQuadExt:
             1 / QuadExtScalar(0, 0, 19)
 
 
+class TestRadicand:
+    """sqrt(d) stays formal, so a rational sqrt(d) would read as a value it
+    does not equal: sqrt(4) - 2 would be nonzero."""
+
+    @pytest.mark.parametrize("d", [4, 1, 0, -3, 9, (10 ** 40 + 7) ** 2])
+    def test_rational_root_refused(self, d):
+        with pytest.raises(ScalarError, match="not a perfect square"):
+            QuadExtScalar(0, 1, d)
+
+    @pytest.mark.parametrize("d", [19.0, Fraction(19), "19", True])
+    def test_non_integer_refused(self, d):
+        with pytest.raises(ScalarError, match="integer >= 2"):
+            QuadExtScalar(0, 1, d)
+
+    @pytest.mark.parametrize("d", [2, 8, 19, 10 ** 4000 + 1])
+    def test_irrational_root_accepted(self, d):
+        # d is not factored: 8 is not square-free, and a huge d costs one
+        # integer square root
+        x = QuadExtScalar(1, 1, d)
+        assert x.d == d and x * x.conjugate() == 1 - d
+
+    @pytest.mark.parametrize("text", ["sqrt(4)", "s + sqrt(1)*m", "sqrt(0)"])
+    def test_parse_refuses_rational_roots(self, text):
+        with pytest.raises(ScalarError, match="not a perfect square"):
+            parse_poly(text, PolyContext(("m", "s")))
+
+
 class _PairRef:
     """a + b*sqrt(19) as a pair of Fractions, with the Fraction-pair
     formulas the packed QuadExtScalar has to agree with."""
