@@ -347,27 +347,30 @@ def _cell_action(M: PolyWeightModule, idx, off: tuple, lab: str) -> tuple:
     return cell
 
 
+def _act_into(out: dict, x: LieElement, v: ModuleVector, sign=1) -> dict:
+    """Add sign * x v into `out`, a dict (offset, label) -> coefficient
+    that keeps zero sums, from the `_cell_action` images; return `out`."""
+    M = v.module
+    for idx, c in x.terms.items():
+        unit, neg = c == sign, c == -sign
+        for (off, lab), val in v.terms.items():
+            val = val if unit else (-val if neg else sign * c * val)
+            one = type(val) is Fraction and val == 1  # coeff is val * coeff
+            for key, coeff in _cell_action(M, idx, off, lab):
+                term = coeff if one else val * coeff
+                out[key] = out[key] + term if key in out else term
+    return out
+
+
 def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     """Concrete module action, bilinear; honors constraints, punctures and
-    restricted supports.
-
-    Each coefficient is evaluated once per module: `_cell_action` memoises
-    the image of a basis cell under a basis generator on the module. That
-    is sound because a module is not changed after construction, so the
-    image depends only on the generator, the offset and the label."""
+    restricted supports: the core `_act_into` on an empty dict, wrapped in
+    a ModuleVector. `_cell_action` memoises each cell image on the module,
+    sound because a module is not changed after construction."""
     M = v.module
     if x.algebra is not M.algebra and x.algebra != M.algebra:
         raise ModuleError("element and module algebras differ")
-    out: dict = {}
-    for idx, c in x.terms.items():
-        unit = c == 1
-        for (off, lab), val in v.terms.items():
-            if not unit:
-                val = c * val
-            for key, coeff in _cell_action(M, idx, off, lab):
-                term = val * coeff
-                out[key] = out[key] + term if key in out else term
-    return ModuleVector(M, out)
+    return ModuleVector(M, _act_into({}, x, v))
 
 
 # -- jet-algebra representation data -----------------------------------------
@@ -908,11 +911,12 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     Window part: a concrete sweep over generators with exponents in
     [-window, window] and weights near the exceptional set, which exercises
     constraints, punctures and restricted supports. It computes x v once
-    per generator and cell, and the defect [x, y] v - x(y v) + y(x v) once
-    per unordered pair of distinct generators and cell: as [y, x] = -[x, y]
-    and the action is bilinear, the defect of (y, x) is its negative, and
-    a diagonal pair has none. Failures are reported in (x, y), then cell,
-    order.
+    per generator and cell, and sums the defect [x, y] v - x(y v) + y(x v)
+    once per unordered pair of distinct generators and cell, in one dict
+    through the action core `_act_into`; only a failing defect becomes a
+    ModuleVector. As [y, x] = -[x, y] and the action is bilinear, the
+    defect of (y, x) is its negative, and a diagonal pair has none.
+    Failures are reported in (x, y), then cell, order.
     """
     _require_radius(window)
     rep = CheckReport("module_axioms", M.name or repr(M))
@@ -945,8 +949,10 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
         x, y = gens[i], gens[j]
         z = bracket(x, y)
         for c, (off, lab, v) in enumerate(cells):
-            diff = act(z, v) - act(x, first[j][c]) + act(y, first[i][c])
-            if not diff.is_zero():
+            diff = _act_into(_act_into(_act_into(
+                {}, z, v), x, first[j][c], -1), y, first[i][c])
+            if any(diff.values()):
+                diff = ModuleVector(M, diff)
                 found.append((i * len(gens) + j, c,
                               (str(x), str(y), off, lab, repr(diff))))
                 found.append((j * len(gens) + i, c,
@@ -956,17 +962,22 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     return rep
 
 
-def _a_shift(v: ModuleVector, r: tuple) -> ModuleVector:
-    """Multiplication by the Laurent monomial t^r on an AW-module."""
+def _a_shift_into(out: dict, v: ModuleVector, r: tuple, c=1) -> dict:
+    """Add c * t^r v into `out` as `_act_into` adds x v; return `out`."""
     M = v.module
-    out = {}
-    for (off, lab), c in v.terms.items():
+    for (off, lab), val in v.terms.items():
         new = tuple(o + x for o, x in zip(off, r))
         if M.component_is_zero(new, lab):
             raise ModuleError(
                 f"t^{r} maps into a deleted component at offset {new}")
-        out[(new, lab)] = c
-    return ModuleVector(M, out)
+        key, term = (new, lab), c * val
+        out[key] = out[key] + term if key in out else term
+    return out
+
+
+def _a_shift(v: ModuleVector, r: tuple) -> ModuleVector:
+    """Multiplication by the Laurent monomial t^r on an AW-module."""
+    return ModuleVector(v.module, _a_shift_into({}, v, r))
 
 
 def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
@@ -974,7 +985,8 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     (t^m d_a)(t^r v) = t^r ((t^m d_a) v) + r_a t^{m+r} v, i.e. the action
     polynomial satisfies poly_a(m, s + r) = poly_a(m, s) + r_a * delta.
     The window part computes (t^m d_a) v once per generator and cell and
-    reuses it for every shift r."""
+    reuses it for every shift r; it sums lhs - rhs in one dict through the
+    cores `_act_into` and `_a_shift_into`."""
     _require_radius(window)
     rep = CheckReport("aw_compat", M.name or repr(M))
     n = M.n
@@ -1008,13 +1020,12 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
         for r in shifts:
             mr = tuple(me + re for me, re in zip(e, r))
             for (_, lab, v), xv in zip(cells, images):
-                lhs_v = act(x, _a_shift(v, r))
-                rhs_v = _a_shift(xv, r) + _a_shift(v, mr).scale(
-                    Fraction(r[a - 1]))
+                diff = _a_shift_into(_a_shift_into(_act_into(
+                    {}, x, _a_shift(v, r)), xv, r, -1), v, mr, -r[a - 1])
                 rep.window_checked += 1
-                if lhs_v != rhs_v:
-                    rep.window_failures.append((str(x), r, lab,
-                                                repr(lhs_v - rhs_v)))
+                if any(diff.values()):
+                    rep.window_failures.append(
+                        (str(x), r, lab, repr(ModuleVector(M, diff))))
     return rep
 
 

@@ -469,17 +469,24 @@ class PolyScalar:
 
         Values may be base scalars or PolyScalars of any context; the result
         type follows the values, and a constant polynomial gives its base
-        coefficient.
+        coefficient. A call tables each used symbol's powers [v, v^2, ...]
+        once, by repeated multiplication, so no value needs a `**`.
         """
+        powers: dict = {}
         total = None
         for expo, coeff in self.terms.items():
             term = coeff
             for sym, e in zip(self.ctx.symbols, expo):
                 if not e:
                     continue
-                if sym not in mapping:
-                    raise MissingSymbolError(f"no value for symbol {sym!r}")
-                term = term * mapping[sym] ** e
+                table = powers.get(sym)
+                if table is None:
+                    if sym not in mapping:
+                        raise MissingSymbolError(f"no value for symbol {sym!r}")
+                    table = powers[sym] = [mapping[sym]]
+                while len(table) < e:
+                    table.append(table[-1] * table[0])
+                term = term * table[e - 1]
             total = term if total is None else total + term
         return Fraction(0) if total is None else total
 

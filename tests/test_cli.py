@@ -707,3 +707,34 @@ def test_traced_run_spans_the_identity(tmp_path, args, span):
     assert proc.returncode == 0, proc.stderr
     keys = {row[2] for row in json.loads(spans.read_text())["spans"]}
     assert span in keys
+
+
+def _failing_w2_file(tmp_path):
+    from wittforge.modules import natural_rep, tensor_field
+    data = module_to_json(
+        tensor_field(natural_rep(2), (Fraction(1, 3), Fraction(1, 5))))
+    data["terms"][0]["poly"] += " + m2*s1"
+    f = tmp_path / "w2_bad.json"
+    f.write_text(json.dumps(data))
+    return f
+
+
+def test_stdout_is_independent_of_the_hash_seed(tmp_path):
+    # certificates are byte-deterministic: set and dict orders must never
+    # leak into them, whatever PYTHONHASHSEED the process runs under
+    # (arguments, exit code): two refutations with witnesses, one pass
+    commands = [
+        (("module-check", "--module", str(_failing_w2_file(tmp_path)),
+          "--window", "1"), 1),
+        (("annihilator", "--preset", "virasoro_adjoint", "--m", "4"), 1),
+        (("acover", "--preset", "punctured_functions", "--window", "7"), 0)]
+    for args, code in commands:
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "wittforge.cli", *args],
+            env=dict(_src_env(), PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            for seed in ("0", "123")]
+        outs = [p.communicate(timeout=120)[0] for p in procs]
+        codes = [p.returncode for p in procs]
+        assert codes == [code, code], (args, codes)
+        assert outs[0] and outs[0] == outs[1], args

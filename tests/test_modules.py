@@ -1083,3 +1083,98 @@ class TestVectorSubtraction:
         v = build_preset("feigin_fuks_length2").basis_vector(0, "u")
         with pytest.raises(ModuleError):
             u - v
+
+
+# The AW relation written out from `act` and a hand-made t^r, independent
+# of the checker's shift core, in (x, r), then cell, order.
+
+
+def _times_t(v, r):
+    return v.module.vector({(tuple(o + x for o, x in zip(off, r)), lab): c
+                            for (off, lab), c in v.terms.items()})
+
+
+def _oracle_aw_failures(M, window):
+    shifts, gens = _window_generators(M, window)
+    out = []
+    for x, r in itertools.product(gens, shifts):
+        _, m, a = _decode_generator(M, next(iter(x.terms)))
+        mr = tuple(me + re for me, re in zip(m, r))
+        for _, lab, v in M.window(0):
+            d = (act(x, _times_t(v, r)) - _times_t(act(x, v), r)
+                 - _times_t(v, mr).scale(Fraction(r[a - 1])))
+            if not d.is_zero():
+                out.append((str(x), r, lab, repr(d)))
+    return out
+
+
+def _punctured_s2():
+    data = module_to_json(build_preset("punctured_functions"))
+    data["terms"][0]["poly"] = "s^2"
+    return module_from_json(data)
+
+
+class TestFusedSweepOracle:
+    """The sweeps sum each relation in one dict through the action core;
+    their failure lists equal the relation computed from `act` alone
+    (`_reference_axiom_sweep` uses only `act` and `bracket`)."""
+
+    @pytest.mark.parametrize("make, window, count", [
+        (lambda: _corrupted(_w2(), 0, " + m2*s1"), 1, 1980),
+        (_punctured_s2, 2, 64),
+        (lambda: _constraint_module("m^2", 1, 1), 2, None),
+    ], ids=["w2_corrupted", "punctured_s2", "constraint_line"])
+    def test_module_axioms(self, make, window, count):
+        M = make()
+        rep = check_module_axioms(M, window=window)
+        ref = _reference_axiom_sweep(M, window, _without_window(rep))
+        assert rep.window_failures
+        assert rep.window_failures == ref.window_failures
+        if count is not None:
+            assert len(rep.window_failures) == count
+
+    def test_aw_compat(self):
+        M = _constraint_module("m^2", 1, 1)
+        rep = check_aw_compat(M, window=2)
+        assert not rep.symbolic_failures
+        assert rep.window_failures == _oracle_aw_failures(M, 2)
+        assert len(rep.window_failures) == 9
+
+
+class TestActCore:
+    """The window sweeps call `act` only for the images x v they reuse;
+    every relation is summed through the core without a further `act`."""
+
+    def test_axiom_sweep_acts_once_per_generator_and_cell(self, monkeypatch):
+        M = _w2()
+        calls = _counting(monkeypatch, "act")
+        rep = check_module_axioms(M, window=1)
+        assert rep.passed and len(calls) == 18 * 18 == 18 * len(M.window(1))
+
+    def test_aw_sweep_acts_once_per_generator_and_cell(self, monkeypatch):
+        M = _w2()
+        calls = _counting(monkeypatch, "act")
+        rep = check_aw_compat(M, window=1)
+        assert rep.passed and len(calls) == 18 * 2 == 18 * len(M.window(0))
+
+
+class TestQuadraticWeight:
+    """A module built in code with beta = 1 + sqrt(19): the window maps s to
+    a QuadExtScalar, which `specialize` raises to powers by its table."""
+
+    def _module(self):
+        ctx = PolyContext(("m", "s"))
+        return PolyWeightModule(
+            WITT, (QuadExtScalar(1, 1, 19),), ("u",),
+            [ActionTerm(1, "u", "u", parse_poly("s + sqrt(19)*m", ctx))],
+            name="quadratic")
+
+    def test_axioms_and_annihilation(self):
+        M = self._module()
+        rep = check_module_axioms(M, window=1)
+        assert rep.passed and rep.window_checked == 27
+        assert annihilates(3, M, window=1).annihilates
+        cert = annihilates(2, M, window=1)
+        assert not cert.annihilates and cert.witness == (-1, -1, -1, "u")
+        assert cert.window_failures[0][4] == (
+            "ModuleVector((-38 + 2*sqrt(19))*u[-3])")

@@ -418,3 +418,63 @@ class TestCopyAndPickle:
         # the copied module acts as the original does
         assert act(w.module.algebra.basis((-1,)), w).terms == act(
             M.algebra.basis((-1,)), v).terms
+
+
+# values mapped onto CTX's symbols: a polynomial of another context
+_VALUE_CTX = PolyContext(("x", "y"))
+
+
+@st.composite
+def value_polys(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.one_of(rationals(), quadexts()), max_size=3))
+    return PolyScalar(_VALUE_CTX, terms)
+
+
+def _term_by_term(p, mapping, power):
+    """`p` at `mapping`, each monomial evaluated on its own with `power`."""
+    total = Fraction(0)
+    for expo, coeff in p.terms.items():
+        term = coeff
+        for sym, e in zip(p.ctx.symbols, expo):
+            if e:
+                term = term * power(mapping[sym], e)
+        total = total + term
+    return total
+
+
+def _repeated_product(value, e):
+    out = value
+    for _ in range(e - 1):
+        out = out * value
+    return out
+
+
+class TestSpecializePowerTable:
+    """`specialize` tables each symbol's powers once per call; its value
+    is that of the term-by-term evaluation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(MIXED_POLYS, st.sampled_from(["int", "fraction", "poly"]),
+           st.data())
+    def test_matches_term_by_term_powers(self, p, kind, data):
+        values = {"int": st.integers(-6, 6), "fraction": rationals(),
+                  "poly": value_polys()}[kind]
+        mapping = {sym: data.draw(values) for sym in CTX.symbols}
+        got = p.specialize(mapping)
+        want = _term_by_term(p, mapping, lambda v, e: v ** e)
+        assert got == want and type(got) is type(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(MIXED_POLYS, st.lists(quadexts(), min_size=3, max_size=3))
+    def test_quadratic_values_match_repeated_products(self, p, values):
+        # QuadExtScalar has no `**`: the table multiplies
+        mapping = dict(zip(CTX.symbols, values))
+        got = p.specialize(mapping)
+        assert got == _term_by_term(p, mapping, _repeated_product)
+
+    def test_missing_symbol_still_raises(self):
+        p = parse_poly("a^3*b + c", CTX)
+        with pytest.raises(MissingSymbolError, match="'c'"):
+            p.specialize({"a": QuadExtScalar(1, 1), "b": 2})
