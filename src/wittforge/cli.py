@@ -49,8 +49,7 @@ class UsageError(Exception):
 
 
 class _Run:
-    def __init__(self, emit: str):
-        self.emit = emit
+    def __init__(self):
         self.records = []
 
     def record(self, obj: dict):
@@ -59,22 +58,8 @@ class _Run:
     def finish(self, ok: bool, label: str, code: int | None = None):
         """Write the records and the stderr summary line, then exit with
         `code`, or by `ok` when no code is given."""
-        if self.emit == "csv":
-            import csv
-            import io
-            keys = sorted({k for r in self.records for k in r})
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=keys)
-            writer.writeheader()
-            for r in self.records:
-                writer.writerow({k: json.dumps(v, sort_keys=True)
-                                 if isinstance(v, (dict, list)) else v
-                                 for k, v in r.items()})
-            out = buf.getvalue().rstrip("\n") + "\n"
-        else:
-            out = "".join(json.dumps(r, sort_keys=True) + "\n"
-                          for r in self.records)
-        sys.stdout.write(out)
+        sys.stdout.write("".join(json.dumps(r, sort_keys=True) + "\n"
+                                 for r in self.records))
         sys.stdout.flush()
         print(f"# {label}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
         sys.exit(code if code is not None else EXIT_PASS if ok else EXIT_FAIL)
@@ -120,9 +105,6 @@ def _preset_names() -> tuple:
 # command that takes --preset imports `modules` to list them.
 _MODULE_SOURCE = (_opt("--preset", choices=_preset_names),
                   _opt("--module", dest="module_file"))
-
-_EMIT = _opt("--emit", choices=["json", "csv"], default="json")
-
 
 def _parse_range(text: str) -> tuple:
     try:
@@ -206,13 +188,12 @@ def _module_errors(fn):
           _opt("--n", type=int,
                help="rank of mu for the solenoidal variant (default 2)"),
           _opt("--h-box", type=int,
-               help="sup-norm bound for the solenoidal step h (default 2)"),
-          _EMIT)
-def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
+               help="sup-norm bound for the solenoidal step h (default 2)"))
+def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box):
     """Verify the quadratic differentiator identity."""
     from .enveloping import verify_key_identity, verify_solenoidal_identity
     from .lie import AlgebraError
-    run = _Run(emit)
+    run = _Run()
     if m < 2 or r < 2:
         raise UsageError("the identity requires m, r >= 2")
     if intro and m != r:
@@ -244,16 +225,16 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box, emit):
 
 @_command("annihilator", *_MODULE_SOURCE,
           _opt("--m", type=int, required=True, help="differentiator order"),
-          _window(3), _EMIT)
+          _window(3))
 @_module_errors
-def cmd_annihilator(preset, module_file, m, window, emit):
+def cmd_annihilator(preset, module_file, m, window):
     """Certify whether the order-m differentiators kill a module."""
     from . import modules as mod
     if m < 0:
         raise UsageError("--m must be nonnegative")
     M = _load_module(preset, module_file, prove=True,
                      require=mod.require_rank1)
-    run = _Run(emit)
+    run = _Run()
     cert = mod.annihilates(m, M, window=window)
     run.record(cert.to_json())
     run.finish(cert.annihilates, f"annihilator m={m} on {M.name}")
@@ -261,14 +242,13 @@ def cmd_annihilator(preset, module_file, m, window, emit):
 
 @_command("module-check", *_MODULE_SOURCE, _window(2),
           _opt("--aw", action="store_true",
-               help="also assert AW-compatibility"),
-          _EMIT)
+               help="also assert AW-compatibility"))
 @_module_errors
-def cmd_module_check(preset, module_file, window, aw, emit):
+def cmd_module_check(preset, module_file, window, aw):
     """Run the symbolic/window module-axiom suite on a module."""
     from . import modules as mod
     M = _load_module(preset, module_file)
-    run = _Run(emit)
+    run = _Run()
     rep = mod.check_module_axioms(M, window=window)
     run.record(rep.to_json())
     ok = rep.passed
@@ -282,15 +262,15 @@ def cmd_module_check(preset, module_file, window, aw, emit):
 
 @_command("acover", *_MODULE_SOURCE,
           _window(7, "weight window radius for rank certification"),
-          _opt("--seed", type=int, default=0, help="(default 0)"), _EMIT)
+          _opt("--seed", type=int, default=0, help="(default 0)"))
 @_module_errors
-def cmd_acover(preset, module_file, window, seed, emit):
+def cmd_acover(preset, module_file, window, seed):
     """Build the A-cover, certify cuspidality, and check pi."""
     from . import cover as cover_mod
     from . import modules as mod
     M = _load_module(preset, module_file, prove=True,
                      require=cover_mod.require_coverable)
-    run = _Run(emit)
+    run = _Run()
     try:
         C = cover_mod.CoverModule(M)
         run.record(cover_mod.cuspidality_certificate(
@@ -327,14 +307,14 @@ def cmd_acover(preset, module_file, window, seed, emit):
 @_command("derham",
           _opt("--n", type=int, required=True),
           _opt("--beta", help="comma-separated rationals (default 0,...,0)"),
-          _window(2), _EMIT)
-def cmd_derham(n, beta, window, emit):
+          _window(2))
+def cmd_derham(n, beta, window):
     """Homology table of the de Rham complex plus chain checks."""
     from . import modules as mod
     if n < 1:
         raise UsageError("--n must be positive")
     bvec = _parse_beta(beta, n) if beta is not None else (Fraction(0),) * n
-    run = _Run(emit)
+    run = _Run()
     for w in sorted(itertools.product(range(-window, window + 1), repeat=n)):
         ranks = mod.de_rham_homology(n, bvec, w)
         run.record({"kind": "derham_ranks", "w": list(w),
@@ -358,14 +338,14 @@ def _load_jets_rep(path: str):
 @_command("jets",
           _opt("--rep", dest="rep_file", required=True,
                help="jet-algebra representation JSON"),
-          _opt("--beta", required=True), _window(2), _EMIT)
+          _opt("--beta", required=True), _window(2))
 @_module_errors
-def cmd_jets(rep_file, beta, window, emit):
+def cmd_jets(rep_file, beta, window):
     """Build the jets module from a representation file and check it."""
     from . import modules as mod
     rho = _load_jets_rep(rep_file)
     bvec = _parse_beta(beta, rho.n)
-    run = _Run(emit)
+    run = _Run()
     M = mod.jets_module(rho, bvec)
     axioms = mod.check_module_axioms(M, window=window)
     aw = mod.check_aw_compat(M, window=window)
@@ -380,9 +360,9 @@ def cmd_jets(rep_file, beta, window, emit):
                help="W_n module JSON"),
           _opt("--g", dest="gtext", required=True,
                help="unimodular integer matrix, rows separated by ';'"),
-          _window(1), _EMIT)
+          _window(1))
 @_module_errors
-def cmd_twist(module_file, gtext, window, emit):
+def cmd_twist(module_file, gtext, window):
     """Twist a W_n module by a torus automorphism."""
     from . import modules as mod
     from .lie import AlgebraError, LatticeAutomorphism
@@ -393,21 +373,21 @@ def cmd_twist(module_file, gtext, window, emit):
     except (ValueError, AlgebraError) as e:
         raise UsageError(f"bad --g: {e}")
     T = mod.twist(M, g)
-    run = _Run(emit)
+    run = _Run()
     axioms = mod.check_module_axioms(T, window=window)
     run.record({"kind": "twist", "module": mod.module_to_json(T)})
     run.record(axioms.to_json())
     run.finish(axioms.passed, "twist")
 
 
-@_command("dual", *_MODULE_SOURCE, _window(2), _EMIT)
+@_command("dual", *_MODULE_SOURCE, _window(2))
 @_module_errors
-def cmd_dual(preset, module_file, window, emit):
+def cmd_dual(preset, module_file, window):
     """Graded dual of a module, with axiom check and double-dual round trip."""
     from . import modules as mod
     M = _load_module(preset, module_file, prove=True)
     D = mod.graded_dual(M)
-    run = _Run(emit)
+    run = _Run()
     axioms = mod.check_module_axioms(D, window=window)
     DD = mod.graded_dual(D)
     round_trip = (mod.action_polynomials(DD) == mod.action_polynomials(M)

@@ -41,7 +41,7 @@ from . import linalg
 from .lie import WnAlgebra
 from .modules import (ActionTerm, ModuleError, ModuleVector, PolyWeightModule,
                       _generic_action_matrix, act)
-from .scalars import Frozen, PolyContext, PolyScalar, is_zero_scalar, scalar_str
+from .scalars import Frozen, PolyContext, PolyScalar
 
 
 class CoverError(Exception):
@@ -65,7 +65,7 @@ def require_coverable(M: PolyWeightModule) -> None:
         raise ModuleError("covers need concrete (non-symbolic) parameters")
     if not all(isinstance(b, (int, Fraction)) for b in M.beta):
         raise ModuleError(f"covers need a rational beta, got "
-                          f"{[scalar_str(b) for b in M.beta]}")
+                          f"{[str(b) for b in M.beta]}")
 
 
 def base_degree(M: PolyWeightModule) -> int:
@@ -86,7 +86,7 @@ class QuasiPolyVector:
                  poly: Mapping[str, PolyScalar], overrides: Mapping):
         self.module = module
         self.weight = int(weight)
-        self.poly = {lab: p for lab, p in poly.items() if not p.is_zero()}
+        self.poly = {lab: p for lab, p in poly.items() if p}
         self.overrides = dict(overrides)
 
     def override_modes(self) -> set:
@@ -99,22 +99,17 @@ class QuasiPolyVector:
         return Fraction(0) if p is None else p.specialize({"m": Fraction(m)})
 
     def value(self, m: int) -> ModuleVector:
-        M = self.module
-        out = {}
-        for lab in M.fiber:
-            c = self.component(m, lab)
-            if not is_zero_scalar(c):
-                out[((self.weight + m,), lab)] = c
-        return ModuleVector(M, out)
+        return ModuleVector(self.module, {((self.weight + m,), lab):
+                                          self.component(m, lab)
+                                          for lab in self.module.fiber})
 
     def is_zero(self) -> bool:
-        return not self.poly and all(is_zero_scalar(v)
-                                     for v in self.overrides.values())
+        return not self.poly and not any(self.overrides.values())
 
     def __repr__(self):
         parts = [f"{lab}: {p}" for lab, p in sorted(self.poly.items())]
-        ov = {k: scalar_str(v) for k, v in sorted(self.overrides.items())
-              if not is_zero_scalar(v)}
+        ov = {k: str(v) for k, v in sorted(self.overrides.items())
+              if v}
         return (f"QuasiPolyVector(w={self.weight}, poly={{{', '.join(parts)}}},"
                 f" overrides={ov})")
 
@@ -506,7 +501,7 @@ def emit_induced_module(C: CoverModule) -> PolyWeightModule:
                     f"mismatch at {(p, w)}")
         poly = PolyScalar(ctx, {(i, j): x for i, row in enumerate(coeffs)
                                 for j, x in enumerate(row)})
-        if not poly.is_zero():
+        if poly:
             terms.append(ActionTerm(1, labels[isrc], labels[itgt], poly))
     return PolyWeightModule(M.algebra, M.beta, labels, terms,
                             name=f"cover({M.name})" if M.name else "cover")
@@ -553,8 +548,8 @@ def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
         rhs = -(Fraction(k - p) * pair_pistar(u, k + p, xi)
                 + pair_pistar(u, k, act(dual.algebra.basis((p,)), xi)))
         checked += 1
-        if not is_zero_scalar(lhs - rhs):
-            failures.append((p, k, ju, jxi, scalar_str(lhs - rhs)))
+        if lhs != rhs:
+            failures.append((p, k, ju, jxi, str(lhs - rhs)))
     return {"checked": checked, "failures": failures,
             "passed": not failures}
 

@@ -22,7 +22,7 @@ from .lie import (AlgebraError, Rank1Algebra, add_points, scale_point,
                   sub_points, symbolic_witt_algebra, witt_algebra,
                   IndexLattice)
 from .scalars import (Combination, ContextMismatchError, PolyContext,
-                      PolyScalar, scalar_str)
+                      PolyScalar)
 
 Monomial = tuple  # tuple of lattice points (each a tuple of ints)
 
@@ -40,7 +40,7 @@ class UEAElement(Combination):
         parts = []
         for m in sorted(self.terms):
             name = "".join(f"e[{','.join(map(str, pt))}]" for pt in m) or "1"
-            parts.append(f"({scalar_str(self.terms[m])})*{name}")
+            parts.append(f"({self.terms[m]})*{name}")
         return "UEA(" + " + ".join(parts) + ")"
 
 

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .scalars import (Combination, Frozen, PolyContext, is_zero_scalar,
-                      scalar_str)
+from .scalars import Combination, Frozen, PolyContext
 
 
 class AlgebraError(Exception):
@@ -157,7 +156,7 @@ class LieElement(Combination):
                 base = f"t[{','.join(map(str, r))}]d{a}"
             else:
                 base = f"e[{','.join(map(str, k))}]"
-            cs = scalar_str(c)
+            cs = str(c)
             parts.append(base if cs == "1" else f"({cs})*{base}")
         return " + ".join(parts)
 
@@ -171,7 +170,7 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
         for kx, cx in x.terms.items():
             for ky, cy in y.terms.items():
                 coeff = alg.phi(sub_points(ky, kx)) * cx * cy
-                if is_zero_scalar(coeff):
+                if not coeff:
                     continue
                 key = add_points(kx, ky)
                 terms[key] = terms.get(key, 0) + coeff
@@ -240,7 +239,7 @@ def solenoidal_embed(x: LieElement, target: WnAlgebra) -> LieElement:
     for r, c in x.terms.items():
         for a in range(1, target.n + 1):
             coeff = c * mu[a - 1]
-            if is_zero_scalar(coeff):
+            if not coeff:
                 continue
             key = (r, a)
             terms[key] = terms.get(key, 0) + coeff

@@ -14,14 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QuadExtScalar
-
-
-def _inv(x):
-    if isinstance(x, QuadExtScalar):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
-
 
 def row_echelon(rows):
     """Reduced row echelon form: (echelon_rows, pivot_columns), with the
@@ -36,7 +28,7 @@ def row_echelon(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = _inv(m[r][c])
+        inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:

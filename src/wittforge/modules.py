@@ -28,8 +28,7 @@ from . import linalg
 from .lie import (LatticeAutomorphism, LieElement, WnAlgebra, bracket,
                   witt_algebra)
 from .scalars import (Combination, Frozen, PolyContext, PolyScalar, QuadExtScalar,
-                      format_rational, is_zero_scalar, parse_poly,
-                      parse_rational, parse_scalar, scalar_str)
+                      parse_poly, parse_scalar)
 
 
 class ModuleError(Exception):
@@ -271,7 +270,7 @@ class ModuleVector(Combination):
     def __repr__(self):
         if not self.terms:
             return "ModuleVector(0)"
-        parts = [f"({scalar_str(c)})*{lab}[{','.join(map(str, off))}]"
+        parts = [f"({c})*{lab}[{','.join(map(str, off))}]"
                  for (off, lab), c in sorted(self.terms.items(),
                                              key=lambda kv: str(kv[0]))]
         return "ModuleVector(" + " + ".join(parts) + ")"
@@ -341,7 +340,7 @@ def _cell_action(M: PolyWeightModule, idx, off: tuple, lab: str) -> tuple:
             if sym not in mapping:
                 mapping[sym] = term.poly.ctx.sym(sym)
         coeff = term.poly.specialize(mapping)
-        if not is_zero_scalar(coeff):
+        if coeff:
             pairs.append(((new_off, term.tgt), coeff))
     cell = M._cell_actions[key] = tuple(pairs)
     return cell
@@ -539,7 +538,7 @@ def tensor_density(alpha, beta) -> PolyWeightModule:
 
 def _rationals_text(values) -> str:
     """A tuple of rationals as a module name shows it: (1/3, 0)."""
-    return "(" + ", ".join(format_rational(Fraction(v)) for v in values) + ")"
+    return "(" + ", ".join(str(Fraction(v)) for v in values) + ")"
 
 
 def tensor_field(U: JPlusRepData, beta) -> PolyWeightModule:
@@ -567,7 +566,7 @@ def tensor_field(U: JPlusRepData, beta) -> PolyWeightModule:
                     c = U.rho(_unit(n, p), a)[tgt_i][src_i]
                     if c:
                         poly = poly + c * ctx.sym(msyms[p - 1])
-                if not poly.is_zero():
+                if poly:
                     terms.append(ActionTerm(a, src, tgt, poly))
     return PolyWeightModule(
         algebra, beta, U.labels, terms,
@@ -670,7 +669,7 @@ def jets_module(rho: JPlusRepData, beta) -> PolyWeightModule:
                         if ki:
                             mono = mono * ctx.sym(msyms[i]) ** ki
                     poly = poly + mono
-                if not poly.is_zero():
+                if poly:
                     terms.append(ActionTerm(j, src, tgt, poly))
     return PolyWeightModule(algebra, beta, rho.labels, terms,
                             name=f"jets(dim {rho.dim}, N {rho.cutoff})")
@@ -797,7 +796,7 @@ def action_polynomials(M: PolyWeightModule) -> dict:
             continue
         key = (t.direction, t.src, t.tgt)
         acc[key] = acc[key] + t.poly if key in acc else t.poly
-    return {k: str(v) for k, v in acc.items() if not v.is_zero()}
+    return {k: str(v) for k, v in acc.items() if v}
 
 
 # -- checkers -----------------------------------------------------------------
@@ -1107,7 +1106,7 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
             omega += LabelMatrix(None, {
                 key: c.substitute({"i": j}) if isinstance(c, PolyScalar) else c
                 for key, c in composite.terms.items()}).scale(coeff)
-    symbolic_residues = [(src, tgt, str(wt + k + s), scalar_str(c))
+    symbolic_residues = [(src, tgt, str(wt + k + s), str(c))
                          for src in M.fiber for tgt in M.fiber
                          if (c := omega.terms.get((src, tgt))) is not None]
     cert = AnnihilationCertificate(order, M.name or repr(M),
@@ -1153,7 +1152,7 @@ def weight_report(M: PolyWeightModule, radius: int = 4) -> dict:
     _require_radius(radius)
     offsets = itertools.product(range(-radius, radius + 1), repeat=M.n)
     rows = [{"offset": list(off),
-             "weight": [scalar_str(w) for w in M.weight_value(off)],
+             "weight": [str(w) for w in M.weight_value(off)],
              "dim": len(M.labels_at(off))} for off in offsets]
     dims = [r["dim"] for r in rows]
     return {"module": M.name or repr(M), "rows": rows,
@@ -1166,14 +1165,14 @@ def weight_report(M: PolyWeightModule, radius: int = 4) -> dict:
 
 def module_to_json(M: PolyWeightModule) -> dict:
     def constraint_json(c):
-        return {"m_coeffs": [format_rational(Fraction(x)) for x in c.m_coeffs],
-                "s_coeffs": [format_rational(Fraction(x)) for x in c.s_coeffs],
-                "const": format_rational(Fraction(c.const))}
+        return {"m_coeffs": [str(Fraction(x)) for x in c.m_coeffs],
+                "s_coeffs": [str(Fraction(x)) for x in c.s_coeffs],
+                "const": str(Fraction(c.const))}
 
     return {
         "algebra": {"type": "wn" if isinstance(M.algebra, WnAlgebra) else "witt",
                     "n": M.n},
-        "beta": [scalar_str(b) for b in M.beta],
+        "beta": [str(b) for b in M.beta],
         "fiber": list(M.fiber),
         "terms": [{"direction": t.direction, "src": t.src, "tgt": t.tgt,
                    "poly": str(t.poly),
@@ -1251,11 +1250,11 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
         constraint = None
         if c is not None:
             m_coeffs, s_coeffs = (
-                tuple(parse_rational(_text(x, key))
+                tuple(Fraction(_text(x, key))
                       for x in _typed(c[key], list, key))
                 for key in ("m_coeffs", "s_coeffs"))
             constraint = Constraint(m_coeffs, s_coeffs,
-                                    parse_rational(_text(c["const"], "const")))
+                                    Fraction(_text(c["const"], "const")))
         terms.append(ActionTerm(_integer(t["direction"], "direction"),
                                 _text(t["src"], "src"), _text(t["tgt"], "tgt"),
                                 parse_poly(t["poly"], ctx), constraint))
@@ -1284,7 +1283,7 @@ def jets_rep_from_json(data: Mapping) -> JPlusRepData:
         if key in matrices:
             raise ModuleError(f"matrix {key} is given twice")
         matrices[key] = [[Fraction(x) if type(x) is int
-                          else parse_rational(_text(x, "matrix entry"))
+                          else Fraction(_text(x, "matrix entry"))
                           for x in _typed(row, list, "matrix row")]
                          for row in _typed(e["matrix"], list, "matrix")]
     labels = data.get("labels")

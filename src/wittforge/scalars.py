@@ -11,6 +11,18 @@ Products of polynomials whose coefficients are all integral multiply plain
 int numerators and wrap the sums back into Fractions. A QuadExtScalar holds
 integer numerators over one denominator, so its arithmetic is integer
 products and one gcd per result rather than Fraction operations.
+
+The scalar contract. Four types flow through every layer as coefficients:
+int, Fraction, QuadExtScalar and PolyScalar. Each answers for itself, so no
+layer switches on the type: `not x` is the zero test; `str(x)` is the
+text, which `parse_scalar(str(x), ctx)` reads back equal (a Fraction prints
+n or n/d, and a constant PolyScalar keeps its own parenthesized text);
+values that compare equal hash alike across types, a constant PolyScalar
+as its coefficient; `+`, `-` and `*` mix any two types in either order;
+`Fraction(1) / x` inverts a nonzero int, Fraction or QuadExtScalar, and a
+zero divisor raises ZeroDivisionError. Only PolyScalar takes `**`, and
+constants of different contexts are unequal. tests/test_scalars.py
+(TestScalarContract) checks every type against this.
 """
 
 from __future__ import annotations
@@ -32,17 +44,6 @@ class ContextMismatchError(ScalarError):
 
 class MissingSymbolError(ScalarError):
     pass
-
-
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 class QuadExtScalar:
@@ -176,12 +177,12 @@ class QuadExtScalar:
 
     def __str__(self):
         if self.b == 0:
-            return format_rational(self.a)
-        bpart = f"sqrt({self.d})" if abs(self.b) == 1 else f"{format_rational(abs(self.b))}*sqrt({self.d})"
+            return str(self.a)
+        bpart = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
         sign = "-" if self.b < 0 else "+"
         if self.a == 0:
             return bpart if self.b > 0 else f"-{bpart}"
-        return f"{format_rational(self.a)} {sign} {bpart}"
+        return f"{self.a} {sign} {bpart}"
 
 
 _set_p, _set_q, _set_n, _set_d = (getattr(QuadExtScalar, f).__set__
@@ -394,20 +395,12 @@ class PolyScalar:
                 raise ScalarError(f"division by a non-constant polynomial: "
                                   f"{other}")
             other = other.constant_value()
-        if isinstance(other, int):
-            other = Fraction(other)
         if not other:
             raise ZeroDivisionError("division by zero scalar")
-        if isinstance(other, QuadExtScalar):
-            inv = other.inverse()
-        else:
-            inv = Fraction(1) / other
+        inv = Fraction(1) / other
         return PolyScalar(self.ctx, {e: c * inv for e, c in self.terms.items()})
 
     # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -456,9 +449,11 @@ class PolyScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its base coefficient, so it hashes as one
         h = self._hash
         if h is None:
-            h = hash((self.ctx.symbols, frozenset(self.terms.items())))
+            h = (hash(self.constant_value()) if self.is_constant() else
+                 hash((self.ctx.symbols, frozenset(self.terms.items()))))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -570,7 +565,7 @@ def _coeff_str(c) -> tuple[str, bool]:
         cc = -c if neg else c
         return f"({cc})", neg
     c = Fraction(c)
-    return format_rational(abs(c)), c < 0
+    return str(abs(c)), c < 0
 
 
 _TOKEN_RE = re.compile(
@@ -669,18 +664,6 @@ def parse_scalar(text: str, ctx: PolyContext | None = None) -> BaseScalar | Poly
     return parse_poly(text, ctx)
 
 
-def scalar_str(x) -> str:
-    if isinstance(x, (int, Fraction)):
-        return format_rational(Fraction(x))
-    return str(x)
-
-
-def is_zero_scalar(x) -> bool:
-    if isinstance(x, PolyScalar):
-        return x.is_zero()
-    return not x
-
-
 class Frozen:
     """Immutable value whose fields are its `__slots__`, in constructor
     order; a subclass's `__init__` sets them with `object.__setattr__`.
@@ -724,7 +707,7 @@ class Combination:
 
     def __init__(self, parent, terms: Mapping):
         self.parent = parent
-        self.terms = {k: v for k, v in terms.items() if not is_zero_scalar(v)}
+        self.terms = {k: v for k, v in terms.items() if v}
 
     def _same_parent(self, other) -> bool:
         return other.parent is self.parent or other.parent == self.parent

@@ -123,12 +123,12 @@ class TestAnnihilator:
         args = ("annihilator", "--preset", "punctured_functions", "--m", "3")
         assert invoke(*args).output == invoke(*args).output
 
-    def test_csv_emission(self):
+    def test_emit_option_is_gone(self):
+        # records are JSON lines only; --emit is an unknown option
         res = invoke("annihilator", "--preset", "punctured_functions",
-                     "--m", "3", "--emit", "csv")
-        assert res.exit_code == 0
-        header = res.output.splitlines()[0]
-        assert "annihilates" in header.split(",")
+                     "--m", "3", "--emit", "json")
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "--emit" in res.stderr
 
     def test_internal_error_exits_four(self, monkeypatch):
         # an unexpected exception is not a refutation (exit 1)

@@ -14,7 +14,7 @@ from wittforge.lie import (Rank1Algebra, add_points, scale_point,
                           solenoidal_algebra, sub_points,
                           symbolic_witt_algebra, witt_algebra)
 from wittforge.scalars import (ContextMismatchError, PolyContext, PolyScalar,
-                               QuadExtScalar, is_zero_scalar)
+                               QuadExtScalar)
 
 WITT = witt_algebra()
 # The algebra of the formal proof, and its generators k, s, p, q, h.
@@ -293,10 +293,10 @@ def _ref_nf_monomial(algebra, mono, strategy, cache):
             merged = m[:i] + (add_points(x, y),) + m[i + 2:]
             coeff = algebra.phi(sub_points(x, y))
             res = dict(rec(swapped))
-            if not is_zero_scalar(coeff):
+            if coeff:
                 for mm, cc in rec(merged).items():
                     res[mm] = res.get(mm, 0) + coeff * cc
-            res = {mm: cc for mm, cc in res.items() if not is_zero_scalar(cc)}
+            res = {mm: cc for mm, cc in res.items() if cc}
         cache[m] = res
         return res
 

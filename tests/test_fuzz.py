@@ -11,9 +11,8 @@ refutes (exit 1) is not a module, and `annihilator` and `dual` exit 2 on it.
 
 Each option example gives `derham`, `verify-identity`, `twist`,
 `annihilator`, `acover` or `jets` a drawn subset of its options with small,
-malformed or out-of-range values (at window 0, to keep the sweeps cheap),
-and each command gets a drawn `--emit`. Only `acover` can be inconclusive,
-so the others exit 0, 1 or 2.
+malformed or out-of-range values (at window 0, to keep the sweeps cheap).
+Only `acover` can be inconclusive, so the others exit 0, 1 or 2.
 """
 
 import copy
@@ -230,21 +229,20 @@ ORDERS = st.one_of(st.integers(-3, 16).map(str),
                    st.sampled_from(["", "x", "1.5", "+2", " 3", "1e1"]))
 SEEDS = st.one_of(st.integers(-2 ** 70, 2 ** 70).map(str),
                   st.sampled_from(["", "x", "1.5", "-0", "1e3"]))
-EMITS = st.sampled_from(["json", "csv", "CSV", "", "x", "csv "])
 
 
 @_OPTION_SETTINGS
 @given(args=options([("--preset", st.sampled_from(
                          ["punctured_functions", "virasoro_adjoint", "x"])),
-                     ("--m", ORDERS), ("--window", WINDOWS),
-                     ("--emit", EMITS)], fixed=("annihilator",)))
+                     ("--m", ORDERS), ("--window", WINDOWS)],
+                    fixed=("annihilator",)))
 def test_annihilator_options_keep_the_exit_contract(args):
     _run_options(args)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(args=options([("--seed", SEEDS), ("--emit", EMITS)],
+@given(args=options([("--seed", SEEDS)],
                     fixed=("acover", "--preset", "punctured_functions",
                            "--window", "0")))
 def test_acover_options_keep_the_exit_contract(args):
@@ -252,8 +250,7 @@ def test_acover_options_keep_the_exit_contract(args):
 
 
 @_OPTION_SETTINGS
-@given(args=options([("--beta", RATIONALS), ("--window", WINDOWS),
-                     ("--emit", EMITS)]))
+@given(args=options([("--beta", RATIONALS), ("--window", WINDOWS)]))
 def test_jets_options_keep_the_exit_contract(args):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rep.json"
@@ -263,7 +260,7 @@ def test_jets_options_keep_the_exit_contract(args):
 
 # One cheap, valid invocation per command; its input files are written
 # for each run.
-EMIT_COMMANDS = {
+VALID_INVOCATIONS = {
     "verify-identity": ["--m", "2", "--r", "2"],
     "annihilator": ["--preset", "punctured_functions", "--m", "3",
                     "--window", "0"],
@@ -276,14 +273,11 @@ EMIT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(EMIT_COMMANDS))
-@settings(derandomize=True, max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(emit=EMITS)
-def test_emit_keeps_the_exit_contract(command, emit):
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {"jets": Path(tmp) / "rep.json", "w2": Path(tmp) / "w2.json"}
-        files["jets"].write_text(json.dumps(JETS_REPS[0]))
-        files["w2"].write_text(W2_JSON)
-        args = [a.format(**files) for a in EMIT_COMMANDS[command]]
-        _run_options([command, *args, "--emit", emit], codes=(0, 1, 2, 3))
+@pytest.mark.parametrize("command", sorted(VALID_INVOCATIONS))
+def test_emit_keeps_the_exit_contract(command, tmp_path):
+    """A command's records are emitted under the exit contract."""
+    files = {"jets": tmp_path / "rep.json", "w2": tmp_path / "w2.json"}
+    files["jets"].write_text(json.dumps(JETS_REPS[0]))
+    files["w2"].write_text(W2_JSON)
+    args = [a.format(**files) for a in VALID_INVOCATIONS[command]]
+    _run_options([command, *args], codes=(0, 1, 2, 3))

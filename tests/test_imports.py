@@ -5,7 +5,9 @@ imports only the layers it calls, loading the layers pulls in neither
 import and run at import), and each concept has one home: row echelon in
 `linalg`, constraint lines in `modules`, sparse-sum arithmetic in
 `scalars.Combination`, which the Lie, enveloping and module vectors and
-the label matrices of the module checkers inherit.
+the label matrices of the module checkers inherit. The coefficient types
+answer their own zero test, text and inverse, so no layer re-dispatches on
+the scalar type through a helper.
 """
 
 import ast
@@ -145,6 +147,46 @@ def test_sum_scan_flags_definitions():
               "class C:\n    def is_zero(self):\n        pass\n")
     assert class_attributes(source, "A") == {"__slots__", "__add__", "scale",
                                              "x"}
+
+
+def top_level_names(source: str) -> set:
+    """The names that the module body of `source` defines or assigns."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def names_from(source: str, module: str) -> list:
+    """The names that `source` imports from the sibling module `module`."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for a in node.names]
+
+
+def test_scalar_helpers_stay_gone():
+    # `not x`, `str(x)`, `str(Fraction(x))`, `Fraction(text)` and
+    # `Fraction(1) / x` hold for every coefficient type
+    # (tests/test_scalars.py::TestScalarContract)
+    assert top_level_names((SRC / "scalars.py").read_text()) & {
+        "is_zero_scalar", "scalar_str", "format_rational",
+        "parse_rational"} == set()
+    linalg = (SRC / "linalg.py").read_text()
+    assert "_inv" not in top_level_names(linalg)
+    assert names_from(linalg, "scalars") == []
+    assert "isinstance" not in linalg
+
+
+def test_helper_scans_flag_definitions_and_imports():
+    source = ("from .scalars import QuadExtScalar, parse_scalar\n"
+              "from . import scalars\nfrom .lie import bracket\n"
+              "def scalar_str(x):\n    def inner():\n        pass\n"
+              "class A:\n    pass\nB = C = 1\nfor x in y:\n    pass\n")
+    assert top_level_names(source) == {"scalar_str", "A", "B", "C"}
+    assert names_from(source, "scalars") == ["QuadExtScalar", "parse_scalar"]
 
 
 def absolute_imports(source: str) -> list:

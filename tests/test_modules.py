@@ -22,8 +22,7 @@ from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
                                tensor_density,
                                tensor_field, trivial_rep, twist,
                                weight_report, wedge_rep)
-from wittforge.scalars import (PolyContext, QuadExtScalar, is_zero_scalar,
-                               parse_poly, scalar_str)
+from wittforge.scalars import PolyContext, QuadExtScalar, parse_poly
 
 WITT = witt_algebra()
 
@@ -570,9 +569,9 @@ def _reference_differentiator(order, M):
                 if row == mid:
                     omega[(src, tgt)] = (omega.get((src, tgt), 0)
                                          + (-1) ** i * comb(order, i) * b * a)
-    return [(src, tgt, str(wt + k + s), scalar_str(c))
+    return [(src, tgt, str(wt + k + s), str(c))
             for src in M.fiber for tgt in M.fiber
-            if not is_zero_scalar(c := omega.get((src, tgt), 0))]
+            if (c := omega.get((src, tgt), 0))]
 
 
 def _counting(monkeypatch, name):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittforge.scalars import (ContextMismatchError, MissingSymbolError,
                                PolyContext, PolyScalar, QuadExtScalar,
-                               ScalarError, format_rational, parse_poly,
-                               parse_rational, parse_scalar)
+                               ScalarError, parse_poly, parse_scalar)
 
 CTX = PolyContext(("a", "b", "c"))
 
@@ -68,7 +67,7 @@ def _reference_sum(p, q):
 class TestRationals:
     def test_format_round_trip(self):
         for x in [Fraction(0), Fraction(3), Fraction(-7, 2), Fraction(22, 7)]:
-            assert parse_rational(format_rational(x)) == x
+            assert Fraction(str(x)) == x
 
 
 class TestQuadExt:
@@ -161,12 +160,12 @@ class _PairRef:
     def text(self):
         a, b = self.a, self.b
         if b == 0:
-            return format_rational(a)
+            return str(a)
         bpart = (f"sqrt({self.D})" if abs(b) == 1
-                 else f"{format_rational(abs(b))}*sqrt({self.D})")
+                 else f"{abs(b)}*sqrt({self.D})")
         if a == 0:
             return bpart if b > 0 else f"-{bpart}"
-        return f"{format_rational(a)} {'-' if b < 0 else '+'} {bpart}"
+        return f"{a} {'-' if b < 0 else '+'} {bpart}"
 
 
 def wide_rationals():
@@ -478,3 +477,108 @@ class TestSpecializePowerTable:
         p = parse_poly("a^3*b + c", CTX)
         with pytest.raises(MissingSymbolError, match="'c'"):
             p.specialize({"a": QuadExtScalar(1, 1), "b": 2})
+
+
+# -- the scalar contract ------------------------------------------------------
+
+FIELD_ELEMENTS = st.one_of(st.integers(-50, 50), rationals(), quadexts())
+CONSTANT_POLYS = st.one_of(rationals(), quadexts()).map(CTX.const)
+# int, Fraction, QuadExtScalar over Q(sqrt(19)), and constant and
+# non-constant PolyScalars of one context
+EVERY_SCALAR = st.one_of(FIELD_ELEMENTS, CONSTANT_POLYS, MIXED_POLYS)
+
+
+def _forms(value):
+    """`value` (a Fraction or QuadExtScalar) in every type that can hold it."""
+    if isinstance(value, QuadExtScalar):
+        if value.b:
+            return [value, CTX.const(value)]
+        value = value.a
+    forms = [value, QuadExtScalar(value, 0, 19), CTX.const(value)]
+    return forms + [value.numerator] if value.denominator == 1 else forms
+
+
+class TestScalarContract:
+    """What every coefficient type answers itself, so that no layer needs a
+    helper that switches on the type: `not x` is the zero test, `str(x)` the
+    text that `parse_scalar` reads back, equal values hash alike across
+    types, `+ - *` mix any two types, and `Fraction(1) / x` inverts a
+    nonzero field element."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(EVERY_SCALAR)
+    def test_truth_is_the_zero_test(self, x):
+        assert bool(x) == (x != 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.integers(-50, 50).map(Fraction), rationals(),
+                     quadexts()))
+    def test_equal_values_hash_alike_across_types(self, value):
+        for x in _forms(value):
+            for y in _forms(value):
+                assert x == y and hash(x) == hash(y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(EVERY_SCALAR, EVERY_SCALAR)
+    def test_equality_implies_equal_hashes(self, x, y):
+        if x == y:
+            assert hash(x) == hash(y)
+
+    def test_a_set_holds_each_value_once(self):
+        root = QuadExtScalar(1, 2, 19)
+        assert len({CTX.const(Fraction(3, 2)), Fraction(3, 2)}) == 1
+        assert len({CTX.const(root), root}) == 1
+        assert len({CTX.zero(), 0}) == 1
+        assert hash(CTX.zero()) == hash(0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(EVERY_SCALAR)
+    def test_text_round_trips(self, x):
+        assert parse_scalar(str(x), CTX) == x
+
+    @settings(max_examples=100, deadline=None)
+    @given(EVERY_SCALAR, EVERY_SCALAR)
+    def test_ring_operations_mix_types_in_either_order(self, x, y):
+        lifted = CTX.const(x), CTX.const(y)
+        assert x + y == y + x == lifted[0] + lifted[1]
+        assert x - y == -(y - x) == lifted[0] - lifted[1]
+        assert x * y == y * x == lifted[0] * lifted[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(FIELD_ELEMENTS.filter(bool), MIXED_POLYS)
+    def test_nonzero_field_elements_invert(self, x, p):
+        assert (Fraction(1) / x) * x == 1
+        assert (p / x) * x == p
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), QuadExtScalar(0, 0, 19),
+                                      CTX.zero()], ids=repr)
+    def test_division_by_zero_raises(self, zero):
+        p = CTX.sym("a") + 1
+        with pytest.raises(ZeroDivisionError):
+            p / zero
+        if not isinstance(zero, PolyScalar):
+            for x in (1, Fraction(1, 2), QuadExtScalar(1, 2, 19)):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
+                with pytest.raises(ZeroDivisionError):
+                    Fraction(1) / zero
+
+    # Three behaviours pinned as they are: changing any of them could move
+    # certificate text.
+
+    def test_contexts_keep_constants_apart(self):
+        a, b = PolyContext(("a",)), PolyContext(("b",))
+        assert a.const(Fraction(3, 2)) != b.const(Fraction(3, 2))
+
+    def test_text_stays_per_type(self):
+        root = QuadExtScalar(1, 2, 19)
+        assert str(root) == "1 + 2*sqrt(19)"
+        assert str(CTX.const(root)) == "(1 + 2*sqrt(19))"
+        assert str(CTX.const(Fraction(-3, 2))) == str(Fraction(-3, 2))
+
+    def test_only_polynomials_take_powers(self):
+        p = CTX.sym("a") + QuadExtScalar(0, 1, 19)
+        assert p ** 2 == p * p
+        assert not hasattr(QuadExtScalar, "__pow__")
+        with pytest.raises(TypeError):
+            QuadExtScalar(1, 2, 19) ** 2
