@@ -136,18 +136,11 @@ def _load_module(preset: str | None, module_file: str | None,
     from `require` or the proof exits 2 through the command's
     `_module_errors`."""
     from . import modules as mod
-    from .scalars import ScalarError
     if (preset is None) == (module_file is None):
         raise UsageError("give exactly one of --preset / --module")
     if preset is not None:
         return mod.build_preset(preset)
-    try:
-        with open(module_file) as f:
-            data = json.load(f)
-        M = mod.module_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError, mod.ModuleError, ScalarError) as e:
-        raise UsageError(f"cannot load module file: {e}")
+    M = _read_json(module_file, mod.module_from_json, "module")
     if prove:
         if require is not None:
             require(M)
@@ -158,6 +151,19 @@ def _load_module(preset: str | None, module_file: str | None,
             raise UsageError(f"not a module: [x, y] v = x(y v) - y(x v) "
                              f"fails, first at {where} {first}")
     return M
+
+
+def _read_json(path: str, reader, what: str):
+    """`reader` applied to the JSON value in the file at `path`. A file that
+    cannot be opened, parsed or read exits 2: "cannot load <what> file"."""
+    from .modules import ModuleError
+    from .scalars import ScalarError
+    try:
+        with open(path) as f:
+            return reader(json.load(f))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError, ModuleError, ScalarError) as e:
+        raise UsageError(f"cannot load {what} file: {e}")
 
 
 def _module_errors(fn):
@@ -324,17 +330,6 @@ def cmd_derham(n, beta, window):
     run.finish(chain.passed, f"derham n={n} beta={beta or '0'}")
 
 
-def _load_jets_rep(path: str):
-    """The `modules.JPlusRepData` in the JSON file at `path`."""
-    from . import modules as mod
-    try:
-        with open(path) as f:
-            return mod.jets_rep_from_json(json.load(f))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError, mod.ModuleError) as e:
-        raise UsageError(f"cannot load representation file: {e}")
-
-
 @_command("jets",
           _opt("--rep", dest="rep_file", required=True,
                help="jet-algebra representation JSON"),
@@ -343,7 +338,7 @@ def _load_jets_rep(path: str):
 def cmd_jets(rep_file, beta, window):
     """Build the jets module from a representation file and check it."""
     from . import modules as mod
-    rho = _load_jets_rep(rep_file)
+    rho = _read_json(rep_file, mod.jets_rep_from_json, "representation")
     bvec = _parse_beta(beta, rho.n)
     run = _Run()
     M = mod.jets_module(rho, bvec)

@@ -199,7 +199,7 @@ def _common_frame(vectors: Sequence[QuasiPolyVector]):
 
 def _coordinates(v: QuasiPolyVector, degree: int, modes) -> list:
     fiber = v.module.fiber
-    return [v.poly[lab].coefficient_of("m", d).constant_value()
+    return [v.poly[lab].terms.get((d,), Fraction(0))
             if lab in v.poly else Fraction(0)
             for d in range(degree + 1) for lab in fiber] + [
         v.component(m, lab) for m in modes for lab in fiber]
@@ -447,30 +447,16 @@ def _leibniz_columns(C: CoverModule, c_p: list, p: int, w: int) -> list:
         C.weight_space(w + p).inverse)
 
 
-def _lagrange(nodes: Sequence) -> list:
-    """Coefficient rows, constant term first, of the Lagrange basis of
-    `nodes`: row i is the polynomial that is 1 at nodes[i] and 0 at the
-    other nodes."""
-    rows = []
-    for xi in nodes:
-        row = [Fraction(1)]
-        for xj in nodes:
-            if xj != xi:  # times (x - xj) / (xi - xj)
-                row = [(a - xj * b) / (xi - xj)
-                       for a, b in zip([Fraction(0)] + row, row + [Fraction(0)])]
-        rows.append(row)
-    return rows
-
-
 def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     """Package the induced Lie action as a PolyWeightModule with fiber
     b1..br. The sample at generator exponent p and weight offset w is the
     matrix of e_p from weight w to w + p, made by `_leibniz_columns` from
     c_p (expanded once per exponent) and the two weights' frames. Entries
     are interpolated in (p, w) at degree base_degree + 2 on the nodes of
-    `_emission_grid` against one Lagrange table, and written in the
-    absolute weight s = beta + w. Each spare sample is checked against the
-    emitted polynomial; a mismatch raises DegreeBoundError."""
+    `_emission_grid` against the Lagrange tables, the inverses of the
+    nodes' power rows, and written in the absolute weight s = beta + w.
+    Each spare sample is checked against the emitted polynomial; a
+    mismatch raises DegreeBoundError."""
     M = C.module
     d, ps, ws = _emission_grid(M)
     c_p = {p: _e_p_matrix(C, p) for p in ps}
@@ -480,10 +466,11 @@ def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     spare = [pw for pw in samples
              if pw[0] not in nodes_p or pw[1] not in nodes_w]
     # the module evaluates s at the absolute weight beta + w
-    lag_m = list(zip(*_lagrange(nodes_p)))
-    lag_s = _lagrange([w + M.beta[0] for w in nodes_w])
     powers_m = [[Fraction(p) ** k for k in range(d + 1)] for p in ps]
     powers_s = {w: [(w + M.beta[0]) ** k for k in range(d + 1)] for w in ws}
+    # Lagrange tables, V^-1 of the nodes' power rows V: left in m, right in s
+    lag_m = linalg.inverse(powers_m[:d + 1])
+    lag_s = list(zip(*linalg.inverse([powers_s[w] for w in nodes_w])))
     labels = tuple(f"b{i+1}" for i in range(C.reference.rank))
     ctx = PolyContext(("m", "s"))
     terms = []

@@ -63,11 +63,6 @@ def multiply(x: UEAElement, y: UEAElement) -> UEAElement:
     return UEAElement(x.algebra, terms)
 
 
-def anticommutator(x: UEAElement, y: UEAElement) -> UEAElement:
-    """{x, y} = xy + yx, in PBW normal form."""
-    return pbw_normal_form(multiply(x, y) + multiply(y, x))
-
-
 def _find_descent(mono: Monomial, strategy: str):
     n = len(mono)
     if strategy == "leftmost":
@@ -225,8 +220,8 @@ class IdentityReport:
 
 
 def _identity_lhs(algebra, m, r, k, s, p, q, h) -> UEAElement:
-    """Double alternating sum of anticommutator differences of
-    differentiators with step h (the left side of the quadratic identity).
+    """Double alternating sum of differences of symmetric products xy + yx
+    of differentiators with step h (the left side of the quadratic identity).
 
     The four concatenation products of every (i, j) term are summed into
     one dict, and one element is built from it at the end."""

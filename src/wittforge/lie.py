@@ -317,25 +317,3 @@ def apply_automorphism(g: LatticeAutomorphism, x: LieElement) -> LieElement:
             val = terms.get(key, 0) + f * c
             terms[key] = val
     return LieElement(alg, terms)
-
-
-def parse_element(text: str, algebra) -> LieElement:
-    """Parse the emitted element grammar: 'e[3]', 't[1,-2]d2', with optional
-    scalar prefixes '(c)*' and ' + ' separators."""
-    import re as _re
-
-    terms: dict = {}
-    for part in text.split("+"):
-        part = part.strip()
-        m = _re.fullmatch(r"(?:\((?P<c>[^)]*)\)\*)?(?:e\[(?P<e>[-0-9,\s]+)\]"
-                          r"|t\[(?P<t>[-0-9,\s]+)\]d(?P<d>\d+))", part)
-        if not m:
-            raise AlgebraError(f"cannot parse element term {part!r}")
-        coeff = Fraction(m.group("c")) if m.group("c") else Fraction(1)
-        if m.group("e") is not None:
-            key = tuple(int(x) for x in m.group("e").split(","))
-        else:
-            r = tuple(int(x) for x in m.group("t").split(","))
-            key = (r, int(m.group("d")))
-        terms[key] = terms.get(key, 0) + coeff
-    return LieElement(algebra, terms)

@@ -7,7 +7,7 @@ Gaussian elimination is written once, in `row_echelon`, and every span
 question goes through `span_frame`: one elimination of a family's rows
 augmented by the identity serves all the vectors asked about it, whether
 they are solved over the family (`solve_in_span`), are the family itself
-(its basis and frame) or are unit vectors (`int_matrix_inverse`).
+(its basis and frame) or are unit vectors (`inverse`).
 """
 
 from __future__ import annotations
@@ -97,15 +97,21 @@ def matrix_add(a, b, c=1):
     return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def int_matrix_inverse(m):
-    """Inverse of a unimodular integer matrix, with integer entries: row i
-    holds the coordinates of the i-th unit vector over the rows of m. An
-    integer matrix has an integral inverse exactly when det = +-1."""
+def inverse(m):
+    """Inverse of a square matrix over the field: row i holds the
+    coordinates of the i-th unit vector over the rows of m."""
     n = len(m)
     unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    inv = solve_in_span([[Fraction(x) for x in row] for row in m], unit)
+    inv = solve_in_span(m, unit)
     if None in inv:
         raise ValueError("singular matrix")
+    return inv
+
+
+def int_matrix_inverse(m):
+    """Inverse of a unimodular integer matrix, with integer entries: the
+    field `inverse` of m, which is integral exactly when det = +-1."""
+    inv = inverse(m)
     if any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("non-integral inverse")
     return [[x.numerator for x in row] for row in inv]

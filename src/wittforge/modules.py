@@ -110,6 +110,11 @@ class PolyWeightModule:
         self.beta = tuple(beta)
         if len(self.beta) != self.n:
             raise ModuleError(f"beta must have length {self.n}")
+        coordinates = self.m_symbols + self.s_symbols
+        for b in self.beta:
+            if isinstance(b, PolyScalar) and b.symbols_used() & {*coordinates}:
+                raise ModuleError(f"beta may not name a coordinate symbol "
+                                  f"({', '.join(coordinates)}), got {b}")
         self.fiber = tuple(fiber)
         if len(set(self.fiber)) != len(self.fiber):
             raise ModuleError(f"fiber labels must be distinct, got "
@@ -739,13 +744,8 @@ def graded_dual(M: PolyWeightModule) -> PolyWeightModule:
             (cm,), (cs,) = c.m_coeffs, c.s_coeffs
             c = Constraint((cm - cs,), (-cs,), c.const)
         terms.append(ActionTerm(t.direction, t.tgt, t.src, poly, c))
-    neg = lambda off: tuple(-x for x in off)
-    return PolyWeightModule(
-        M.algebra, tuple(-b for b in M.beta), M.fiber, terms,
-        punctures=[(neg(off), labs) for off, labs in M.punctures],
-        restricted_support={lab: [neg(o) for o in offs]
-                            for lab, offs in M.restricted_support.items()},
-        name=f"dual({M.name})" if M.name else "dual")
+    return _transported(M, "dual", tuple(-b for b in M.beta), terms,
+                        lambda off: tuple(-x for x in off))
 
 
 def twist(M: PolyWeightModule, g: LatticeAutomorphism) -> PolyWeightModule:
@@ -777,14 +777,20 @@ def twist(M: PolyWeightModule, g: LatticeAutomorphism) -> PolyWeightModule:
                 terms.append(ActionTerm(a, t.src, t.tgt, f * base))
     beta_new = tuple(sum(Fraction(ginv.matrix[i][j]) * M.beta[j]
                          for j in range(n)) for i in range(n))
-    moved = lambda off: ginv.apply_point(off)
-    out = PolyWeightModule(
-        M.algebra, beta_new, M.fiber, terms,
-        punctures=[(moved(off), labs) for off, labs in M.punctures],
-        restricted_support={lab: [moved(o) for o in offs]
+    return _transported(M, "twist", beta_new, terms, ginv.apply_point)
+
+
+def _transported(M: PolyWeightModule, kind: str, beta, terms,
+                 move) -> PolyWeightModule:
+    """The module on M's fiber with `beta` and `terms`, M's punctures and
+    finite supports moved by `move` (an offset map) and the name
+    kind(M.name): the common tail of `graded_dual` and `twist`."""
+    return PolyWeightModule(
+        M.algebra, beta, M.fiber, terms,
+        punctures=[(move(off), labs) for off, labs in M.punctures],
+        restricted_support={lab: [move(o) for o in offs]
                             for lab, offs in M.restricted_support.items()},
-        name=f"twist({M.name})" if M.name else "twist")
-    return out
+        name=f"{kind}({M.name})" if M.name else kind)
 
 
 def action_polynomials(M: PolyWeightModule) -> dict:
@@ -893,9 +899,6 @@ def _generic_action_matrix(M: PolyWeightModule, direction: int,
                     t.constraint is not None
                     and not t.constraint.satisfied(mvals, svals)):
                 continue
-            for sym in t.poly.symbols_used():
-                if sym not in mapping:
-                    raise ModuleError(f"unmapped symbol {sym!r}")
             val = t.poly.specialize(mapping)
             key = (src, t.tgt)
             out[key] = out[key] + val if key in out else val
@@ -963,13 +966,8 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
 
 def _a_shift_into(out: dict, v: ModuleVector, r: tuple, c=1) -> dict:
     """Add c * t^r v into `out` as `_act_into` adds x v; return `out`."""
-    M = v.module
     for (off, lab), val in v.terms.items():
-        new = tuple(o + x for o, x in zip(off, r))
-        if M.component_is_zero(new, lab):
-            raise ModuleError(
-                f"t^{r} maps into a deleted component at offset {new}")
-        key, term = (new, lab), c * val
+        key, term = (tuple(o + x for o, x in zip(off, r)), lab), c * val
         out[key] = out[key] + term if key in out else term
     return out
 
@@ -1235,17 +1233,19 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
         raise ModuleError("rank-1 module files use n = 1")
     algebra = WnAlgebra(n) if kind == "wn" else witt_algebra()
     msyms, ssyms = _coordinate_symbols(algebra)
-    extra = set()
-    for t in _typed(data["terms"], list, "terms"):
-        poly = _text(t["poly"], "poly")
-        for tok in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", poly):
-            if tok != "sqrt" and tok not in msyms and tok not in ssyms:
-                extra.add(tok)
+    betas = [_text(b, "beta") for b in _typed(data["beta"], list, "beta")]
+    polys = [_text(t["poly"], "poly")
+             for t in _typed(data["terms"], list, "terms")]
+    extra = {tok for text in betas + polys
+             for tok in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text)
+             if tok != "sqrt" and tok not in msyms and tok not in ssyms}
     ctx = PolyContext(tuple(sorted(extra)) + msyms + ssyms)
-    beta = [parse_scalar(_text(b, "beta"), ctx)
-            for b in _typed(data["beta"], list, "beta")]
+    # a constant beta is its coefficient, as `module_to_json` wrote it
+    beta = [b.constant_value() if isinstance(b, PolyScalar)
+            and b.is_constant() else b
+            for b in (parse_scalar(text, ctx) for text in betas)]
     terms = []
-    for t in data["terms"]:
+    for t, poly in zip(data["terms"], polys):
         c = t.get("constraint")
         constraint = None
         if c is not None:
@@ -1257,7 +1257,7 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
                                     Fraction(_text(c["const"], "const")))
         terms.append(ActionTerm(_integer(t["direction"], "direction"),
                                 _text(t["src"], "src"), _text(t["tgt"], "tgt"),
-                                parse_poly(t["poly"], ctx), constraint))
+                                parse_poly(poly, ctx), constraint))
     support = _typed(data.get("restricted_support", {}), dict,
                      "restricted_support")
     return PolyWeightModule(

@@ -420,17 +420,6 @@ class PolyScalar:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def coefficient_of(self, name: str, power: int) -> "PolyScalar":
-        """Coefficient of name**power, a polynomial in the remaining symbols
-        (kept in the same context with exponent 0 at name)."""
-        i = self.ctx._index[name]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                e2 = e[:i] + (0,) + e[i + 1:]
-                terms[e2] = terms.get(e2, Fraction(0)) + c
-        return PolyScalar(self.ctx, terms)
-
     def symbols_used(self) -> set:
         used = set()
         for e in self.terms:

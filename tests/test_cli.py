@@ -149,12 +149,23 @@ class TestAnnihilator:
 # which solves for integer modes.
 _LOADING_COMMANDS = [("module-check",), ("annihilator", "--m", "2"),
                      ("dual",), ("acover", "--window", "1")]
+# A beta that names a coordinate symbol is refused on load, by the checkers
+# and by an annihilator order (9) that kills the length-2 preset.
+_BETA_COMMANDS = [("module-check",), ("dual",),
+                  ("annihilator", "--m", "9", "--window", "0")]
 _CASE_COMMANDS = {"wn_rank_zero": _LOADING_COMMANDS,
                   "wn_rank_negative": _LOADING_COMMANDS,
                   "duplicate_fiber": _LOADING_COMMANDS,
                   "cover_irrational_beta": [("acover", "--window", "1")],
                   "cover_irrational_beta_density": [("acover", "--window",
-                                                     "1")]}
+                                                     "1")],
+                  "beta_names_m": _BETA_COMMANDS,
+                  "beta_names_s": _BETA_COMMANDS,
+                  "beta_names_s_plus_one": _BETA_COMMANDS}
+
+
+def _feigin_fuks():
+    return module_to_json(build_preset("feigin_fuks_length2"))
 
 
 class TestModuleCheck:
@@ -205,6 +216,12 @@ class TestModuleCheck:
                            beta=["sqrt(19)"]),
         lambda d: d.update(module_to_json(build_preset("punctured_functions")),
                            fiber=["u", "u"]),
+        lambda d: d["algebra"].update(n=2),
+        lambda d: d["terms"][0].update(poly="sqrt(x)*s"),
+        lambda d: d["terms"][0].update(poly="(s + m"),
+        lambda d: d.update(_feigin_fuks(), beta=["m"]),
+        lambda d: d.update(_feigin_fuks(), beta=["s"]),
+        lambda d: d.update(_feigin_fuks(), beta=["s + 1"]),
     ], ids=["direction", "puncture_label", "support_label",
             "constraint_m_arity", "constraint_s_arity", "numeric_beta",
             "numeric_constraint", "puncture_offset", "support_offset",
@@ -213,7 +230,9 @@ class TestModuleCheck:
             "wn_rank_negative", "bool_label", "float_direction",
             "unknown_algebra", "string_rank", "decimal_poly",
             "cover_irrational_beta",
-            "cover_irrational_beta_density", "duplicate_fiber"])
+            "cover_irrational_beta_density", "duplicate_fiber",
+            "witt_rank_two", "sqrt_of_symbol", "unbalanced_paren",
+            "beta_names_m", "beta_names_s", "beta_names_s_plus_one"])
     def test_invalid_module_exits_two(self, tmp_path, corrupt, request):
         data = module_to_json(build_preset("virasoro_adjoint"))
         corrupt(data)
@@ -411,6 +430,17 @@ class TestACover:
         induced = next(r for r in recs if r["kind"] == "induced_module")
         assert induced["axioms_pass"]
 
+    def test_symbolic_density_exits_two(self, tmp_path):
+        # the file loads (its beta names a parameter), and the cover refuses
+        # the symbolic parameters
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(module_to_json(tensor_density("alpha",
+                                                              "beta"))))
+        res = invoke("acover", "--module", str(f))
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert "covers need concrete (non-symbolic) parameters" in res.stderr
+
     def test_failed_emission_is_inconclusive(self, tmp_path):
         # the emitted cover of this dual misses its spare samples: exit 3,
         # not a refutation and not a usage error
@@ -547,6 +577,15 @@ class TestTwistAndDual:
         res = invoke("twist", "--module", str(f), "--g", "2,0;0,1")
         assert res.exit_code == 2
 
+    def test_wrong_size_matrix_exits_two(self, tmp_path):
+        from wittforge.modules import natural_rep, tensor_field
+        M = tensor_field(natural_rep(2), (Fraction(0), Fraction(0)))
+        f = tmp_path / "tf.json"
+        f.write_text(json.dumps(module_to_json(M)))
+        res = invoke("twist", "--module", str(f), "--g", "1")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
     def test_dual(self):
         res = invoke("dual", "--preset", "virasoro_adjoint")
         assert res.exit_code == 0
@@ -650,8 +689,10 @@ class TestParser:
         (),
         ("no-such-command",),
         ("--m", "3", "annihilator", "--preset", "punctured_functions"),
+        ("verify-identity", "--m", "2", "--r", "3", "--intro"),
     ], ids=["abbreviated", "abbreviated_joined", "short_help",
-            "no_command", "unknown_command", "option_before_command"])
+            "no_command", "unknown_command", "option_before_command",
+            "intro_unequal_orders"])
     def test_usage_error_exits_two(self, args):
         res = invoke(*args)
         assert res.exit_code == 2, res.output

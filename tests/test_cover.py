@@ -414,9 +414,10 @@ class TestAcoverRecords:
                        "--window", "3"])
         assert res.exit_code == 0, res.output
         # 9 frames at weights -4..4, one expansion per target weight and 9
-        # for c_p, and 3 eliminations for each of the five pi weights
+        # for c_p, 3 eliminations for each of the five pi weights, and the
+        # emission's two Vandermonde inversions (its Lagrange tables)
         assert counts == {"adjoint_cover_frame": 9, "expand_in_family": 18,
-                          "row_echelon": 55}
+                          "row_echelon": 57}
 
     def test_pi_surjectivity_eliminates_three_times(self, monkeypatch):
         C = CoverModule(build_preset("virasoro_adjoint"))

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from wittforge import enveloping
-from wittforge.enveloping import (AlgebraError, UEAElement, anticommutator,
-                                  differentiator, formal_identity_residue,
-                                  generator, multiply, one, pbw_normal_form,
+from wittforge.enveloping import (AlgebraError, UEAElement, differentiator,
+                                  formal_identity_residue, generator,
+                                  multiply, one, pbw_normal_form,
                                   verify_key_identity,
                                   verify_solenoidal_identity)
 from wittforge.lie import (Rank1Algebra, add_points, scale_point,
@@ -84,12 +84,6 @@ class TestNormalForm:
         kzip = tuple(a + b for a, b in zip(k, s))
         phi = alg.phi(tuple(b - a for a, b in zip(k, s)))
         assert diff == generator(alg, kzip).scale(phi)
-
-
-class TestAnticommutator:
-    def test_matches_definition(self):
-        x, y = e(2), e(-1)
-        assert anticommutator(x, y) == pbw_normal_form(multiply(x, y) + multiply(y, x))
 
 
 class TestDifferentiator:

@@ -7,7 +7,8 @@ import and run at import), and each concept has one home: row echelon in
 `scalars.Combination`, which the Lie, enveloping and module vectors and
 the label matrices of the module checkers inherit. The coefficient types
 answer their own zero test, text and inverse, so no layer re-dispatches on
-the scalar type through a helper.
+the scalar type through a helper. Helpers whose job other code does stay
+deleted.
 """
 
 import ast
@@ -178,6 +179,20 @@ def test_scalar_helpers_stay_gone():
     assert "_inv" not in top_level_names(linalg)
     assert names_from(linalg, "scalars") == []
     assert "isinstance" not in linalg
+
+
+def test_second_spellings_stay_gone():
+    # the Lagrange tables are `linalg.inverse` of the nodes' power rows, a
+    # coefficient of a one-variable polynomial is read from its terms, and
+    # the CLI reads every JSON input file through `cli._read_json`; the
+    # element grammar and the anticommutator had no caller
+    read = lambda layer: (SRC / f"{layer}.py").read_text()
+    assert "_lagrange" not in top_level_names(read("cover"))
+    assert "coefficient_of" not in class_attributes(read("scalars"),
+                                                    "PolyScalar")
+    assert "parse_element" not in top_level_names(read("lie"))
+    assert "anticommutator" not in top_level_names(read("enveloping"))
+    assert "_load_jets_rep" not in top_level_names(read("cli"))
 
 
 def test_helper_scans_flag_definitions_and_imports():

@@ -7,9 +7,8 @@ from _values import assert_types_never_equal, assert_value_semantics
 from wittforge.lie import (AlgebraError, IndexLattice, JacobiReport,
                            LatticeAutomorphism, Rank1Algebra, WnAlgebra,
                            apply_automorphism, bracket, jacobi_check,
-                           parse_element, solenoidal_algebra,
-                           solenoidal_embed, symbolic_witt_algebra,
-                           witt_algebra)
+                           solenoidal_algebra, solenoidal_embed,
+                           symbolic_witt_algebra, witt_algebra)
 from wittforge.scalars import PolyContext
 
 WITT = witt_algebra()
@@ -200,18 +199,3 @@ class TestValueSemantics:
         assert rep.checked == 3 and rep.passed
         assert not JacobiReport(1, [("x", "r")]).passed
 
-
-class TestParsing:
-    def test_rank_one(self):
-        e = lambda k: WITT.basis((k,))
-        got = parse_element("(2)*e[3] + (-1/2)*e[-1]", WITT)
-        assert got == e(3).scale(2) - e(-1).scale(Fraction(1, 2))
-
-    def test_wn(self):
-        alg = WnAlgebra(2)
-        got = parse_element("t[1,0]d2 + (3)*t[0,-1]d1", alg)
-        assert got == alg.basis((1, 0), 2) + alg.basis((0, -1), 1).scale(3)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(AlgebraError):
-            parse_element("e[1] * e[2]", WITT)

@@ -883,6 +883,21 @@ class TestSerialization:
         R = module_from_json(module_to_json(M))
         assert module_to_json(R) == module_to_json(M)
 
+    @pytest.mark.parametrize("M", [
+        tensor_density("alpha", "beta"), tensor_density(Fraction(1, 2), "b"),
+        PolyWeightModule(WITT, (QuadExtScalar(1, 1, 19),), ("u",),
+                         [ActionTerm(1, "u", "u", parse_poly(
+                             "s + sqrt(19)*m", PolyContext(("m", "s"))))])],
+        ids=["symbolic", "symbolic_beta", "quadratic_beta"])
+    def test_beta_round_trips(self, M):
+        # a parameter named by beta alone is in the file's context, and a
+        # constant beta is read back as its coefficient
+        data = module_to_json(M)
+        R = module_from_json(data)
+        assert module_to_json(R) == data
+        assert R.beta == M.beta
+        assert list(map(type, R.beta)) == list(map(type, M.beta))
+
     def test_corrupted_action_fails_axioms(self):
         data = module_to_json(build_preset("punctured_functions"))
         data["terms"][0]["poly"] = "s^2"

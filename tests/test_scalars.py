@@ -364,7 +364,7 @@ class TestParsing:
     def test_sqrt_coefficients(self):
         ctx = PolyContext(("m",))
         p = parse_poly("(7/2 - 1/2*sqrt(19))*m", ctx)
-        coeff = p.coefficient_of("m", 1).constant_value()
+        coeff = p.terms[(1,)]
         assert coeff == QuadExtScalar(Fraction(7, 2), Fraction(-1, 2), 19)
         assert parse_poly(str(p), ctx) == p
 

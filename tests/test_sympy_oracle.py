@@ -6,6 +6,7 @@ radical. Matrices cross over entry by entry. sympy is a test dependency
 only (`pip install .[test]`); without it this file shows as one skip.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from wittforge import linalg  # noqa: E402
+from wittforge.modules import de_rham_homology  # noqa: E402
 from wittforge.scalars import PolyContext, PolyScalar, QuadExtScalar  # noqa: E402
 
 CTX = PolyContext(("a", "b", "c"))
@@ -89,3 +91,35 @@ def test_rank_and_frame_match_rref(rows):
         assert sympy_matrix(coordinates) * B == A
     else:
         assert basis == transform == [] and all(c == [] for c in coordinates)
+
+
+def sympy_de_rham_ranks(n: int, s) -> list:
+    """Homology ranks of the de Rham complex on the slice of absolute weight
+    s, from sympy ranks of its d matrices: d maps the basis k-form e_S to
+    sum_a s_a e_a ^ e_S, and e_a moves past the members of S below a."""
+    forms = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    d_ranks = [0]  # rank of d into degree k, for k = 0..n, then 0 out of n
+    for k in range(n):
+        d = sympy.zeros(len(forms[k + 1]), len(forms[k]))
+        for j, S in enumerate(forms[k]):
+            for a in set(range(n)) - set(S):
+                i = forms[k + 1].index(tuple(sorted(S + (a,))))
+                d[i, j] = (-1) ** sum(x < a for x in S) * s[a]
+        d_ranks.append(d.rank())
+    d_ranks.append(0)
+    return [len(forms[k]) - d_ranks[k] - d_ranks[k + 1]
+            for k in range(n + 1)]
+
+
+@settings(ORACLE, max_examples=40)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.fractions(-2, 2, max_denominator=2), min_size=n,
+             max_size=n),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+def test_de_rham_homology_matches_rank(case):
+    beta, w = case
+    s = [sympy.Rational(b.numerator, b.denominator) + x
+         for b, x in zip(beta, w)]
+    assert de_rham_homology(len(beta), beta, w) == sympy_de_rham_ranks(
+        len(beta), s)
+
