@@ -200,10 +200,6 @@ def cmd_verify_identity(m, r, mode, range_, intro, solenoidal, n, h_box):
     from .enveloping import verify_key_identity, verify_solenoidal_identity
     from .lie import AlgebraError
     run = _Run()
-    if m < 2 or r < 2:
-        raise UsageError("the identity requires m, r >= 2")
-    if intro and m != r:
-        raise UsageError("--intro requires m == r")
     if solenoidal and (mode == "grid" or intro):
         raise UsageError("--solenoidal takes neither --mode grid nor --intro")
     # --n, --h-box and --range default to None, so that giving one outside

@@ -168,9 +168,8 @@ def pbw_normal_form(x: UEAElement, strategy: str = "leftmost") -> UEAElement:
     if ctx is None:
         return UEAElement(alg, {m: t[0] for m, t in out.items()})
     mask = (1 << width) - 1
-    return UEAElement(alg, {m: PolyScalar._clean(ctx, {
-        tuple(e >> s & mask for s in shifts):
-        Fraction(v) if type(v) is int else v for e, v in t.items()})
+    return UEAElement(alg, {m: PolyScalar(ctx, {
+        tuple(e >> s & mask for s in shifts): v for e, v in t.items()})
         for m, t in out.items()})
 
 

@@ -202,22 +202,17 @@ class JacobiReport:
 
 
 def jacobi_check(algebra, triples) -> JacobiReport:
-    """Assert [[x,y],z] + [[y,z],x] + [[z,x],y] == 0 on each triple.
-
-    Triples may contain LieElements or raw basis indices.
+    """Assert [[x,y],z] + [[y,z],x] + [[z,x],y] == 0 on each triple of
+    basis indices: lattice points of a Rank1Algebra, (point, axis) pairs of
+    a WnAlgebra.
     """
     failures = []
     count = 0
     for triple in triples:
-        elems = []
-        for item in triple:
-            if isinstance(item, LieElement):
-                elems.append(item)
-            elif isinstance(algebra, WnAlgebra):
-                elems.append(algebra.basis(*item))
-            else:
-                elems.append(algebra.basis(item))
-        x, y, z = elems
+        if isinstance(algebra, WnAlgebra):
+            x, y, z = (algebra.basis(*item) for item in triple)
+        else:
+            x, y, z = (algebra.basis(item) for item in triple)
         residue = (bracket(bracket(x, y), z) + bracket(bracket(y, z), x)
                    + bracket(bracket(z, x), y))
         count += 1

@@ -514,8 +514,11 @@ def trivial_rep(n: int) -> JPlusRepData:
 
 def _param_value(value, ctx_symbols: list):
     """Resolve a numeric-or-symbol constructor parameter; symbol names are
-    appended to ctx_symbols."""
+    appended to ctx_symbols, and may not be the coordinates m and s."""
     if isinstance(value, str):
+        if value in ("m", "s"):
+            raise ModuleError(f"a parameter may not name a coordinate symbol "
+                              f"(m, s), got {value!r}")
         if value not in ctx_symbols:
             ctx_symbols.append(value)
         return value

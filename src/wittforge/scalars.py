@@ -5,12 +5,10 @@ All values are immutable; operations are pure. Polynomials are kept in a
 canonical sparse form so that equality is decidable by direct comparison:
 every key of `PolyScalar.terms` is an exponent tuple of the context's arity,
 and every value is a nonzero Fraction or QuadExtScalar, never an int.
-`PolyScalar.__init__` establishes this for outside input; ring operations
-whose results keep it by construction return through `PolyScalar._clean`.
-Products of polynomials whose coefficients are all integral multiply plain
-int numerators and wrap the sums back into Fractions. A QuadExtScalar holds
-integer numerators over one denominator, so its arithmetic is integer
-products and one gcd per result rather than Fraction operations.
+`PolyScalar.__init__` establishes this canonical form for every value. A
+QuadExtScalar holds integer numerators over one denominator, so its
+arithmetic is integer products and one gcd per result rather than Fraction
+operations.
 
 The scalar contract. Four types flow through every layer as coefficients:
 int, Fraction, QuadExtScalar and PolyScalar. Each answers for itself, so no
@@ -241,10 +239,6 @@ class PolyContext:
             if value.ctx != self:
                 raise ContextMismatchError(f"{value.ctx} vs {self}")
             return value
-        if isinstance(value, int):
-            value = Fraction(value)
-        if not value:
-            return self.zero()
         return PolyScalar(self, {(0,) * len(self.symbols): value})
 
     def sym(self, name: str) -> "PolyScalar":
@@ -262,7 +256,7 @@ class PolyScalar:
     tuples aligned with the context's symbol order.
     """
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: PolyContext, terms: Mapping[tuple, BaseScalar]):
         clean = {}
@@ -277,19 +271,6 @@ class PolyScalar:
             clean[expo] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def _clean(cls, ctx: PolyContext, terms: dict) -> "PolyScalar":
-        """Wrap `terms` without re-validating it. The caller guarantees the
-        canonical form: exponent tuples of the context's arity and nonzero
-        Fraction/QuadExtScalar values, as the ring operations produce from
-        canonical operands. Outside input goes through __init__."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
@@ -321,24 +302,13 @@ class PolyScalar:
         terms = dict(self.terms)
         for expo, coeff in o.terms.items():
             c = terms.get(expo)
-            if c is None:
-                terms[expo] = coeff
-                continue
-            if (type(c) is Fraction and type(coeff) is Fraction
-                    and c.denominator == 1 == coeff.denominator):
-                c = Fraction(c.numerator + coeff.numerator)
-            else:
-                c = c + coeff
-            if c:
-                terms[expo] = c
-            else:
-                del terms[expo]
-        return PolyScalar._clean(self.ctx, terms)
+            terms[expo] = coeff if c is None else c + coeff
+        return PolyScalar(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar._clean(self.ctx, {e: -c for e, c in self.terms.items()})
+        return PolyScalar(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -350,29 +320,10 @@ class PolyScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadExtScalar)):
-            # a scalar factor keeps every exponent and the term order
-            if not other:
-                return self.ctx.zero()
-            if type(other) is int and _integral(self.terms):
-                terms = {e: Fraction(c.numerator * other)
-                         for e, c in self.terms.items()}
-            else:
-                terms = {e: c * other for e, c in self.terms.items()}
-            return PolyScalar._clean(self.ctx, terms)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        left, right = self.terms, o.terms
-        if _integral(left) and _integral(right):
-            # Fraction arithmetic normalizes by a gcd on every operation;
-            # integral coefficients multiply and add as plain ints.
-            terms = _mul_terms({e: c.numerator for e, c in left.items()},
-                               {e: c.numerator for e, c in right.items()})
-            terms = {e: Fraction(c) for e, c in terms.items()}
-        else:
-            terms = _mul_terms(left, right)
-        return PolyScalar._clean(self.ctx, terms)
+        return PolyScalar(self.ctx, _mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -395,10 +346,7 @@ class PolyScalar:
                 raise ScalarError(f"division by a non-constant polynomial: "
                                   f"{other}")
             other = other.constant_value()
-        if not other:
-            raise ZeroDivisionError("division by zero scalar")
-        inv = Fraction(1) / other
-        return PolyScalar(self.ctx, {e: c * inv for e, c in self.terms.items()})
+        return self * (Fraction(1) / other)
 
     # -- queries ----------------------------------------------------------
 
@@ -439,12 +387,9 @@ class PolyScalar:
 
     def __hash__(self):
         # a constant equals its base coefficient, so it hashes as one
-        h = self._hash
-        if h is None:
-            h = (hash(self.constant_value()) if self.is_constant() else
-                 hash((self.ctx.symbols, frozenset(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.ctx.symbols, frozenset(self.terms.items())))
 
     # -- substitution -----------------------------------------------------
 
@@ -515,14 +460,10 @@ class PolyScalar:
         return f"PolyScalar({self!s})"
 
 
-def _integral(terms: dict) -> bool:
-    return all(type(c) is Fraction and c.denominator == 1
-               for c in terms.values())
-
-
 def _mul_terms(left: dict, right: dict) -> dict:
-    """Sparse product of two term dicts whose values form a ring without
-    zero divisors; a sum that cancels is deleted as soon as it does."""
+    """Sparse product of two canonical term dicts. A sum that cancels is
+    deleted as soon as it does, and the order of `left` is kept when `right`
+    has one constant term."""
     terms: dict = {}
     get = terms.get
     add = operator.add

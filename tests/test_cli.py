@@ -690,9 +690,10 @@ class TestParser:
         ("no-such-command",),
         ("--m", "3", "annihilator", "--preset", "punctured_functions"),
         ("verify-identity", "--m", "2", "--r", "3", "--intro"),
+        ("verify-identity", "--m", "2", "--r", "1", "--solenoidal"),
     ], ids=["abbreviated", "abbreviated_joined", "short_help",
             "no_command", "unknown_command", "option_before_command",
-            "intro_unequal_orders"])
+            "intro_unequal_orders", "solenoidal_order_one"])
     def test_usage_error_exits_two(self, args):
         res = invoke(*args)
         assert res.exit_code == 2, res.output

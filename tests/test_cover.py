@@ -449,6 +449,22 @@ class TestDualPairing:
         M = tensor_density(Fraction(2, 3), Fraction(1, 5))
         assert pi_star_check(M, graded_dual(M), samples=30, seed=2)["passed"]
 
+    def test_sign_flipped_dual_fails(self):
+        # every term of the dual negated is no module, and the pairing
+        # identity sees it
+        M = build_preset("punctured_functions")
+        D = graded_dual(M)
+        flipped = PolyWeightModule(
+            D.algebra, D.beta, D.fiber,
+            [ActionTerm(t.direction, t.src, t.tgt, -t.poly, t.constraint)
+             for t in D.terms],
+            punctures=D.punctures,
+            restricted_support=D.restricted_support, name="flipped")
+        assert not check_module_axioms(flipped).passed
+        out = pi_star_check(M, flipped, samples=30, seed=1)
+        assert not out["passed"]
+        assert out["failures"][0] == (-4, 2, 4, -2, "48")
+
 
 class TestSingleAttempt:
     def test_failed_emission_samples_one_grid(self, monkeypatch):

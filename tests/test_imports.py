@@ -7,7 +7,8 @@ import and run at import), and each concept has one home: row echelon in
 `scalars.Combination`, which the Lie, enveloping and module vectors and
 the label matrices of the module checkers inherit. The coefficient types
 answer their own zero test, text and inverse, so no layer re-dispatches on
-the scalar type through a helper. Helpers whose job other code does stay
+the scalar type through a helper, and `PolyScalar` has one path per ring
+operation and one constructor. Helpers whose job other code does stay
 deleted.
 """
 
@@ -114,21 +115,26 @@ FORMAL_SUMS = [("lie", "LieElement"), ("enveloping", "UEAElement"),
                ("modules", "ModuleVector"), ("modules", "LabelMatrix")]
 
 
+def class_node(source: str, name: str) -> ast.ClassDef:
+    """The definition of class `name` in `source`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return node
+    raise LookupError(name)
+
+
 def class_attributes(source: str, name: str) -> set:
     """The names that the body of class `name` in `source` defines or
     assigns."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            names = set()
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(stmt.name)
-                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                               else [stmt.target])
-                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
-            return names
-    raise LookupError(name)
+    names = set()
+    for stmt in class_node(source, name).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
 
 
 @pytest.mark.parametrize("layer, name", FORMAL_SUMS, ids=lambda x: x)
@@ -193,6 +199,49 @@ def test_second_spellings_stay_gone():
     assert "parse_element" not in top_level_names(read("lie"))
     assert "anticommutator" not in top_level_names(read("enveloping"))
     assert "_load_jets_rep" not in top_level_names(read("cli"))
+
+
+def class_slots(source: str, name: str) -> tuple:
+    """The `__slots__` of class `name` in `source`, () if it has none."""
+    for stmt in class_node(source, name).body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+            return tuple(ast.literal_eval(stmt.value))
+    return ()
+
+
+def method_calls(source: str, name: str, method: str) -> set:
+    """The plain names that method `method` of class `name` calls."""
+    for stmt in class_node(source, name).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == method:
+            return {node.func.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)}
+    raise LookupError(f"{name}.{method}")
+
+
+def test_poly_scalar_has_one_ring_path():
+    # a sum or product coerces its operand with `_coerce` and runs one term
+    # loop; `__init__` builds every value and `__hash__` caches nothing
+    read = (SRC / "scalars.py").read_text()
+    assert "_integral" not in top_level_names(read)
+    assert "_clean" not in class_attributes(read, "PolyScalar")
+    assert "_hash" not in class_slots(read, "PolyScalar")
+    for method in ("__add__", "__mul__"):
+        assert method_calls(read, "PolyScalar", method) & {
+            "isinstance", "type"} == set(), method
+
+
+def test_ring_path_scan_flags_dispatch_and_slots():
+    source = ("class P:\n    __slots__ = ('a', '_hash')\n"
+              "    def __mul__(self, o):\n"
+              "        if isinstance(o, int) and type(o) is int:\n"
+              "            return f(o)\n        return self._coerce(o)\n"
+              "class Q:\n    def g(self):\n        pass\n")
+    assert method_calls(source, "P", "__mul__") == {"isinstance", "type", "f"}
+    assert method_calls(source, "Q", "g") == set()
+    assert class_slots(source, "P") == ("a", "_hash")
+    assert class_slots(source, "Q") == ()
 
 
 def test_helper_scans_flag_definitions_and_imports():

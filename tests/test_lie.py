@@ -87,6 +87,20 @@ class TestJacobi:
         report = jacobi_check(alg, itertools.combinations(pts, 3))
         assert report.passed
 
+    def test_non_additive_phi_fails(self):
+        # phi(x) = x^2 is not additive, so its bracket is no Lie bracket
+        class Squared(Rank1Algebra):
+            __slots__ = ()
+
+            def phi(self, point):
+                return point[0] ** 2
+
+        alg = Squared(WITT.lattice, (1,))
+        report = jacobi_check(alg, [((0,), (1,), (2,))])
+        assert not report.passed and report.checked == 1
+        assert report.failures == [(((0,), (1,), (2,)),
+                                    alg.basis((3,)).scale(14))]
+
 
 class TestSolenoidalEmbed:
     def test_bracket_compatibility(self):

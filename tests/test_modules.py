@@ -635,6 +635,13 @@ class TestOneRelationOnce:
                                               r"symbols: \['i'\]"):
             annihilates(3, tensor_density("i", "b"))
 
+    @pytest.mark.parametrize("alpha, beta, name", [
+        ("alpha", "m", "m"), ("s", "b", "s"), ("m", 0, "m"), (0, "s", "s")])
+    def test_coordinate_symbols_are_reserved(self, alpha, beta, name):
+        with pytest.raises(ModuleError, match=rf"may not name a coordinate "
+                                              rf"symbol \(m, s\), got '{name}'"):
+            tensor_density(alpha, beta)
+
     def test_order_16000_at_window_zero(self):
         # the radius-0 window of this module is its puncture, so no cell is
         # swept: what remains is the symbolic part and the coefficients
