@@ -21,11 +21,11 @@ _EXPORTS = {
     "modules": ("ActionTerm", "Constraint", "JPlusRepData", "ModuleVector",
                 "PolyWeightModule", "act", "annihilates",
                 "build_preset", "check_aw_compat", "check_de_rham_chain",
-                "check_module_axioms", "de_rham_d", "de_rham_homology",
-                "gamma_tensor_module", "graded_dual", "jets_module",
-                "module_from_json", "module_to_json", "natural_rep",
-                "omega_forms", "tensor_density", "tensor_field",
-                "trivial_rep", "twist", "wedge_rep", "weight_report"),
+                "check_module_axioms", "de_rham_homology", "graded_dual",
+                "jets_module", "module_from_json", "module_to_json",
+                "natural_rep", "omega_forms", "tensor_density",
+                "tensor_field", "trivial_rep", "twist", "wedge_rep",
+                "weight_report"),
     "cover": ("CoverModule", "PsiGenerator", "QuasiPolyVector",
               "adjoint_cover_report", "cuspidality_certificate",
               "emit_induced_module", "induced_action", "pi_homomorphism_check",

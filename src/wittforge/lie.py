@@ -278,9 +278,7 @@ class LatticeAutomorphism(Frozen):
 
     def compose(self, other: "LatticeAutomorphism") -> "LatticeAutomorphism":
         """Matrix product self @ other."""
-        m = [[sum(self.matrix[i][k] * other.matrix[k][j] for k in range(self.n))
-              for j in range(self.n)] for i in range(self.n)]
-        return LatticeAutomorphism(m)
+        return LatticeAutomorphism(linalg.matrix_mul(self.matrix, other.matrix))
 
     @staticmethod
     def identity(n: int) -> "LatticeAutomorphism":

@@ -19,7 +19,6 @@ line fires at offset 0.
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
 from math import factorial
 from typing import Mapping, Sequence
@@ -28,7 +27,7 @@ from . import linalg
 from .lie import (LatticeAutomorphism, LieElement, WnAlgebra, bracket,
                   witt_algebra)
 from .scalars import (Combination, Frozen, PolyContext, PolyScalar, QuadExtScalar,
-                      parse_poly, parse_scalar)
+                      parse_poly, parse_scalar, symbol_names)
 
 
 class ModuleError(Exception):
@@ -98,6 +97,10 @@ class PolyWeightModule:
     `_coordinate_symbols` names them. Extra parameter symbols (alpha,
     beta, ...) may precede them in the context.
     """
+
+    __slots__ = ("algebra", "n", "m_symbols", "s_symbols", "beta", "fiber",
+                 "terms", "name", "punctures", "restricted_support",
+                 "_by_dir_src", "_cell_actions", "_exceptional")
 
     def __init__(self, algebra, beta, fiber: Sequence[str],
                  terms: Sequence[ActionTerm],
@@ -370,7 +373,8 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     """Concrete module action, bilinear; honors constraints, punctures and
     restricted supports: the core `_act_into` on an empty dict, wrapped in
     a ModuleVector. `_cell_action` memoises each cell image on the module,
-    sound because a module is not changed after construction."""
+    sound because a module is not changed after construction: its
+    `__slots__` admit no new attribute, and no code reassigns a field."""
     M = v.module
     if x.algebra is not M.algebra and x.algebra != M.algebra:
         raise ModuleError("element and module algebras differ")
@@ -513,9 +517,13 @@ def trivial_rep(n: int) -> JPlusRepData:
 
 
 def _param_value(value, ctx_symbols: list):
-    """Resolve a numeric-or-symbol constructor parameter; symbol names are
-    appended to ctx_symbols, and may not be the coordinates m and s."""
+    """Resolve a numeric-or-symbol constructor parameter; a symbol name is
+    appended to ctx_symbols. It is one name of the polynomial grammar, so a
+    module file reads it back, and not the coordinate m or s."""
     if isinstance(value, str):
+        if symbol_names(value) != {value}:
+            raise ModuleError(f"a parameter must be one symbol name, got "
+                              f"{value!r}")
         if value in ("m", "s"):
             raise ModuleError(f"a parameter may not name a coordinate symbol "
                               f"(m, s), got {value!r}")
@@ -549,17 +557,17 @@ def _rationals_text(values) -> str:
     return "(" + ", ".join(str(Fraction(v)) for v in values) + ")"
 
 
-def tensor_field(U: JPlusRepData, beta) -> PolyWeightModule:
+def tensor_field(U: JPlusRepData, beta, name: str | None = None
+                 ) -> PolyWeightModule:
     """W_n-module of tensor fields of the gl_n-module U, given as
     first-order jet data with E_pa = U.rho(e_p, a):
-    (t^m d_a)(t^s x u) = s_a t^{s+m} x u + sum_p m_p t^{s+m} x E_pa u."""
+    (t^m d_a)(t^s x u) = s_a t^{s+m} x u + sum_p m_p t^{s+m} x E_pa u.
+    `name` replaces the default name, which shows dim U and beta."""
     n = U.n
     if U.cutoff > 1:
         raise ModuleError(f"tensor fields take first-order jet data, got "
                           f"cutoff {U.cutoff}")
     beta = tuple(Fraction(b) for b in beta)
-    if len(beta) != n:
-        raise ModuleError(f"beta must have length {n}")
     algebra = WnAlgebra(n)
     msyms, ssyms = _coordinate_symbols(algebra)
     ctx = PolyContext(msyms + ssyms)
@@ -576,18 +584,14 @@ def tensor_field(U: JPlusRepData, beta) -> PolyWeightModule:
                         poly = poly + c * ctx.sym(msyms[p - 1])
                 if poly:
                     terms.append(ActionTerm(a, src, tgt, poly))
-    return PolyWeightModule(
-        algebra, beta, U.labels, terms,
-        name=f"tensor_field(dim {U.dim}, beta {_rationals_text(beta)})")
+    return PolyWeightModule(algebra, beta, U.labels, terms, name=name or (
+        f"tensor_field(dim {U.dim}, beta {_rationals_text(beta)})"))
 
 
 def omega_forms(n: int, k: int, beta) -> PolyWeightModule:
     """Module of differential k-forms on the n-torus (logarithmic frame)."""
-    rep = wedge_rep(n, k)
-    mod = tensor_field(rep, beta)
-    mod.name = f"omega^{k}(beta {_rationals_text(beta)}) on T^{n}"
-    mod.form_degree = k
-    return mod
+    return tensor_field(wedge_rep(n, k), beta, name=(
+        f"omega^{k}(beta {_rationals_text(beta)}) on T^{n}"))
 
 
 def _de_rham_matrix(n: int, k: int, svals) -> LabelMatrix:
@@ -599,29 +603,6 @@ def _de_rham_matrix(n: int, k: int, svals) -> LabelMatrix:
             (-1) ** sum(1 for x in subset if x < a) * svals[a - 1]
         for subset in itertools.combinations(range(1, n + 1), k)
         for a in range(1, n + 1) if a not in subset})
-
-
-def de_rham_d(v: ModuleVector) -> ModuleVector:
-    """De Rham differential d(t^s x w) = sum_a s_a t^s x (e_a wedge w).
-
-    The target Omega^{k+1} is built once per source module, so images of
-    one module's vectors can be added and compared."""
-    M = v.module
-    k = getattr(M, "form_degree", None)
-    if k is None:
-        raise ModuleError("de_rham_d requires a differential-forms module")
-    if k >= M.n:
-        raise ModuleError("d maps Omega^k only for k < n")
-    target = getattr(M, "d_target", None)
-    if target is None:
-        target = M.d_target = omega_forms(M.n, k + 1, M.beta)
-    out: dict = {}
-    for (off, lab), c in v.terms.items():
-        d = _de_rham_matrix(M.n, k, M.weight_value(off))
-        for (src, tgt), coeff in d.terms.items():
-            if src == lab:
-                out[(off, tgt)] = out.get((off, tgt), 0) + c * coeff
-    return ModuleVector(target, out)
 
 
 def de_rham_homology(n: int, beta, w) -> list:
@@ -1239,9 +1220,7 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
     betas = [_text(b, "beta") for b in _typed(data["beta"], list, "beta")]
     polys = [_text(t["poly"], "poly")
              for t in _typed(data["terms"], list, "terms")]
-    extra = {tok for text in betas + polys
-             for tok in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text)
-             if tok != "sqrt" and tok not in msyms and tok not in ssyms}
+    extra = set().union(*map(symbol_names, betas + polys)) - {*msyms, *ssyms}
     ctx = PolyContext(tuple(sorted(extra)) + msyms + ssyms)
     # a constant beta is its coefficient, as `module_to_json` wrote it
     beta = [b.constant_value() if isinstance(b, PolyScalar)
@@ -1329,23 +1308,3 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
                 rep.symbolic_checked += 1
     return rep
 
-
-def gamma_tensor_module(U: JPlusRepData, beta, gamma) -> PolyWeightModule:
-    """Tensor-field module of U extended by one torus direction, with the
-    extra direction acting through the constant gamma as the last weight
-    coordinate: (t^m d_{n+1})(t^s x u) = (s_{n+1} + gamma) t^{s+m} x u.
-
-    The extension pads each jet exponent k of U with a trailing 0, which
-    makes rho(t^k d_{n+1}) and rho(t^(e_{n+1}) d_a) zero. That padding
-    satisfies the rank-(n+1) jet relations only when the gl_n action itself
-    is trivial (the relation [E_{i,n+1}, E_{n+1,i}] = E_ii forces
-    E_ii = 0), so nontrivial U is rejected during validation; over the
-    subalgebra of fields with vanishing last exponent the construction is the
-    usual gamma-extension regardless, but that subalgebra action is out of
-    scope here."""
-    ext = JPlusRepData(U.n + 1, U.dim, U.cutoff,
-                       {(k + (0,), j): m for (k, j), m in U.matrices.items()},
-                       labels=U.labels)
-    mod = tensor_field(ext, tuple(beta) + (Fraction(gamma),))
-    mod.name = f"gamma_tensor(dim {U.dim}, gamma {gamma})"
-    return mod

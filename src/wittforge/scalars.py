@@ -498,10 +498,17 @@ def _coeff_str(c) -> tuple[str, bool]:
     return str(abs(c)), c < 0
 
 
+_NAME = r"[A-Za-z_][A-Za-z_0-9']*"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9']*)"
+    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{_NAME})"
     r"|(?P<op>[-+*^()])|(?P<end>$))"
 )
+
+
+def symbol_names(text: str) -> set:
+    """The symbol names that `parse_poly` reads in `text`: every name but
+    sqrt."""
+    return set(re.findall(_NAME, text)) - {"sqrt"}
 
 
 def parse_poly(text: str, ctx: PolyContext) -> PolyScalar:

@@ -191,7 +191,9 @@ def test_second_spellings_stay_gone():
     # the Lagrange tables are `linalg.inverse` of the nodes' power rows, a
     # coefficient of a one-variable polynomial is read from its terms, and
     # the CLI reads every JSON input file through `cli._read_json`; the
-    # element grammar and the anticommutator had no caller
+    # element grammar and the anticommutator had no caller. A module is one
+    # `PolyWeightModule` call that takes no new attribute, and its symbol
+    # names are read by the polynomial grammar of `scalars`
     read = lambda layer: (SRC / f"{layer}.py").read_text()
     assert "_lagrange" not in top_level_names(read("cover"))
     assert "coefficient_of" not in class_attributes(read("scalars"),
@@ -199,6 +201,10 @@ def test_second_spellings_stay_gone():
     assert "parse_element" not in top_level_names(read("lie"))
     assert "anticommutator" not in top_level_names(read("enveloping"))
     assert "_load_jets_rep" not in top_level_names(read("cli"))
+    assert top_level_names(read("modules")) & {
+        "de_rham_d", "gamma_tensor_module"} == set()
+    assert "re" not in absolute_imports(read("modules"))
+    assert class_slots(read("modules"), "PolyWeightModule")
 
 
 def class_slots(source: str, name: str) -> tuple:

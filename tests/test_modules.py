@@ -7,6 +7,7 @@ import pytest
 
 from _values import assert_types_never_equal, assert_value_semantics
 from wittforge import modules
+from wittforge.cover import CoverModule, emit_induced_module
 from wittforge.lie import (LatticeAutomorphism, LieElement, WnAlgebra,
                            bracket, witt_algebra)
 from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
@@ -16,7 +17,6 @@ from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
                                action_polynomials, act,
                                annihilates, build_preset, check_aw_compat,
                                check_de_rham_chain, check_module_axioms,
-                               gamma_tensor_module,
                                graded_dual, jets_module, module_from_json,
                                module_to_json, natural_rep, omega_forms,
                                tensor_density,
@@ -241,9 +241,8 @@ class TestTensorFields:
         assert omega_forms(2, 1, (Fraction(0), Fraction(-1, 2))).name == \
             "omega^1(beta (0, -1/2)) on T^2"
 
-    def test_gamma_extension(self):
-        M = gamma_tensor_module(trivial_rep(2), (Fraction(0), Fraction(0)),
-                                Fraction(1, 3))
+    def test_rank_three_function_module(self):
+        M = tensor_field(trivial_rep(3), (0, 0, Fraction(1, 3)))
         assert isinstance(M.algebra, WnAlgebra) and M.algebra.n == 3
         assert M.beta == (Fraction(0), Fraction(0), Fraction(1, 3))
         assert check_module_axioms(M, window=1).passed
@@ -256,12 +255,6 @@ class TestTensorFields:
                                      ((2,), 1): [[0, 1], [0, 0]]})
         with pytest.raises(ModuleError, match="first-order jet data"):
             tensor_field(rho, (Fraction(0),))
-
-    def test_gamma_extension_rejects_nontrivial_action(self):
-        # zero-padding the gl_n matrices is only consistent for trivial U
-        with pytest.raises(ModuleError):
-            gamma_tensor_module(natural_rep(2), (Fraction(0), Fraction(0)),
-                                Fraction(1, 3))
 
 
 class TestWindowSweepOrder:
@@ -642,6 +635,12 @@ class TestOneRelationOnce:
                                               rf"symbol \(m, s\), got '{name}'"):
             tensor_density(alpha, beta)
 
+    @pytest.mark.parametrize("name", ["a b", "sqrt", "", "1a"])
+    def test_parameter_is_one_symbol_name(self, name):
+        # a module file reads back only the names of the polynomial grammar
+        with pytest.raises(ModuleError, match="must be one symbol name"):
+            tensor_density(name, Fraction(1, 2))
+
     def test_order_16000_at_window_zero(self):
         # the radius-0 window of this module is its puncture, so no cell is
         # swept: what remains is the symbolic part and the coefficients
@@ -886,16 +885,21 @@ class TestSerialization:
             assert check_module_axioms(R).passed
 
     def test_tensor_field_round_trip(self):
-        M = tensor_field(natural_rep(2), (Fraction(1, 2), Fraction(0)))
-        R = module_from_json(module_to_json(M))
-        assert module_to_json(R) == module_to_json(M)
+        # the name each constructor gives reaches the file and comes back
+        for M in (tensor_field(natural_rep(2), (Fraction(1, 2), Fraction(0))),
+                  omega_forms(2, 1, (0, Fraction(-1, 2))),
+                  jets_module(TestJets()._rep(), (Fraction(1, 2),))):
+            data = module_to_json(M)
+            assert data["name"] == M.name
+            assert module_to_json(module_from_json(data)) == data, M.name
 
     @pytest.mark.parametrize("M", [
         tensor_density("alpha", "beta"), tensor_density(Fraction(1, 2), "b"),
+        tensor_density("a'", Fraction(1, 2)),
         PolyWeightModule(WITT, (QuadExtScalar(1, 1, 19),), ("u",),
                          [ActionTerm(1, "u", "u", parse_poly(
                              "s + sqrt(19)*m", PolyContext(("m", "s"))))])],
-        ids=["symbolic", "symbolic_beta", "quadratic_beta"])
+        ids=["symbolic", "symbolic_beta", "primed_alpha", "quadratic_beta"])
     def test_beta_round_trips(self, M):
         # a parameter named by beta alone is in the file's context, and a
         # constant beta is read back as its coefficient
@@ -1033,6 +1037,22 @@ class TestValueSemantics:
             [make() for make, _ in VALUES]
             + [Constraint(1, "u", "z"), ActionTerm(1, "u", "z", 0, None),
                WnAlgebra(1), LatticeAutomorphism.identity(1)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_preset("virasoro_adjoint"),
+        lambda: tensor_field(natural_rep(2), (0, 0)),
+        lambda: omega_forms(2, 1, (0, 0)),
+        lambda: graded_dual(build_preset("virasoro_adjoint")),
+        lambda: twist(tensor_field(natural_rep(2), (0, 0)),
+                      LatticeAutomorphism([[1, 1], [0, 1]])),
+        lambda: emit_induced_module(
+            CoverModule(build_preset("punctured_functions")))],
+        ids=["preset", "tensor_field", "omega_forms", "dual", "twist",
+             "cover"])
+    def test_built_module_takes_no_new_attribute(self, make):
+        # every module is one constructor call; the `act` memo relies on it
+        with pytest.raises(AttributeError):
+            make().form_degree = 1
 
     def test_preset_builds_its_line_by_keyword(self):
         M = build_preset("virasoro_adjoint")
