@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import linalg
-from .lie import WnAlgebra
 from .modules import (ActionTerm, ModuleError, ModuleVector, PolyWeightModule,
                       _generic_action_matrix, act)
 from .scalars import Frozen, PolyContext, PolyScalar
@@ -59,7 +58,7 @@ _MCTX = PolyContext(("m",))
 def require_coverable(M: PolyWeightModule) -> None:
     """A-covers are built for rank-1 modules with concrete parameters and a
     rational beta."""
-    if isinstance(M.algebra, WnAlgebra):
+    if M.n != 1:
         raise ModuleError("covers are implemented for rank-1 modules")
     if M.param_symbols():
         raise ModuleError("covers need concrete (non-symbolic) parameters")
@@ -179,7 +178,7 @@ def psi_evaluate(M: PolyWeightModule, g: PsiGenerator) -> QuasiPolyVector:
                           {lab: c for (_, lab), c in u.terms.items()})
 
     def fn(m):
-        return act(M.algebra.basis((g.k + m,)), u)
+        return act(M.algebra.basis((g.k + m,), 1), u)
 
     extra = M.constraint_modes((g.k, 1), (g.j, 0))
     return qpv_from_function(M, g.weight, fn, poly, extra)
@@ -313,7 +312,7 @@ def lie_action(theta: QuasiPolyVector, p: int) -> QuasiPolyVector:
         poly[lab] = poly.get(lab, _MCTX.zero()) - mvar * q
 
     def fn(m):
-        first = act(M.algebra.basis((p,)), theta.value(m))
+        first = act(M.algebra.basis((p,), 1), theta.value(m))
         second = theta.value(m + p).scale(Fraction(m))
         return first - second
 
@@ -392,7 +391,8 @@ def pi_surjectivity_check(C: CoverModule, w: int) -> dict:
         return [vec.terms.get(((w,), lab), Fraction(0)) for lab in labels]
 
     pi_rows = [as_row(pi_map(b)) for b in C.weight_space(w).basis]
-    act_rows = [as_row(act(M.algebra.basis((k,)), M.basis_vector((w - k,), lab)))
+    act_rows = [as_row(act(M.algebra.basis((k,), 1),
+                           M.basis_vector((w - k,), lab)))
                 for k in range(-4, 5) for lab in M.labels_at((w - k,))]
     return {"weight": w, "pi_rank": linalg.rank(pi_rows),
             "action_rank": linalg.rank(act_rows),
@@ -405,7 +405,7 @@ def pi_homomorphism_check(C: CoverModule, w: int) -> bool:
     space, for |p| <= 2."""
     basis = C.weight_space(w).basis
     return all(pi_map(lie_action(b, p))
-               == act(C.module.algebra.basis((p,)), pi_map(b))
+               == act(C.module.algebra.basis((p,), 1), pi_map(b))
                for p in range(-2, 3) for b in basis)
 
 
@@ -518,7 +518,7 @@ def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
     box = 4
 
     def pair_pistar(u: ModuleVector, k: int, xi: ModuleVector):
-        return dual_pairing(xi, act(M.algebra.basis((k,)), u))
+        return dual_pairing(xi, act(M.algebra.basis((k,), 1), u))
 
     failures = []
     checked = 0
@@ -530,10 +530,10 @@ def pi_star_check(M: PolyWeightModule, dual: PolyWeightModule,
             continue
         u = M.basis_vector((ju,), rng.choice(labs_u))
         xi = dual.basis_vector((jxi,), rng.choice(labs_xi))
-        lhs = pair_pistar(act(M.algebra.basis((p,)), u), k, xi)
+        lhs = pair_pistar(act(M.algebra.basis((p,), 1), u), k, xi)
         # e_p psi(e_k, xi) = (k - p) psi(e_{k+p}, xi) + psi(e_k, e_p xi)
         rhs = -(Fraction(k - p) * pair_pistar(u, k + p, xi)
-                + pair_pistar(u, k, act(dual.algebra.basis((p,)), xi)))
+                + pair_pistar(u, k, act(dual.algebra.basis((p,), 1), xi)))
         checked += 1
         if lhs != rhs:
             failures.append((p, k, ju, jxi, str(lhs - rhs)))

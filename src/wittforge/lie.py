@@ -8,7 +8,8 @@ are polynomial variables, which makes fully symbolic index computations
 possible.
 
 W_n is kept separate: its basis elements are pairs (r, a) with r in Z^n and
-a direction index a in 1..n.
+a direction index a in 1..n. Modules are over W_n alone, W_1 included as
+WnAlgebra(1); the rank-1 family serves the enveloping algebra.
 """
 
 from __future__ import annotations
@@ -151,11 +152,13 @@ class LieElement(Combination):
         parts = []
         for k in sorted(self.terms):
             c = self.terms[k]
-            if isinstance(self.algebra, WnAlgebra):
+            if not isinstance(self.algebra, WnAlgebra):
+                base = f"e[{','.join(map(str, k))}]"
+            elif self.algebra.n == 1:  # W_1 in its Witt basis e_k = t^k d
+                base = f"e[{k[0][0]}]"
+            else:
                 r, a = k
                 base = f"t[{','.join(map(str, r))}]d{a}"
-            else:
-                base = f"e[{','.join(map(str, k))}]"
             cs = str(c)
             parts.append(base if cs == "1" else f"({cs})*{base}")
         return " + ".join(parts)

@@ -2,10 +2,11 @@
 
 A PolyWeightModule fixes a fiber basis and, per direction, a list of action
 terms (source fiber, target fiber, coefficient polynomial in the generator
-exponent(s) m and the weight s). A rank-1 term may carry one affine
-constraint on (m, s) — enough to express delta-supported couplings like the
-central term of the Virasoro adjoint module — and the module may declare
-punctured weight components and labels supported on finitely many weights.
+exponent(s) m and the weight s). Every module is over W_n, with W_1 the
+case n = 1. A W_1 term may carry one affine constraint on (m, s) — enough
+to express delta-supported couplings like the central term of the Virasoro
+adjoint module — and the module may declare punctured weight components
+and labels supported on finitely many weights.
 
 Symbolic checkers turn the module axioms into polynomial identities in the
 generator exponents and the weight; the module's exceptional locus
@@ -24,8 +25,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from . import linalg
-from .lie import (LatticeAutomorphism, LieElement, WnAlgebra, bracket,
-                  witt_algebra)
+from .lie import LatticeAutomorphism, LieElement, WnAlgebra, bracket
 from .scalars import (Combination, Frozen, PolyContext, PolyScalar, QuadExtScalar,
                       parse_poly, parse_scalar, symbol_names)
 
@@ -36,7 +36,7 @@ class ModuleError(Exception):
 
 class Constraint(Frozen):
     """Affine condition sum_i m_coeffs[i]*m_i + sum_i s_coeffs[i]*s_i == const,
-    where s is the absolute weight of the source vector. Rank-1 only: over
+    where s is the absolute weight of the source vector. W_1 only: over
     W_n a line fires on a hyperplane of offsets, which no window covers."""
 
     __slots__ = ("m_coeffs", "s_coeffs", "const")
@@ -52,7 +52,7 @@ class Constraint(Frozen):
 
 
 class ActionTerm(Frozen):
-    # direction is 1-based; always 1 for rank-1 modules
+    # direction is 1-based; always 1 for W_1-modules
     __slots__ = ("direction", "src", "tgt", "poly", "constraint")
 
     def __init__(self, direction: int, src: str, tgt: str, poly: PolyScalar,
@@ -80,18 +80,19 @@ def _radicands(x) -> set:
     return {c.d for c in values if isinstance(c, QuadExtScalar)}
 
 
-def _coordinate_symbols(algebra) -> tuple:
-    """The coefficient variables of a module over `algebra`, as the pair
-    (generator exponents, weight): (("m",), ("s",)) over a rank-1 algebra
-    and (("m1".."mn"), ("s1".."sn")) over W_n."""
-    if isinstance(algebra, WnAlgebra):
-        return (tuple(f"m{i+1}" for i in range(algebra.n)),
-                tuple(f"s{i+1}" for i in range(algebra.n)))
-    return ("m",), ("s",)
+def _coordinate_symbols(n: int) -> tuple:
+    """The coefficient variables of a module over W_n, as the pair
+    (generator exponents, weight): (("m",), ("s",)) over W_1 and
+    (("m1".."mn"), ("s1".."sn")) for n >= 2."""
+    if n == 1:
+        return ("m",), ("s",)
+    return (tuple(f"m{i+1}" for i in range(n)),
+            tuple(f"s{i+1}" for i in range(n)))
 
 
 class PolyWeightModule:
-    """Weight module with polynomial action coefficients.
+    """Weight module over `algebra`, a WnAlgebra, with polynomial action
+    coefficients.
 
     The coefficient variables are `m_symbols` and `s_symbols`, as
     `_coordinate_symbols` names them. Extra parameter symbols (alpha,
@@ -108,8 +109,8 @@ class PolyWeightModule:
                  restricted_support: Mapping[str, Sequence] | None = None,
                  name: str = ""):
         self.algebra = algebra
-        self.n = algebra.n if isinstance(algebra, WnAlgebra) else 1
-        self.m_symbols, self.s_symbols = _coordinate_symbols(algebra)
+        self.n = algebra.n
+        self.m_symbols, self.s_symbols = _coordinate_symbols(self.n)
         self.beta = tuple(beta)
         if len(self.beta) != self.n:
             raise ModuleError(f"beta must have length {self.n}")
@@ -136,7 +137,7 @@ class PolyWeightModule:
                 raise ModuleError(f"action term direction {t.direction} is "
                                   f"not in 1..{self.n}")
             c = t.constraint
-            if c is not None and (isinstance(algebra, WnAlgebra) or not
+            if c is not None and (self.n != 1 or not
                                   len(c.m_coeffs) == len(c.s_coeffs) == 1):
                 raise ModuleError(f"constraint terms are rank-1 only, with "
                                   f"one m and one s coefficient: {t.src} "
@@ -309,30 +310,17 @@ class LabelMatrix(Combination):
 # -- concrete action ---------------------------------------------------------
 
 
-def _decode_generator(module: PolyWeightModule, idx):
-    """From an algebra basis index to (exponent values, offset shift,
-    direction)."""
-    if isinstance(module.algebra, WnAlgebra):
-        r, a = idx
-        return tuple(Fraction(x) for x in r), tuple(r), a
-    # rank-1: index is a lattice point; presets use W_1 where the point is
-    # the integer exponent itself.
-    if len(idx) != 1:
-        raise ModuleError("concrete action requires a rank-1 lattice of rank 1")
-    k = idx[0]
-    return (Fraction(k),), (k,), 1
-
-
 def _cell_action(M: PolyWeightModule, idx, off: tuple, lab: str) -> tuple:
-    """Image of the basis cell (off, lab) under the basis generator `idx`:
-    ((new_off, tgt), coeff) pairs in term order, skipping unmet
-    constraints, zero target components and zero coefficients. Memoised
-    in `M._cell_actions`."""
+    """Image of the basis cell (off, lab) under the basis generator `idx`,
+    the index (r, a) of t^r d_a: ((new_off, tgt), coeff) pairs in term
+    order, skipping unmet constraints, zero target components and zero
+    coefficients. Memoised in `M._cell_actions`."""
     key = (idx, off, lab)
     cell = M._cell_actions.get(key)
     if cell is not None:
         return cell
-    mvals, shift, direction = _decode_generator(M, idx)
+    shift, direction = idx
+    mvals = tuple(map(Fraction, shift))
     svals = M.weight_value(off)
     mapping = dict(zip(M.m_symbols, mvals))
     mapping.update(zip(M.s_symbols, svals))
@@ -534,7 +522,7 @@ def _param_value(value, ctx_symbols: list):
 
 
 def tensor_density(alpha, beta) -> PolyWeightModule:
-    """Rank-1 tensor-density module: e_k v_s = (s + alpha*k) v_{s+k}.
+    """W_1 tensor-density module: e_k v_s = (s + alpha*k) v_{s+k}.
 
     alpha and beta may be Fractions or symbol names (fully symbolic
     parameters).
@@ -547,7 +535,7 @@ def tensor_density(alpha, beta) -> PolyWeightModule:
     poly = ctx.sym("s") + a * ctx.sym("m")
     b = ctx.sym(beta_v) if isinstance(beta_v, str) else beta_v
     return PolyWeightModule(
-        witt_algebra(), (b,), ("v",),
+        WnAlgebra(1), (b,), ("v",),
         [ActionTerm(1, "v", "v", poly)],
         name=f"tensor_density({alpha},{beta})")
 
@@ -561,30 +549,13 @@ def tensor_field(U: JPlusRepData, beta, name: str | None = None
                  ) -> PolyWeightModule:
     """W_n-module of tensor fields of the gl_n-module U, given as
     first-order jet data with E_pa = U.rho(e_p, a):
-    (t^m d_a)(t^s x u) = s_a t^{s+m} x u + sum_p m_p t^{s+m} x E_pa u.
-    `name` replaces the default name, which shows dim U and beta."""
-    n = U.n
+    (t^m d_a)(t^s x u) = s_a t^{s+m} x u + sum_p m_p t^{s+m} x E_pa u,
+    which is the jets module of U. `name` replaces the default name, which
+    shows dim U and beta."""
     if U.cutoff > 1:
         raise ModuleError(f"tensor fields take first-order jet data, got "
                           f"cutoff {U.cutoff}")
-    beta = tuple(Fraction(b) for b in beta)
-    algebra = WnAlgebra(n)
-    msyms, ssyms = _coordinate_symbols(algebra)
-    ctx = PolyContext(msyms + ssyms)
-    terms = []
-    for a in range(1, n + 1):
-        for src_i, src in enumerate(U.labels):
-            for tgt_i, tgt in enumerate(U.labels):
-                poly = ctx.zero()
-                if src_i == tgt_i:
-                    poly = poly + ctx.sym(ssyms[a - 1])
-                for p in range(1, n + 1):
-                    c = U.rho(_unit(n, p), a)[tgt_i][src_i]
-                    if c:
-                        poly = poly + c * ctx.sym(msyms[p - 1])
-                if poly:
-                    terms.append(ActionTerm(a, src, tgt, poly))
-    return PolyWeightModule(algebra, beta, U.labels, terms, name=name or (
+    return jets_module(U, beta, name or (
         f"tensor_field(dim {U.dim}, beta {_rationals_text(beta)})"))
 
 
@@ -628,16 +599,17 @@ def de_rham_homology(n: int, beta, w) -> list:
     return ranks
 
 
-def jets_module(rho: JPlusRepData, beta) -> PolyWeightModule:
+def jets_module(rho: JPlusRepData, beta, name: str | None = None
+                ) -> PolyWeightModule:
     """Cuspidal AW-module built from a jet-algebra representation:
 
     (t^m d_j)(t^s x v) = s_j t^{s+m} x v
                          + sum_{k != 0} (m^k / k!) t^{s+m} x rho(t^k d_j) v.
+    `name` replaces the default name, which shows dim rho and the cutoff.
     """
     n = rho.n
     beta = tuple(Fraction(b) for b in beta)
-    algebra = WnAlgebra(n)
-    msyms, ssyms = _coordinate_symbols(algebra)
+    msyms, ssyms = _coordinate_symbols(n)
     ctx = PolyContext(msyms + ssyms)
     terms = []
     for j in range(1, n + 1):
@@ -660,19 +632,19 @@ def jets_module(rho: JPlusRepData, beta) -> PolyWeightModule:
                     poly = poly + mono
                 if poly:
                     terms.append(ActionTerm(j, src, tgt, poly))
-    return PolyWeightModule(algebra, beta, rho.labels, terms,
-                            name=f"jets(dim {rho.dim}, N {rho.cutoff})")
+    return PolyWeightModule(WnAlgebra(n), beta, rho.labels, terms, name=(
+        name or f"jets(dim {rho.dim}, N {rho.cutoff})"))
 
 
 def build_preset(name: str) -> PolyWeightModule:
-    """The named rank-1 module presets."""
+    """The named W_1-module presets."""
     ctx = PolyContext(("m", "s"))
     m, s = ctx.sym("m"), ctx.sym("s")
     if name == "punctured_functions":
         # functions on the circle modulo constants: e_k u_s = s u_{s+k},
         # u_0 = 0 (a hole at weight zero)
         return PolyWeightModule(
-            witt_algebra(), (Fraction(0),), ("u",),
+            WnAlgebra(1), (Fraction(0),), ("u",),
             [ActionTerm(1, "u", "u", s)],
             punctures=[((0,), ("u",))],
             name="punctured_functions")
@@ -682,7 +654,7 @@ def build_preset(name: str) -> PolyWeightModule:
         central = Constraint(m_coeffs=(Fraction(1),), s_coeffs=(Fraction(1),),
                              const=Fraction(0))
         return PolyWeightModule(
-            witt_algebra(), (Fraction(0),), ("u", "z"),
+            WnAlgebra(1), (Fraction(0),), ("u", "z"),
             [ActionTerm(1, "u", "u", s - m),
              ActionTerm(1, "u", "z", m ** 3, constraint=central)],
             restricted_support={"z": [(0,)]},
@@ -700,7 +672,7 @@ def build_preset(name: str) -> PolyWeightModule:
                     - 5 * m ** 4 * s ** 3 + 5 * m ** 3 * s ** 4
                     + 2 * m ** 2 * s ** 5)
         return PolyWeightModule(
-            witt_algebra(), (Fraction(0),), ("u", "w"),
+            WnAlgebra(1), (Fraction(0),), ("u", "w"),
             [ActionTerm(1, "u", "u", s + a1 * m),
              ActionTerm(1, "w", "w", s + a2 * m),
              ActionTerm(1, "w", "u", coupling)],
@@ -739,9 +711,11 @@ def twist(M: PolyWeightModule, g: LatticeAutomorphism) -> PolyWeightModule:
         poly'_a(m, s) = sum_b (g^{-1})_{a b} poly_b(g m, g s),
 
     with beta' = g^{-1} beta. Satisfies twist(twist(M, h), g) == twist(M, hg).
+    At n = 1, g is 1 or -1. A constraint term is not transformed, so a
+    module with one is refused.
     """
-    if not isinstance(M.algebra, WnAlgebra):
-        raise ModuleError("twisting is defined for W_n modules")
+    if any(t.constraint is not None for t in M.terms):
+        raise ModuleError("twist does not transform constraint terms")
     n = M.n
     if g.n != n:
         raise ModuleError(f"matrix size {g.n} does not match W_{n}")
@@ -845,7 +819,7 @@ def _require_radius(window: int) -> None:
 
 
 def _window_generators(M: PolyWeightModule, window: int):
-    """Exponents and generators of the concrete sweep: for rank 1, the
+    """Exponents and generators of the concrete sweep: for W_1, the
     exponents in [-window, window] and those where a constraint line fires
     at offset 0; in [-1, 1]^n for W_n, each generator in every direction.
     Returns (exponents, generators)."""
@@ -854,11 +828,8 @@ def _window_generators(M: PolyWeightModule, window: int):
                                      | M.constraint_modes((0, 1), (0, 0)))]
     else:
         exps = list(itertools.product(range(-1, 2), repeat=M.n))
-    if isinstance(M.algebra, WnAlgebra):
-        gens = [M.algebra.basis(e, a) for e in exps for a in range(1, M.n + 1)]
-    else:
-        gens = [M.algebra.basis(e) for e in exps]
-    return exps, gens
+    return exps, [M.algebra.basis(e, a) for e in exps
+                  for a in range(1, M.n + 1)]
 
 
 def _generic_action_matrix(M: PolyWeightModule, direction: int,
@@ -996,7 +967,7 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     shifts, gens = _window_generators(M, window)
     cells = M.window(0)
     for x in gens:
-        _, e, a = _decode_generator(M, next(iter(x.terms)))
+        e, a = next(iter(x.terms))
         images = [act(x, v) for _, _, v in cells]
         for r in shifts:
             mr = tuple(me + re for me, re in zip(e, r))
@@ -1044,8 +1015,8 @@ class AnnihilationCertificate:
 
 
 def require_rank1(M: PolyWeightModule) -> None:
-    """Differentiator certificates are defined over the rank-1 family."""
-    if isinstance(M.algebra, WnAlgebra):
+    """Differentiator certificates are defined over W_1."""
+    if M.n != 1:
         raise ModuleError("differentiator certificates are rank-1 only")
 
 
@@ -1097,7 +1068,7 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
                                    window_failures=[], witness=None,
                                    symbolic_checked=len(M.fiber))
 
-    gen = {x: M.algebra.basis((x,))
+    gen = {x: M.algebra.basis((x,), 1)
            for x in range(-window - order, window + order + 1)}
     points = list(itertools.product(range(-window, window + 1), repeat=2))
     cells = M.window(window)
@@ -1152,8 +1123,7 @@ def module_to_json(M: PolyWeightModule) -> dict:
                 "const": str(Fraction(c.const))}
 
     return {
-        "algebra": {"type": "wn" if isinstance(M.algebra, WnAlgebra) else "witt",
-                    "n": M.n},
+        "algebra": {"type": "witt" if M.n == 1 else "wn", "n": M.n},
         "beta": [str(b) for b in M.beta],
         "fiber": list(M.fiber),
         "terms": [{"direction": t.direction, "src": t.src, "tgt": t.tgt,
@@ -1208,15 +1178,14 @@ def _integer(value, field: str) -> int:
 
 def module_from_json(data: Mapping) -> PolyWeightModule:
     n = _integer(data["algebra"]["n"], "n")
-    if n < 1:
-        raise ModuleError(f"algebra rank n must be positive, got {n}")
     kind = data["algebra"]["type"]
     if kind not in ("witt", "wn"):
         raise ModuleError(f"algebra type must be 'witt' or 'wn', got {kind!r}")
-    if kind == "witt" and n != 1:
-        raise ModuleError("rank-1 module files use n = 1")
-    algebra = WnAlgebra(n) if kind == "wn" else witt_algebra()
-    msyms, ssyms = _coordinate_symbols(algebra)
+    # W_1 has one file kind; a "wn" file's m1, s1 would read as parameters
+    if (kind == "witt") != (n == 1) or n < 1:
+        raise ModuleError(f"W_1 module files use type 'witt' with n = 1, and "
+                          f"'wn' needs n >= 2; got {kind!r} with n = {n}")
+    msyms, ssyms = _coordinate_symbols(n)
     betas = [_text(b, "beta") for b in _typed(data["beta"], list, "beta")]
     polys = [_text(t["poly"], "poly")
              for t in _typed(data["terms"], list, "terms")]
@@ -1243,7 +1212,7 @@ def module_from_json(data: Mapping) -> PolyWeightModule:
     support = _typed(data.get("restricted_support", {}), dict,
                      "restricted_support")
     return PolyWeightModule(
-        algebra, beta, _labels_json(data["fiber"], "fiber"), terms,
+        WnAlgebra(n), beta, _labels_json(data["fiber"], "fiber"), terms,
         punctures=[(_offset_json(p["offset"]),
                     _labels_json(p["labels"], "labels"))
                    for p in _typed(data.get("punctures", []), list,

@@ -155,6 +155,7 @@ _BETA_COMMANDS = [("module-check",), ("dual",),
                   ("annihilator", "--m", "9", "--window", "0")]
 _CASE_COMMANDS = {"wn_rank_zero": _LOADING_COMMANDS,
                   "wn_rank_negative": _LOADING_COMMANDS,
+                  "wn_rank_one": _LOADING_COMMANDS + [("twist", "--g", "1")],
                   "duplicate_fiber": _LOADING_COMMANDS,
                   "cover_irrational_beta": [("acover", "--window", "1")],
                   "cover_irrational_beta_density": [("acover", "--window",
@@ -166,6 +167,17 @@ _CASE_COMMANDS = {"wn_rank_zero": _LOADING_COMMANDS,
 
 def _feigin_fuks():
     return module_to_json(build_preset("feigin_fuks_length2"))
+
+
+# The file `module_to_json(tensor_field(natural_rep(1), (1/3,)))` once
+# wrote: a "wn" file with n = 1, in the coordinates m1, s1. W_1 names its
+# coordinates m, s, so read as W_1 these would be parameters, and the
+# module check would refute a real module.
+_LEGACY_W1_FIELD = {
+    "algebra": {"type": "wn", "n": 1}, "beta": ["1/3"], "fiber": ["e1"],
+    "name": "tensor_field(dim 1, beta (1/3))", "punctures": [],
+    "restricted_support": {},
+    "terms": [{"direction": 1, "src": "e1", "tgt": "e1", "poly": "m1 + s1"}]}
 
 
 class TestModuleCheck:
@@ -204,6 +216,7 @@ class TestModuleCheck:
         lambda d: d.update(restricted_support=[["z", [0]]]),
         lambda d: d.update(algebra={"type": "wn", "n": 0}),
         lambda d: d.update(algebra={"type": "wn", "n": -2}),
+        lambda d: d.update(_LEGACY_W1_FIELD),
         lambda d: (d["fiber"].append(True),
                    d["terms"][1].update(tgt=1)),
         lambda d: d["terms"][0].update(direction=1.5),
@@ -227,7 +240,7 @@ class TestModuleCheck:
             "numeric_constraint", "puncture_offset", "support_offset",
             "zero_beta_denominator", "string_beta", "terms_not_list",
             "string_fiber", "support_not_object", "wn_rank_zero",
-            "wn_rank_negative", "bool_label", "float_direction",
+            "wn_rank_negative", "wn_rank_one", "bool_label", "float_direction",
             "unknown_algebra", "string_rank", "decimal_poly",
             "cover_irrational_beta",
             "cover_irrational_beta_density", "duplicate_fiber",
@@ -261,13 +274,16 @@ class TestModuleCheck:
              "annihilator-w1", "acover-w2", "acover-w1"])
     def test_checker_error_exits_two(self, tmp_path, monkeypatch, command,
                                      param):
-        # a module the checker cannot handle (a W_n module, even W_1, for
+        # a module the checker cannot handle (a W_n module with n >= 2 for
         # the rank-1 annihilator and A-cover, a parameter named like a
-        # checker symbol) is a usage error, not a refutation; a W_n module
-        # is rejected before its module axioms are proved
+        # checker symbol) is a usage error, not a refutation; a W_n module,
+        # and a W_1 file of type "wn", is rejected before its module axioms
+        # are proved
         from wittforge.modules import natural_rep, tensor_field
         if param == "w1":
-            data = module_to_json(tensor_field(natural_rep(1), (Fraction(0),)))
+            data = dict(module_to_json(tensor_field(natural_rep(1),
+                                                    (Fraction(0),))),
+                        algebra={"type": "wn", "n": 1})
         elif param is None:
             data = module_to_json(tensor_field(natural_rep(2),
                                                (Fraction(0), Fraction(0))))
@@ -285,10 +301,30 @@ class TestModuleCheck:
         assert res.exit_code == 2, res.output
         if param in (None, "w1"):
             assert res.stdout == ""
-            assert {"annihilator": "differentiator certificates are rank-1 "
-                                   "only",
-                    "acover": "covers are implemented for rank-1 modules",
-                    }[command] in res.stderr
+            assert ("W_1 module files use type 'witt'" if param == "w1" else
+                    {"annihilator": "differentiator certificates are rank-1 "
+                                    "only",
+                     "acover": "covers are implemented for rank-1 modules",
+                     }[command]) in res.stderr
+
+
+class TestOneW1Cover:
+    def test_field_cover_matches_density(self, tmp_path):
+        # the W_1 tensor field of the natural U is T(1, beta): acover takes
+        # it and prints the density's records, but for name and label
+        from wittforge.modules import natural_rep, tensor_field
+        beta = Fraction(1, 5)
+        outputs = []
+        for M in (tensor_field(natural_rep(1), (beta,)),
+                  tensor_density(1, beta)):
+            f = tmp_path / "m.json"
+            f.write_text(json.dumps(module_to_json(M)))
+            res = invoke("acover", "--module", str(f))
+            assert res.exit_code == 0, res.output
+            outputs.append(res.stdout.replace(M.name, "M").replace(
+                f'"{M.fiber[0]}"', '"label"'))
+        assert outputs[0] == outputs[1]
+        assert len(json_lines(outputs[0])) == 4
 
 
 class TestNotAModule:

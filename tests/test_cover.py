@@ -20,10 +20,10 @@ from wittforge.modules import (PRESET_NAMES, ActionTerm, Constraint,
                                build_preset, check_module_axioms, graded_dual,
                                tensor_density)
 from wittforge import cover
-from wittforge.lie import witt_algebra
+from wittforge.lie import WnAlgebra
 from wittforge.scalars import PolyContext
 
-WITT = witt_algebra()
+WITT = WnAlgebra(1)
 
 
 # -- brute-force oracles of what `CoverModule` builds by translation ---------
@@ -114,7 +114,9 @@ class TestSubstitutionOracle:
 
     @pytest.mark.parametrize("M", _oracle_modules(), ids=lambda M: M.name)
     def test_psi_and_lie_action_match_act(self, M):
-        e = M.algebra.basis
+        def e(point):
+            return M.algebra.basis(point, 1)
+
         for k, j in ((-2, 0), (1, -1), (3, 2), (0, 1)):
             for lab in M.labels_at((j,)):
                 u = M.basis_vector((j,), lab)
@@ -223,7 +225,7 @@ class TestEmittedWeight:
         for p, w in [(3, 0), (-2, 1), (1, -4), (0, 2)]:
             cols = _action_columns(C, lie_action, p, w)
             for isrc, src in enumerate(E.fiber):
-                got = act(WITT.basis((p,)), E.basis_vector(w, src))
+                got = act(WITT.basis((p,), 1), E.basis_vector(w, src))
                 assert got.terms == {
                     ((w + p,), tgt): c
                     for tgt, c in zip(E.fiber, cols[isrc]) if c}, (p, w)
@@ -232,7 +234,7 @@ class TestEmittedWeight:
         # e_3 b1 at offset 0 of the cover of T(2/3, 1/5)
         C = CoverModule(tensor_density(Fraction(2, 3), Fraction(1, 5)))
         E = emit_induced_module(C)
-        got = act(WITT.basis((3,)), E.basis_vector(0, "b1"))
+        got = act(WITT.basis((3,), 1), E.basis_vector(0, "b1"))
         assert got.terms[((3,), "b1")] == Fraction(11, 5)
 
 
@@ -537,7 +539,7 @@ class TestLieActionConstraintModes:
         # term z fires where p + w + m = 0
         fired = [m for m in range(-20, 20)
                  if any(lab == "z" for _, lab in act(
-                     V.algebra.basis((p,)),
+                     V.algebra.basis((p,), 1),
                      V.basis_vector((w + m,), "u")).terms)]
         assert fired == [-5]
         solved = []

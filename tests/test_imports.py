@@ -5,7 +5,8 @@ imports only the layers it calls, loading the layers pulls in neither
 import and run at import), and each concept has one home: row echelon in
 `linalg`, constraint lines in `modules`, sparse-sum arithmetic in
 `scalars.Combination`, which the Lie, enveloping and module vectors and
-the label matrices of the module checkers inherit. The coefficient types
+the label matrices of the module checkers inherit, and W_1 in `modules`
+and `cover` as `WnAlgebra(1)`. The coefficient types
 answer their own zero test, text and inverse, so no layer re-dispatches on
 the scalar type through a helper, and `PolyScalar` has one path per ring
 operation and one constructor. Helpers whose job other code does stay
@@ -107,6 +108,37 @@ def test_constraint_scan_flags_reads():
               "x = satisfied(a)\ny = ActionTerm(1, u, v, p, constraint=c)\n"
               "constraint = None\nz = t.poly\n")
     assert constraint_reads(source) == [1, 2, 3]
+
+
+def rank1_presentations(source: str) -> list:
+    """Lines of `source` that name `Rank1Algebra` or `witt_algebra` (as a
+    name, an attribute or an import) or test `isinstance` against
+    `WnAlgebra`."""
+    def names(node):
+        return {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if names(node) & {"Rank1Algebra", "witt_algebra"}
+                   or isinstance(node, ast.Call)
+                   and "isinstance" in names(node.func)
+                   and any("WnAlgebra" in names(x)
+                           for a in node.args[1:] for x in ast.walk(a))})
+
+
+@pytest.mark.parametrize("layer", ["modules", "cover"])
+def test_modules_live_on_wn(layer):
+    # every module is over WnAlgebra(n), W_1 included; the rank-1 lattices
+    # of `lie` serve the identity's PBW computations alone
+    assert rank1_presentations((SRC / f"{layer}.py").read_text()) == []
+
+
+def test_rank1_scan_flags_names():
+    source = ("from .lie import Rank1Algebra, witt_algebra\n"
+              "a = witt_algebra()\nb = lie.Rank1Algebra\n"
+              "if isinstance(M.algebra, (WnAlgebra, int)):\n    pass\n"
+              "c = WnAlgebra(1)\nd = isinstance(x, int)\n"
+              "e = M.algebra.basis((1,), 1)\n")
+    assert rank1_presentations(source) == [1, 2, 3, 4]
 
 
 SUM_METHODS = {"__init__", "__add__", "__sub__", "__neg__", "scale",

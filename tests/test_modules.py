@@ -8,12 +8,11 @@ import pytest
 from _values import assert_types_never_equal, assert_value_semantics
 from wittforge import modules
 from wittforge.cover import CoverModule, emit_induced_module
-from wittforge.lie import (LatticeAutomorphism, LieElement, WnAlgebra,
-                           bracket, witt_algebra)
+from wittforge.lie import LatticeAutomorphism, LieElement, WnAlgebra, bracket
 from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
                                ModuleError, ModuleVector, PolyWeightModule,
                                PRESET_NAMES, _a_shift,
-                               _decode_generator, _window_generators,
+                               _window_generators,
                                action_polynomials, act,
                                annihilates, build_preset, check_aw_compat,
                                check_de_rham_chain, check_module_axioms,
@@ -24,11 +23,11 @@ from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
                                weight_report, wedge_rep)
 from wittforge.scalars import PolyContext, QuadExtScalar, parse_poly
 
-WITT = witt_algebra()
+WITT = WnAlgebra(1)
 
 
 def e(k):
-    return WITT.basis((k,))
+    return WITT.basis((k,), 1)
 
 
 class TestTensorDensity:
@@ -230,9 +229,38 @@ class TestTensorFields:
         assert check_module_axioms(M).passed
         assert check_aw_compat(M).passed
 
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 4)
+                                      for k in range(n + 1)])
+    def test_hand_formula(self, n, k):
+        # poly_a(u_j -> u_i) = delta_ij s_a + sum_p m_p (E_pa)_ij, written
+        # out here and not read from jets_module
+        U = wedge_rep(n, k)
+        M = tensor_field(U, (Fraction(1, 3),) * n)
+        m, s = (["m"], ["s"]) if n == 1 else (
+            [f"m{p}" for p in range(1, n + 1)],
+            [f"s{a}" for a in range(1, n + 1)])
+        ctx = PolyContext(tuple(m + s))
+        want = {}
+        for a in range(1, n + 1):
+            for j, src in enumerate(U.labels):
+                for i, tgt in enumerate(U.labels):
+                    poly = ctx.sym(s[a - 1]) if i == j else ctx.zero()
+                    for p in range(1, n + 1):
+                        e_p = tuple(int(q == p) for q in range(1, n + 1))
+                        poly = poly + U.rho(e_p, a)[i][j] * ctx.sym(m[p - 1])
+                    if poly:
+                        want[(a, src, tgt)] = poly
+        assert {key: parse_poly(text, ctx) for key, text
+                in action_polynomials(M).items()} == want
+
     def test_trivial_rep_matches_density(self):
+        # at n = 1 the tensor field of the trivial U is the density T(0, beta)
         M = tensor_field(trivial_rep(1), (Fraction(0),))
-        assert action_polynomials(M) == {(1, "1", "1"): "s1"}
+        assert action_polynomials(M) == {(1, "1", "1"): "s"}
+        D = tensor_density(0, 0)
+        assert {(d, "v", "v"): p for (d, _, _), p
+                in action_polynomials(M).items()} == action_polynomials(D)
+        assert M.beta == D.beta and M.algebra == D.algebra
 
     def test_names_print_rationals(self):
         # the names go into certificates: no Fraction reprs
@@ -255,6 +283,27 @@ class TestTensorFields:
                                      ((2,), 1): [[0, 1], [0, 0]]})
         with pytest.raises(ModuleError, match="first-order jet data"):
             tensor_field(rho, (Fraction(0),))
+
+
+class TestOneW1:
+    """W_1 has one presentation, `WnAlgebra(1)`, so a module that the W_n
+    constructors build reaches the rank-1 checkers, and the tensor field of
+    the 1-dim U with rho(t d) = alpha certifies as T(alpha, beta) does."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(0),
+                                       Fraction(1)], ids=str)
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_field_annihilator_matches_density(self, order, alpha):
+        beta = Fraction(1, 5)
+        U = JPlusRepData(1, 1, 1, {((1,), 1): [[alpha]]}, labels=("v",))
+        field = annihilates(order, tensor_field(U, (beta,))).to_json()
+        density = annihilates(order, tensor_density(alpha, beta)).to_json()
+        assert field.pop("module") == "tensor_field(dim 1, beta (1/5))"
+        assert density.pop("module") == f"tensor_density({alpha},1/5)"
+        assert field == density
+        # order 3 kills every density; order 2 only those with alpha in {0, 1}
+        assert field["annihilates"] == (order == 3 or alpha != Fraction(2, 3))
+        assert (field["witness"] is None) == field["annihilates"]
 
 
 class TestWindowSweepOrder:
@@ -422,7 +471,7 @@ def _reference_aw_sweep(M, window, rep):
     shifts, gens = _window_generators(M, window)
     cells = M.window(0)
     for x, r in itertools.product(gens, shifts):
-        _, e, a = _decode_generator(M, next(iter(x.terms)))
+        e, a = next(iter(x.terms))
         mr = tuple(me + re for me, re in zip(e, r))
         for _, lab, v in cells:
             lhs_v = act(x, _a_shift(v, r))
@@ -442,8 +491,8 @@ def _reference_annihilator_sweep(order, M, window, cert):
         for off, lab, v in cells:
             total = ModuleVector(M, {})
             for i in range(order + 1):
-                term = act(witt.basis(((kv - i),)),
-                           act(witt.basis(((sv + i),)), v))
+                term = act(witt.basis((kv - i,), 1),
+                           act(witt.basis((sv + i,), 1), v))
                 total = total + term.scale(Fraction((-1) ** i * comb(order, i)))
             cert.window_checked += 1
             if not total.is_zero():
@@ -693,8 +742,8 @@ class TestJets:
         assert rho.rho((1,), 1)[0][0] == a1
         M = jets_module(rho, (Fraction(0),))
         assert action_polynomials(M) == {
-            (1, "v1", "v1"): "(7/2 - 1/2*sqrt(19))*m1 + s1",
-            (1, "v2", "v2"): "-(5/2 + 1/2*sqrt(19))*m1 + s1"}
+            (1, "v1", "v1"): "(7/2 - 1/2*sqrt(19))*m + s",
+            (1, "v2", "v2"): "-(5/2 + 1/2*sqrt(19))*m + s"}
         assert check_module_axioms(M).passed
         assert check_aw_compat(M).passed
 
@@ -870,10 +919,26 @@ class TestTwist:
         assert action_polynomials(lhs) == action_polynomials(rhs)
         assert lhs.beta == rhs.beta
 
-    def test_rank_one_rejected(self):
-        with pytest.raises(ModuleError):
-            twist(build_preset("punctured_functions"),
+    def test_constraint_term_rejected(self):
+        # twist does not transform a constraint line, so it refuses one
+        with pytest.raises(ModuleError, match="constraint terms"):
+            twist(build_preset("virasoro_adjoint"),
                   LatticeAutomorphism.identity(1))
+
+    def test_rank_one_identity_twist(self):
+        M = build_preset("punctured_functions")
+        T = twist(M, LatticeAutomorphism.identity(1))
+        assert action_polynomials(T) == action_polynomials(M)
+        assert T.beta == M.beta and T.punctures == M.punctures
+
+    def test_rank_one_reflection(self):
+        # g = -1 sends T(alpha, beta) to T(alpha, -beta)
+        alpha, beta = Fraction(2, 3), Fraction(1, 5)
+        T = twist(tensor_density(alpha, beta), LatticeAutomorphism([[-1]]))
+        D = tensor_density(alpha, -beta)
+        assert action_polynomials(T) == action_polynomials(D)
+        assert T.beta == D.beta
+        assert check_module_axioms(T).passed
 
 
 class TestSerialization:
@@ -1081,7 +1146,7 @@ class TestActAlgebra:
         for r, a in (((1, 0), 1), ((-1, 2), 2)):
             assert act(other.basis(r, a), v) == act(M.algebra.basis(r, a), v)
         u = build_preset("punctured_functions").basis_vector((1,), "u")
-        assert act(witt_algebra().basis((2,)), u) == act(e(2), u)
+        assert act(WnAlgebra(1).basis((2,), 1), u) == act(e(2), u)
 
 
 def _cancelling_pair(gens, cells):
@@ -1139,7 +1204,7 @@ def _oracle_aw_failures(M, window):
     shifts, gens = _window_generators(M, window)
     out = []
     for x, r in itertools.product(gens, shifts):
-        _, m, a = _decode_generator(M, next(iter(x.terms)))
+        m, a = next(iter(x.terms))
         mr = tuple(me + re for me, re in zip(m, r))
         for _, lab, v in M.window(0):
             d = (act(x, _times_t(v, r)) - _times_t(act(x, v), r)

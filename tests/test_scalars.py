@@ -409,14 +409,14 @@ class TestCopyAndPickle:
     def test_deepcopy_of_a_quadratic_module_vector(self):
         from wittforge.modules import act, build_preset
         M = build_preset("feigin_fuks_length2")
-        v = act(M.algebra.basis((2,)), M.basis_vector((1,), M.fiber[0]))
+        v = act(M.algebra.basis((2,), 1), M.basis_vector((1,), M.fiber[0]))
         assert any(isinstance(c, QuadExtScalar) and c.b
                    for c in v.terms.values())
         w = copy.deepcopy(v)
         assert w.module is not M and w.terms == v.terms and str(w) == str(v)
         # the copied module acts as the original does
-        assert act(w.module.algebra.basis((-1,)), w).terms == act(
-            M.algebra.basis((-1,)), v).terms
+        assert act(w.module.algebra.basis((-1,), 1), w).terms == act(
+            M.algebra.basis((-1,), 1), v).terms
 
 
 # values mapped onto CTX's symbols: a polynomial of another context
