@@ -15,8 +15,8 @@ _EXPORTS = {
     "enveloping": ("differentiator", "pbw_normal_form", "verify_key_identity",
                    "verify_solenoidal_identity"),
     "lie": ("LatticeAutomorphism", "LieElement", "Rank1Algebra", "WnAlgebra",
-            "apply_automorphism", "bracket", "jacobi_check",
-            "solenoidal_algebra", "symbolic_witt_algebra", "witt_algebra"),
+            "bracket", "jacobi_check", "solenoidal_algebra",
+            "symbolic_witt_algebra", "witt_algebra"),
     "linalg": (),
     "modules": ("ActionTerm", "Constraint", "JPlusRepData", "ModuleVector",
                 "PolyWeightModule", "act", "annihilates",

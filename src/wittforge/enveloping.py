@@ -39,7 +39,7 @@ class UEAElement(Combination):
             return "UEA(0)"
         parts = []
         for m in sorted(self.terms):
-            name = "".join(f"e[{','.join(map(str, pt))}]" for pt in m) or "1"
+            name = "".join(map(self.algebra._text, m)) or "1"
             parts.append(f"({self.terms[m]})*{name}")
         return "UEA(" + " + ".join(parts) + ")"
 

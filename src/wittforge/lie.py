@@ -10,6 +10,11 @@ possible.
 W_n is kept separate: its basis elements are pairs (r, a) with r in Z^n and
 a direction index a in 1..n. Modules are over W_n alone, W_1 included as
 WnAlgebra(1); the rank-1 family serves the enveloping algebra.
+
+Each algebra class owns its basis: `_bracket(x, y)` lists the (index,
+coefficient) pairs of the bracket of two basis indices and `_text(index)`
+names a basis element, so `bracket` and `LieElement`'s text are written
+once. `modules.twist` transports a module by a `LatticeAutomorphism`.
 """
 
 from __future__ import annotations
@@ -94,6 +99,13 @@ class Rank1Algebra(Frozen):
     def basis(self, point: tuple) -> "LieElement":
         return LieElement(self, {point: 1})
 
+    def _bracket(self, x: tuple, y: tuple) -> list:
+        c = self.phi(sub_points(y, x))
+        return [(add_points(x, y), c)] if c else []
+
+    def _text(self, point: tuple) -> str:
+        return f"e[{','.join(map(str, point))}]"
+
 
 def witt_algebra() -> Rank1Algebra:
     """W_1: indices in Z, phi the identity."""
@@ -135,6 +147,19 @@ class WnAlgebra(Frozen):
             raise AlgebraError(f"bad W_{self.n} index ({r}, {a})")
         return LieElement(self, {(r, a): 1})
 
+    def _bracket(self, x: tuple, y: tuple) -> list:
+        # [t^r d_a, t^s d_b] = s_a t^{r+s} d_b - r_b t^{r+s} d_a
+        (r, a), (s, b) = x, y
+        rs = add_points(r, s)
+        return [(key, f) for key, f in (((rs, b), s[a - 1]),
+                                         ((rs, a), -r[b - 1])) if f]
+
+    def _text(self, index: tuple) -> str:
+        r, a = index
+        if self.n == 1:  # W_1 in its Witt basis e_k = t^k d
+            return f"e[{r[0]}]"
+        return f"t[{','.join(map(str, r))}]d{a}"
+
 
 class LieElement(Combination):
     """Finite formal sum of basis vector fields with scalar coefficients."""
@@ -147,21 +172,11 @@ class LieElement(Combination):
         return f"LieElement({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for k in sorted(self.terms):
-            c = self.terms[k]
-            if not isinstance(self.algebra, WnAlgebra):
-                base = f"e[{','.join(map(str, k))}]"
-            elif self.algebra.n == 1:  # W_1 in its Witt basis e_k = t^k d
-                base = f"e[{k[0][0]}]"
-            else:
-                r, a = k
-                base = f"t[{','.join(map(str, r))}]d{a}"
-            cs = str(c)
+            base, cs = self.algebra._text(k), str(self.terms[k])
             parts.append(base if cs == "1" else f"({cs})*{base}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
@@ -169,28 +184,11 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     x._check(y)
     alg = x.algebra
     terms: dict = {}
-    if isinstance(alg, Rank1Algebra):
-        for kx, cx in x.terms.items():
-            for ky, cy in y.terms.items():
-                coeff = alg.phi(sub_points(ky, kx)) * cx * cy
-                if not coeff:
-                    continue
-                key = add_points(kx, ky)
-                terms[key] = terms.get(key, 0) + coeff
-    elif isinstance(alg, WnAlgebra):
-        # [t^r d_a, t^s d_b] = s_a t^{r+s} d_b - r_b t^{r+s} d_a
-        for (r, a), cx in x.terms.items():
-            for (s, b), cy in y.terms.items():
-                rs = add_points(r, s)
-                c = cx * cy
-                if s[a - 1]:
-                    key = (rs, b)
-                    terms[key] = terms.get(key, 0) + s[a - 1] * c
-                if r[b - 1]:
-                    key = (rs, a)
-                    terms[key] = terms.get(key, 0) - r[b - 1] * c
-    else:
-        raise AlgebraError(f"unknown algebra {alg!r}")
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
+            c = cx * cy
+            for key, f in alg._bracket(kx, ky):
+                terms[key] = terms.get(key, 0) + f * c
     return LieElement(alg, terms)
 
 
@@ -212,10 +210,7 @@ def jacobi_check(algebra, triples) -> JacobiReport:
     failures = []
     count = 0
     for triple in triples:
-        if isinstance(algebra, WnAlgebra):
-            x, y, z = (algebra.basis(*item) for item in triple)
-        else:
-            x, y, z = (algebra.basis(item) for item in triple)
+        x, y, z = (LieElement(algebra, {index: 1}) for index in triple)
         residue = (bracket(bracket(x, y), z) + bracket(bracket(y, z), x)
                    + bracket(bracket(z, x), y))
         count += 1
@@ -279,37 +274,7 @@ class LatticeAutomorphism(Frozen):
     def inverse(self) -> "LatticeAutomorphism":
         return LatticeAutomorphism(linalg.int_matrix_inverse(self.matrix))
 
-    def compose(self, other: "LatticeAutomorphism") -> "LatticeAutomorphism":
-        """Matrix product self @ other."""
-        return LatticeAutomorphism(linalg.matrix_mul(self.matrix, other.matrix))
-
     @staticmethod
     def identity(n: int) -> "LatticeAutomorphism":
         return LatticeAutomorphism([[int(i == j) for j in range(n)] for i in range(n)])
 
-
-def apply_automorphism(g: LatticeAutomorphism, x: LieElement) -> LieElement:
-    """Pushforward of vector fields under t^r -> t^{gr}:
-
-        t^m d_a -> sum_b (g^{-1})_{a b} t^{g m} d_b.
-
-    This is the derivation conjugation sigma . D . sigma^{-1}; it preserves
-    the bracket and satisfies apply(g, apply(h, x)) == apply(g h, x).
-    """
-    alg = x.algebra
-    if not isinstance(alg, WnAlgebra):
-        raise AlgebraError("automorphisms act on W_n elements")
-    if g.n != alg.n:
-        raise AlgebraError(f"matrix size {g.n} does not match W_{alg.n}")
-    ginv = g.inverse()
-    terms: dict = {}
-    for (r, a), c in x.terms.items():
-        gr = g.apply_point(r)
-        for b in range(1, alg.n + 1):
-            f = ginv.matrix[a - 1][b - 1]
-            if not f:
-                continue
-            key = (gr, b)
-            val = terms.get(key, 0) + f * c
-            terms[key] = val
-    return LieElement(alg, terms)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -127,9 +128,9 @@ class PolyWeightModule:
         self.name = name
         self.punctures = tuple((self._offset(off), tuple(labels))
                                for off, labels in punctures)
-        self.restricted_support = {
+        self.restricted_support = MappingProxyType({
             lab: frozenset(self._offset(o) for o in offs)
-            for lab, offs in (restricted_support or {}).items()}
+            for lab, offs in (restricted_support or {}).items()})
         for t in self.terms:
             if t.src not in self.fiber or t.tgt not in self.fiber:
                 raise ModuleError(f"action term uses unknown fiber label: {t}")
@@ -165,6 +166,21 @@ class PolyWeightModule:
             [off for off, _ in self.punctures],
             *self.restricted_support.values(),
             [(m,) for m in self.constraint_modes((0, 0), (0, 1))])
+
+    def __setattr__(self, name, value):
+        # each field is set once, by __init__: `act` memoises cell images
+        # and `_exceptional` is solved on the fields as built
+        if hasattr(self, name):
+            raise AttributeError(f"module field {name!r} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"module field {name!r} is read-only")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return PolyWeightModule, (
+            self.algebra, self.beta, self.fiber, self.terms, self.punctures,
+            dict(self.restricted_support), self.name)
 
     # -- coordinates --------------------------------------------------------
 
@@ -361,8 +377,9 @@ def act(x: LieElement, v: ModuleVector) -> ModuleVector:
     """Concrete module action, bilinear; honors constraints, punctures and
     restricted supports: the core `_act_into` on an empty dict, wrapped in
     a ModuleVector. `_cell_action` memoises each cell image on the module,
-    sound because a module is not changed after construction: its
-    `__slots__` admit no new attribute, and no code reassigns a field."""
+    sound because a module cannot change after construction: its
+    `__slots__` admit no new attribute, its fields cannot be reassigned or
+    deleted, and its `restricted_support` is a read-only mapping."""
     M = v.module
     if x.algebra is not M.algebra and x.algebra != M.algebra:
         raise ModuleError("element and module algebras differ")

@@ -44,7 +44,41 @@ class MissingSymbolError(ScalarError):
     pass
 
 
-class QuadExtScalar:
+class Frozen:
+    """Immutable value whose fields are its `__slots__`, in constructor
+    order; a subclass's constructor sets them with `object.__setattr__`,
+    and setting or deleting one afterwards raises AttributeError. Unless a
+    subclass says otherwise, values of one type are equal when their fields
+    are, the hash is that of the field tuple, and copy and pickle rebuild
+    through the constructor."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class QuadExtScalar(Frozen):
     """Element a + b*sqrt(d) of a real quadratic extension of Q.
 
     Stored as integers: (p + q*sqrt(d))/n with n > 0 and gcd(p, q, n) = 1,
@@ -74,12 +108,8 @@ class QuadExtScalar:
     def b(self) -> Fraction:
         return Fraction(self.q, self.n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExtScalar is immutable")
-
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, since the
-        # default protocol sets slots through the blocked __setattr__
+        # the constructor takes (a, b, d), not the fields (p, q, n, d)
         return QuadExtScalar, (self.a, self.b, self.d)
 
     def _parts(self, other):
@@ -204,7 +234,7 @@ def _quad(p: int, q: int, n: int, d: int) -> QuadExtScalar:
 BaseScalar = Union[int, Fraction, QuadExtScalar]
 
 
-class PolyContext:
+class PolyContext(Frozen):
     """Fixed ordered symbol set plus a base coefficient field."""
 
     __slots__ = ("symbols", "_index")
@@ -216,10 +246,7 @@ class PolyContext:
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(syms)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyContext is immutable")
-
-    def __reduce__(self):
+    def __reduce__(self):  # `_index` is derived from the symbols
         return PolyContext, (self.symbols,)
 
     def __eq__(self, other):
@@ -249,7 +276,7 @@ class PolyContext:
         return PolyScalar(self, {tuple(expo): Fraction(1)})
 
 
-class PolyScalar:
+class PolyScalar(Frozen):
     """Sparse multivariate polynomial with exact coefficients.
 
     Coefficients are Fractions or QuadExtScalars; term keys are exponent
@@ -271,12 +298,6 @@ class PolyScalar:
             clean[expo] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyScalar is immutable")
-
-    def __reduce__(self):
-        return PolyScalar, (self.ctx, self.terms)
 
     # -- coercion ---------------------------------------------------------
 
@@ -599,38 +620,6 @@ def parse_scalar(text: str, ctx: PolyContext | None = None) -> BaseScalar | Poly
     if ctx is None:
         raise ScalarError(f"need a PolyContext to parse {text!r}")
     return parse_poly(text, ctx)
-
-
-class Frozen:
-    """Immutable value whose fields are its `__slots__`, in constructor
-    order; a subclass's `__init__` sets them with `object.__setattr__`.
-    Values of one type are equal when their fields are, the hash is that of
-    the field tuple, and copy and pickle rebuild through the constructor."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class Combination:

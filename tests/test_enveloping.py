@@ -37,6 +37,20 @@ def e(*points):
     return out
 
 
+class TestText:
+    def test_repr_names_each_monomial(self):
+        alg = solenoidal_algebra((Fraction(2), Fraction(3)))
+        ctx = PolyContext(("k", "s"))
+        p = ctx.sym("k") ** 2 - ctx.sym("s") * Fraction(1, 2)
+        x = UEAElement(alg, {((1, -2), (0, 1)): p, (): Fraction(1, 3),
+                             ((2, 0),): -2})
+        assert repr(x) == ("UEA((1/3)*1 + (k^2 - 1/2*s)*e[1,-2]e[0,1] "
+                           "+ (-2)*e[2,0])")
+        assert repr(generator(WITT, (3,))) == "UEA((1)*e[3])"
+        assert repr(one(WITT)) == "UEA((1)*1)"
+        assert repr(UEAElement(WITT, {})) == "UEA(0)"
+
+
 class TestNormalForm:
     def test_single_descent(self):
         # e_1 e_0 = e_0 e_1 + [e_1, e_0] = e_0 e_1 - e_1

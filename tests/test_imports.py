@@ -5,8 +5,9 @@ imports only the layers it calls, loading the layers pulls in neither
 import and run at import), and each concept has one home: row echelon in
 `linalg`, constraint lines in `modules`, sparse-sum arithmetic in
 `scalars.Combination`, which the Lie, enveloping and module vectors and
-the label matrices of the module checkers inherit, and W_1 in `modules`
-and `cover` as `WnAlgebra(1)`. The coefficient types
+the label matrices of the module checkers inherit, W_1 in `modules`
+and `cover` as `WnAlgebra(1)`, and each Lie algebra's bracket and basis
+text in its own class. The coefficient types
 answer their own zero test, text and inverse, so no layer re-dispatches on
 the scalar type through a helper, and `PolyScalar` has one path per ring
 operation and one constructor. Helpers whose job other code does stay
@@ -110,19 +111,25 @@ def test_constraint_scan_flags_reads():
     assert constraint_reads(source) == [1, 2, 3]
 
 
+def node_names(node) -> set:
+    """The name, attribute or imported name that `node` spells."""
+    return {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+
+def isinstance_tests(node, classes: set) -> bool:
+    """Whether `node` is an `isinstance` call naming one of `classes`."""
+    return (isinstance(node, ast.Call) and "isinstance" in node_names(node.func)
+            and any(node_names(x) & classes
+                    for a in node.args[1:] for x in ast.walk(a)))
+
+
 def rank1_presentations(source: str) -> list:
     """Lines of `source` that name `Rank1Algebra` or `witt_algebra` (as a
     name, an attribute or an import) or test `isinstance` against
     `WnAlgebra`."""
-    def names(node):
-        return {getattr(node, key, None) for key in ("id", "attr", "name")}
-
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if names(node) & {"Rank1Algebra", "witt_algebra"}
-                   or isinstance(node, ast.Call)
-                   and "isinstance" in names(node.func)
-                   and any("WnAlgebra" in names(x)
-                           for a in node.args[1:] for x in ast.walk(a))})
+                   if node_names(node) & {"Rank1Algebra", "witt_algebra"}
+                   or isinstance_tests(node, {"WnAlgebra"})})
 
 
 @pytest.mark.parametrize("layer", ["modules", "cover"])
@@ -139,6 +146,37 @@ def test_rank1_scan_flags_names():
               "c = WnAlgebra(1)\nd = isinstance(x, int)\n"
               "e = M.algebra.basis((1,), 1)\n")
     assert rank1_presentations(source) == [1, 2, 3, 4]
+
+
+def algebra_dispatch(source: str) -> list:
+    """Lines of `source` that test `isinstance` against `Rank1Algebra` or
+    `WnAlgebra`, outside `solenoidal_embed`, whose test validates its
+    input."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and fn.name == "solenoidal_embed" for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in exempt
+                  and isinstance_tests(node, {"Rank1Algebra", "WnAlgebra"}))
+
+
+@pytest.mark.parametrize("layer", ["lie", "enveloping"])
+def test_algebras_answer_for_their_basis(layer):
+    # an algebra gives its own bracket and basis text (`_bracket`, `_text`),
+    # so no code asks an element which algebra class it belongs to
+    assert algebra_dispatch((SRC / f"{layer}.py").read_text()) == []
+
+
+def test_algebra_dispatch_scan_flags_isinstance():
+    source = ("if isinstance(alg, Rank1Algebra):\n    pass\n"
+              "elif not isinstance(alg, (lie.WnAlgebra, int)):\n    pass\n"
+              "ok = isinstance(x, int)\nw = WnAlgebra(1)\n"
+              "def solenoidal_embed(x, target):\n"
+              "    if not isinstance(x.algebra, Rank1Algebra):\n"
+              "        raise AlgebraError\n"
+              "def f(alg):\n    return isinstance(alg, WnAlgebra)\n")
+    assert algebra_dispatch(source) == [1, 3, 11]
 
 
 SUM_METHODS = {"__init__", "__add__", "__sub__", "__neg__", "scale",
@@ -225,12 +263,17 @@ def test_second_spellings_stay_gone():
     # the CLI reads every JSON input file through `cli._read_json`; the
     # element grammar and the anticommutator had no caller. A module is one
     # `PolyWeightModule` call that takes no new attribute, and its symbol
-    # names are read by the polynomial grammar of `scalars`
+    # names are read by the polynomial grammar of `scalars`. The
+    # pushforward of vector fields and the automorphism product had no
+    # caller
     read = lambda layer: (SRC / f"{layer}.py").read_text()
     assert "_lagrange" not in top_level_names(read("cover"))
     assert "coefficient_of" not in class_attributes(read("scalars"),
                                                     "PolyScalar")
-    assert "parse_element" not in top_level_names(read("lie"))
+    assert top_level_names(read("lie")) & {
+        "parse_element", "apply_automorphism"} == set()
+    assert "compose" not in class_attributes(read("lie"),
+                                             "LatticeAutomorphism")
     assert "anticommutator" not in top_level_names(read("enveloping"))
     assert "_load_jets_rep" not in top_level_names(read("cli"))
     assert top_level_names(read("modules")) & {

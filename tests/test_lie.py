@@ -5,8 +5,8 @@ import pytest
 
 from _values import assert_types_never_equal, assert_value_semantics
 from wittforge.lie import (AlgebraError, IndexLattice, JacobiReport,
-                           LatticeAutomorphism, Rank1Algebra, WnAlgebra,
-                           apply_automorphism, bracket, jacobi_check,
+                           LatticeAutomorphism, LieElement, Rank1Algebra,
+                           WnAlgebra, bracket, jacobi_check,
                            solenoidal_algebra, solenoidal_embed,
                            symbolic_witt_algebra, witt_algebra)
 from wittforge.scalars import PolyContext
@@ -116,33 +116,40 @@ class TestSolenoidalEmbed:
             assert lhs == rhs
 
 
+# text of each index kind, as window-failure records carry it
+_TEXT_POLY = PolyContext(("k", "s"))
+_TEXT_COEFFS = [1, -2, Fraction(1, 3),
+                _TEXT_POLY.sym("k") ** 2 - _TEXT_POLY.sym("s") * Fraction(1, 2)]
+_TEXT_CASES = [
+    (witt_algebra, (3,), "e[3]"),
+    (lambda: solenoidal_algebra((Fraction(2), Fraction(3))), (1, -2),
+     "e[1,-2]"),
+    (lambda: symbolic_witt_algebra(("k",)), (1, -1), "e[1,-1]"),
+    (lambda: WnAlgebra(1), ((-2,), 1), "e[-2]"),
+    (lambda: WnAlgebra(2), ((1, -1), 2), "t[1,-1]d2"),
+]
+
+
+class TestText:
+    @pytest.mark.parametrize("make, index, base", _TEXT_CASES,
+                             ids=["witt", "solenoidal", "symbolic", "w1",
+                                  "w2"])
+    def test_basis_text(self, make, index, base):
+        texts = [str(LieElement(make(), {index: c})) for c in _TEXT_COEFFS]
+        assert texts == [base, f"(-2)*{base}", f"(1/3)*{base}",
+                         f"(k^2 - 1/2*s)*{base}"]
+
+    def test_sum_text_is_sorted_by_index(self):
+        alg = WnAlgebra(2)
+        x = LieElement(alg, {((1, -1), 2): 1, ((0, 0), 1): -2,
+                             ((2, 0), 1): _TEXT_COEFFS[3]})
+        assert str(x) == ("(-2)*t[0,0]d1 + t[1,-1]d2 + "
+                          "(k^2 - 1/2*s)*t[2,0]d1")
+        assert repr(x) == f"LieElement({x})"
+        assert str(LieElement(alg, {})) == "0"
+
+
 class TestAutomorphisms:
-    def test_identity(self):
-        g = LatticeAutomorphism.identity(2)
-        alg = WnAlgebra(2)
-        x = alg.basis((2, -1), 1) + alg.basis((0, 1), 2).scale(3)
-        assert apply_automorphism(g, x) == x
-
-    def test_bracket_preserved(self):
-        g = LatticeAutomorphism([[1, 1], [0, 1]])
-        alg = WnAlgebra(2)
-        pts = [(1, 0), (0, 1), (-1, 2)]
-        for (r, a), (s, b) in itertools.product(
-                [(p, d) for p in pts for d in (1, 2)], repeat=2):
-            x, y = alg.basis(r, a), alg.basis(s, b)
-            assert (apply_automorphism(g, bracket(x, y))
-                    == bracket(apply_automorphism(g, x),
-                               apply_automorphism(g, y)))
-
-    def test_composition_and_inverse(self):
-        g = LatticeAutomorphism([[1, 1], [0, 1]])
-        h = LatticeAutomorphism([[0, -1], [1, 0]])
-        alg = WnAlgebra(2)
-        x = alg.basis((2, -1), 1) - alg.basis((1, 1), 2)
-        assert (apply_automorphism(g, apply_automorphism(h, x))
-                == apply_automorphism(g.compose(h), x))
-        assert apply_automorphism(g.inverse(), apply_automorphism(g, x)) == x
-
     def test_non_unimodular_rejected(self):
         with pytest.raises(AlgebraError):
             LatticeAutomorphism([[2, 0], [0, 1]])

@@ -147,4 +147,5 @@ class TestIntegerMatrices:
                                       for i in range(n)]
         g = LatticeAutomorphism(m)
         assert g.inverse().matrix == tuple(map(tuple, inv))
-        assert g.compose(g.inverse()) == LatticeAutomorphism.identity(n)
+        assert (LatticeAutomorphism(matrix_mul(g.matrix, g.inverse().matrix))
+                == LatticeAutomorphism.identity(n))

@@ -1,12 +1,13 @@
 import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from _values import assert_types_never_equal, assert_value_semantics
-from wittforge import modules
+from wittforge import linalg, modules
 from wittforge.cover import CoverModule, emit_induced_module
 from wittforge.lie import LatticeAutomorphism, LieElement, WnAlgebra, bracket
 from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
@@ -915,7 +916,8 @@ class TestTwist:
         g = LatticeAutomorphism([[1, 1], [0, 1]])
         h = LatticeAutomorphism([[0, -1], [1, 0]])
         lhs = twist(twist(M, h), g)
-        rhs = twist(M, h.compose(g))
+        rhs = twist(M, LatticeAutomorphism(linalg.matrix_mul(h.matrix,
+                                                            g.matrix)))
         assert action_polynomials(lhs) == action_polynomials(rhs)
         assert lhs.beta == rhs.beta
 
@@ -1118,6 +1120,44 @@ class TestValueSemantics:
         # every module is one constructor call; the `act` memo relies on it
         with pytest.raises(AttributeError):
             make().form_degree = 1
+
+    @pytest.mark.parametrize("change", [
+        lambda M: setattr(M, "beta", (Fraction(5),)),
+        lambda M: setattr(M, "name", "renamed"),
+        lambda M: setattr(M, "terms", ()),
+        lambda M: delattr(M, "beta"),
+        lambda M: delattr(M, "_cell_actions")],
+        ids=["beta", "name", "terms", "del_beta", "del_memo"])
+    def test_built_module_fields_are_read_only(self, change):
+        # `act` answers from a memo of the module as built: with beta = 5,
+        # e_1 u_1 would be 6 u_2
+        M = build_preset("punctured_functions")
+        e1, u1 = M.algebra.basis((1,), 1), M.basis_vector((1,), "u")
+        u2 = M.basis_vector((2,), "u")
+        assert act(e1, u1) == u2
+        with pytest.raises(AttributeError, match="read-only"):
+            change(M)
+        assert M.beta == (0,) and act(e1, u1) == u2
+
+    def test_restricted_support_is_read_only(self):
+        M = build_preset("virasoro_adjoint")
+        with pytest.raises(TypeError):
+            M.restricted_support["z"] = frozenset({(1,)})
+        with pytest.raises(TypeError):
+            del M.restricted_support["z"]
+        assert dict(M.restricted_support) == {"z": frozenset({(0,)})}
+
+    @pytest.mark.parametrize("trip", [
+        copy.copy, copy.deepcopy, lambda M: pickle.loads(pickle.dumps(M))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_rebuild_the_module(self, trip):
+        M = build_preset("virasoro_adjoint")
+        N = trip(M)
+        assert N is not M and module_to_json(N) == module_to_json(M)
+        e, u = M.algebra.basis((1,), 1), M.basis_vector((-1,), "u")
+        f, w = N.algebra.basis((1,), 1), N.basis_vector((-1,), "u")
+        assert act(f, w).terms == act(e, u).terms == {
+            ((0,), "u"): -2, ((0,), "z"): 1}
 
     def test_preset_builds_its_line_by_keyword(self):
         M = build_preset("virasoro_adjoint")

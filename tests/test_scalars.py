@@ -419,6 +419,24 @@ class TestCopyAndPickle:
             M.algebra.basis((-1,), 1), v).terms
 
 
+class TestFrozenSlots:
+    """A scalar value never changes: no slot can be set or deleted, so a
+    value used as a dict key or memo entry stays what it was."""
+
+    @pytest.mark.parametrize("x", [
+        QuadExtScalar(Fraction(-3, 4), Fraction(5, 6)), PolyContext(("m", "s")),
+        parse_poly("(1 + sqrt(19))*a^2 - 1/2*b", CTX)],
+        ids=["quadext", "context", "poly"])
+    def test_slots_can_be_neither_set_nor_deleted(self, x):
+        twin = copy.copy(x)
+        for name in type(x).__slots__:
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(x, name, getattr(x, name))
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(x, name)
+        assert x == twin and str(x) == str(twin)
+
+
 # values mapped onto CTX's symbols: a polynomial of another context
 _VALUE_CTX = PolyContext(("x", "y"))
 
