@@ -381,8 +381,8 @@ def cmd_dual(preset, module_file, window):
     run = _Run()
     axioms = mod.check_module_axioms(D, window=window)
     DD = mod.graded_dual(D)
-    round_trip = (mod.action_polynomials(DD) == mod.action_polynomials(M)
-                  and DD.beta == M.beta)
+    round_trip = (dict(mod.module_to_json(DD), name=M.name)
+                  == mod.module_to_json(M))
     run.record({"kind": "dual", "module": mod.module_to_json(D)})
     run.record(axioms.to_json())
     run.record({"kind": "double_dual", "round_trip": round_trip})

@@ -472,7 +472,7 @@ def emit_induced_module(C: CoverModule) -> PolyWeightModule:
     lag_m = linalg.inverse(powers_m[:d + 1])
     lag_s = list(zip(*linalg.inverse([powers_s[w] for w in nodes_w])))
     labels = tuple(f"b{i+1}" for i in range(C.reference.rank))
-    ctx = PolyContext(("m", "s"))
+    ctx = PolyContext(M.m_symbols + M.s_symbols)
     terms = []
     for isrc, itgt in itertools.product(range(len(labels)), repeat=2):
         grid = [[samples[(p, w)][isrc][itgt] for w in nodes_w]

@@ -9,7 +9,9 @@ nondecreasing lattice order via the rewriting rule
 
 Normal forms rewrite over packed coefficient tables, memoised for one call
 only. The identity is proved once per (m, r) over a formal lattice with a
-formal step h; its grid and solenoidal records are specialisations of it.
+formal step h. Its grid records (h -> 1 on W_1) and solenoidal records
+(h -> (h1, ..., hn) on the symbolic algebra over k, s, p, q, mu1..mun) are
+specialisations of that proof, emitted by one loop over their cases.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from fractions import Fraction
 from math import comb
 
 from .lie import (AlgebraError, Rank1Algebra, add_points, scale_point,
-                  sub_points, symbolic_witt_algebra, witt_algebra,
-                  IndexLattice)
-from .scalars import (Combination, ContextMismatchError, PolyContext,
-                      PolyScalar)
+                  sub_points, symbolic_witt_algebra, witt_algebra)
+from .scalars import Combination, ContextMismatchError, PolyScalar
 
 Monomial = tuple  # tuple of lattice points (each a tuple of ints)
 
@@ -287,20 +287,29 @@ def formal_identity_residue(m: int, r: int) -> UEAElement:
     tuples with h -> 1, and the solenoidal steps h -> (h1, ..., hn) with
     phi(h) -> mu . h.
     """
-    alg = symbolic_witt_algebra(_FORMAL_GENERATORS, with_unit=False)
+    alg = symbolic_witt_algebra(_FORMAL_GENERATORS)
     k, s, p, q, h = (alg.lattice.generator(x) for x in "kspqh")
     return pbw_normal_form(_identity_difference(alg, m, r, k, s, p, q, h))
 
 
-def _specialised_count(proof: UEAElement, algebra, m, r, k, s, p, q,
-                       h) -> int:
-    """Residue term count at one specialisation of the formal proof: 0 when
-    the proof holds, otherwise that of the concrete PBW residue, so that a
-    failing record keeps a real witness."""
-    if proof.is_zero():
-        return 0
-    return len(pbw_normal_form(
-        _identity_difference(algebra, m, r, k, s, p, q, h)).terms)
+def _check_orders(m: int, r: int) -> None:
+    if m < 2 or r < 2:
+        raise AlgebraError("the identity requires m, r >= 2")
+
+
+def _specialised_records(proof: UEAElement, mode: str, m: int, r: int,
+                         algebra: Rank1Algebra, cases) -> IdentityReport:
+    """One record per case (tuple values, h, point): the formal proof
+    specialised at point = (k, s, p, q, step) of `algebra`. Its count is 0
+    when the proof holds, otherwise that of the concrete PBW residue at the
+    point, so that a failing record keeps a real witness."""
+    report = IdentityReport()
+    for values, h, point in cases:
+        count = 0 if proof.is_zero() else len(pbw_normal_form(
+            _identity_difference(algebra, m, r, *point)).terms)
+        report.records.append(IdentityRecord(mode, m, r, values, h, count,
+                                             count == 0))
+    return report
 
 
 def verify_key_identity(m: int, r: int, mode: str = "symbolic",
@@ -320,8 +329,7 @@ def verify_key_identity(m: int, r: int, mode: str = "symbolic",
     Omega^{(n)}_{a,b} - Omega^{(n)}_{a-h,b+h} = Omega^{(n+1)}_{a,b} makes
     the two right sides one tensor, so the same proof certifies it.
     """
-    if m < 2 or r < 2:
-        raise AlgebraError("the identity requires m, r >= 2")
+    _check_orders(m, r)
     if intro_form and m != r:
         raise AlgebraError("the single-term form requires m == r")
     if mode not in ("symbolic", "grid"):
@@ -330,32 +338,12 @@ def verify_key_identity(m: int, r: int, mode: str = "symbolic",
     if mode == "grid" and lo > hi:
         raise AlgebraError(f"empty grid range {lo}..{hi}")
     proof = formal_identity_residue(m, r)
-    report = IdentityReport()
     if mode == "symbolic":
-        report.records.append(IdentityRecord(
-            mode="symbolic", m=m, r=r, tuple_values=None, h=None,
-            residue_term_count=len(proof.terms), passed=proof.is_zero()))
-        return report
-    alg = witt_algebra()
-    for kv, sv, pv, qv in itertools.product(range(lo, hi + 1), repeat=4):
-        count = _specialised_count(proof, alg, m, r, (kv,), (sv,), (pv,),
-                                   (qv,), (1,))
-        report.records.append(IdentityRecord(
-            mode="grid", m=m, r=r, tuple_values=(kv, sv, pv, qv), h=None,
-            residue_term_count=count, passed=count == 0))
-    return report
-
-
-def _solenoidal_frame(n: int):
-    """The algebra of the solenoidal records and its formal k, s, p, q:
-    lattice generators k, s, p, q plus the axes a1..an, with phi sending
-    k, s, p, q to themselves and a_i to a generic mu_i."""
-    mu_names = tuple(f"mu{i+1}" for i in range(n))
-    ctx = PolyContext(("k", "s", "p", "q") + mu_names)
-    names = ("k", "s", "p", "q") + tuple(f"a{i+1}" for i in range(n))
-    phi = tuple(ctx.sym(x) for x in ("k", "s", "p", "q") + mu_names)
-    alg = Rank1Algebra(IndexLattice(names), phi)
-    return alg, tuple(alg.lattice.generator(x) for x in ("k", "s", "p", "q"))
+        return IdentityReport([IdentityRecord(
+            "symbolic", m, r, None, None, len(proof.terms), proof.is_zero())])
+    return _specialised_records(proof, "grid", m, r, witt_algebra(), (
+        (t, None, tuple((v,) for v in t) + ((1,),))
+        for t in itertools.product(range(lo, hi + 1), repeat=4)))
 
 
 def verify_solenoidal_identity(m: int, r: int, n: int = 2,
@@ -363,21 +351,17 @@ def verify_solenoidal_identity(m: int, r: int, n: int = 2,
     """Solenoidal variant: symbolic mu in C^n (generic), formal k,s,p,q in
     Gamma_mu, and the step h ranging over lattice points with sup-norm at
     most h_box. Each record is the specialisation of the formal proof at
-    h -> (h1, ..., hn); only when the formal residue is nonzero is each
-    step normal-ordered concretely."""
-    if m < 2 or r < 2:
-        raise AlgebraError("the identity requires m, r >= 2")
+    h -> (h1, ..., hn) on the axes mu1..mun, with phi(h) -> mu . h; only
+    when the formal residue is nonzero is each step normal-ordered
+    concretely."""
+    _check_orders(m, r)
     if n < 1:
         raise AlgebraError("the solenoidal rank n must be positive")
     if h_box < 0:
         raise AlgebraError("the step box h_box must be nonnegative")
     proof = formal_identity_residue(m, r)
-    alg, (k, s, p, q) = _solenoidal_frame(n)
-    report = IdentityReport()
-    for hvec in itertools.product(range(-h_box, h_box + 1), repeat=n):
-        count = _specialised_count(proof, alg, m, r, k, s, p, q,
-                                   (0, 0, 0, 0) + hvec)
-        report.records.append(IdentityRecord(
-            mode="solenoidal", m=m, r=r, tuple_values=None, h=hvec,
-            residue_term_count=count, passed=count == 0))
-    return report
+    alg = symbolic_witt_algebra([*"kspq", *(f"mu{i+1}" for i in range(n))])
+    points = tuple(alg.lattice.generator(x) for x in "kspq")
+    return _specialised_records(proof, "solenoidal", m, r, alg, (
+        (None, h, points + ((0, 0, 0, 0) + h,))
+        for h in itertools.product(range(-h_box, h_box + 1), repeat=n)))

@@ -112,15 +112,12 @@ def witt_algebra() -> Rank1Algebra:
     return Rank1Algebra(IndexLattice(("1",)), (1,))
 
 
-def symbolic_witt_algebra(symbols: Sequence[str],
-                          with_unit: bool = True) -> Rank1Algebra:
-    """Rank-1 algebra over a lattice with formal symbol generators (plus a
-    unit axis for integer offsets); phi maps each symbol to the same-named
-    polynomial variable."""
-    ctx = PolyContext(tuple(symbols))
-    names = tuple(symbols) + (("1",) if with_unit else ())
-    phi = tuple(ctx.sym(s) for s in symbols) + ((ctx.const(1),) if with_unit else ())
-    return Rank1Algebra(IndexLattice(names), phi)
+def symbolic_witt_algebra(symbols: Sequence[str]) -> Rank1Algebra:
+    """Rank-1 algebra over a lattice with formal symbol generators; phi
+    maps each symbol to the same-named polynomial variable."""
+    ctx = PolyContext(symbols)
+    return Rank1Algebra(IndexLattice(ctx.symbols),
+                        tuple(map(ctx.sym, ctx.symbols)))
 
 
 def solenoidal_algebra(mu: Sequence) -> Rank1Algebra:

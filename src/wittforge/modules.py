@@ -529,9 +529,10 @@ def _param_value(value, ctx_symbols: list):
         if symbol_names(value) != {value}:
             raise ModuleError(f"a parameter must be one symbol name, got "
                               f"{value!r}")
-        if value in ("m", "s"):
+        coordinates = sum(_coordinate_symbols(1), ())
+        if value in coordinates:
             raise ModuleError(f"a parameter may not name a coordinate symbol "
-                              f"(m, s), got {value!r}")
+                              f"({', '.join(coordinates)}), got {value!r}")
         if value not in ctx_symbols:
             ctx_symbols.append(value)
         return value
@@ -547,9 +548,11 @@ def tensor_density(alpha, beta) -> PolyWeightModule:
     params: list = []
     alpha_v = _param_value(alpha, params)
     beta_v = _param_value(beta, params)
-    ctx = PolyContext(tuple(params) + ("m", "s"))
+    coordinates = sum(_coordinate_symbols(1), ())
+    ctx = PolyContext(tuple(params) + coordinates)
+    m, s = map(ctx.sym, coordinates)
     a = ctx.sym(alpha_v) if isinstance(alpha_v, str) else ctx.const(alpha_v)
-    poly = ctx.sym("s") + a * ctx.sym("m")
+    poly = s + a * m
     b = ctx.sym(beta_v) if isinstance(beta_v, str) else beta_v
     return PolyWeightModule(
         WnAlgebra(1), (b,), ("v",),
@@ -655,8 +658,8 @@ def jets_module(rho: JPlusRepData, beta, name: str | None = None
 
 def build_preset(name: str) -> PolyWeightModule:
     """The named W_1-module presets."""
-    ctx = PolyContext(("m", "s"))
-    m, s = ctx.sym("m"), ctx.sym("s")
+    ctx = PolyContext(sum(_coordinate_symbols(1), ()))
+    m, s = map(ctx.sym, ctx.symbols)
     if name == "punctured_functions":
         # functions on the circle modulo constants: e_k u_s = s u_{s+k},
         # u_0 = 0 (a hole at weight zero)

@@ -626,6 +626,26 @@ class TestTwistAndDual:
         res = invoke("dual", "--preset", "virasoro_adjoint")
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("preset", ["punctured_functions",
+                                        "virasoro_adjoint"])
+    def test_round_trip_sees_punctures_and_supports(self, monkeypatch,
+                                                    preset):
+        # a dual that drops punctures and finite supports keeps every
+        # unconstrained action polynomial and beta; its double dual is
+        # still not the module
+        real = modules.graded_dual
+
+        def lossy(M):
+            D = real(M)
+            return modules.PolyWeightModule(D.algebra, D.beta, D.fiber,
+                                            D.terms, name=D.name)
+
+        monkeypatch.setattr(modules, "graded_dual", lossy)
+        res = invoke("dual", "--preset", preset)
+        assert res.exit_code == 1
+        assert {"kind": "double_dual",
+                "round_trip": False} in json_lines(res.stdout)
+
     @pytest.mark.parametrize("command", ["dual", "twist"])
     def test_constant_action_term(self, tmp_path, command):
         # a constant coefficient makes the module fail its axioms, which is

@@ -10,15 +10,15 @@ from wittforge.enveloping import (AlgebraError, UEAElement, differentiator,
                                   multiply, one, pbw_normal_form,
                                   verify_key_identity,
                                   verify_solenoidal_identity)
-from wittforge.lie import (Rank1Algebra, add_points, scale_point,
-                          solenoidal_algebra, sub_points,
+from wittforge.lie import (IndexLattice, Rank1Algebra, add_points,
+                          scale_point, solenoidal_algebra, sub_points,
                           symbolic_witt_algebra, witt_algebra)
 from wittforge.scalars import (ContextMismatchError, PolyContext, PolyScalar,
                                QuadExtScalar)
 
 WITT = witt_algebra()
 # The algebra of the formal proof, and its generators k, s, p, q, h.
-FORMAL = symbolic_witt_algebra(enveloping._FORMAL_GENERATORS, with_unit=False)
+FORMAL = symbolic_witt_algebra(enveloping._FORMAL_GENERATORS)
 KSPQH = tuple(FORMAL.lattice.generator(x) for x in ("k", "s", "p", "q", "h"))
 
 # (k, s, p, q) tuples where indices collide: k = s, p = q, k + p = s + q,
@@ -27,6 +27,16 @@ COLLISIONS = [(0, 0, 0, 0), (1, 1, -2, 0), (2, -1, 1, 1), (2, 0, -1, 1),
               (-2, 2, 2, -2), (0, 1, 0, -1), (1, 1, 1, 1), (-1, 0, 2, 0)]
 # Concrete solenoidal steps h = (h1, h2).
 STEPS = [(0, 0), (1, -2)]
+# Symbolic k and s with a unit axis "1" for integer offsets.
+_KS = PolyContext(("k", "s"))
+KS1 = IndexLattice(("k", "s", "1"))
+
+
+def solenoidal_frame(n):
+    """The algebra of the solenoidal records, over k, s, p, q and the axes
+    mu1..mun, and its points k, s, p, q."""
+    alg = symbolic_witt_algebra([*"kspq", *(f"mu{i+1}" for i in range(n))])
+    return alg, tuple(alg.lattice.generator(x) for x in "kspq")
 
 
 def e(*points):
@@ -116,10 +126,9 @@ class TestDifferentiator:
                         - differentiator(WITT, m, (k - 1,), (s + 1,), (1,)))
 
     def test_symbolic_indices(self):
-        alg = symbolic_witt_algebra(("k", "s"))
-        k = alg.lattice.generator("k")
-        s = alg.lattice.generator("s")
-        d1 = differentiator(alg, 1, k, s, alg.lattice.generator("1"))
+        alg = Rank1Algebra(KS1, (_KS.sym("k"), _KS.sym("s"), _KS.const(1)))
+        k, s, unit = (alg.lattice.generator(x) for x in ("k", "s", "1"))
+        d1 = differentiator(alg, 1, k, s, unit)
         # order 1 has exactly two tensor words: e_k e_s - e_{k-1} e_{s+1}
         assert len(d1.terms) == 2
 
@@ -189,7 +198,7 @@ def grid_map(kspq):
 
 
 def solenoidal_map(alg, hvec):
-    """k, s, p, q -> themselves and h -> hvec on the a-axes, with
+    """k, s, p, q -> themselves and h -> hvec on the mu-axes, with
     phi(h) -> mu . hvec."""
     ctx = alg.phi_values[0].ctx
     values = {x: ctx.sym(x) for x in ("k", "s", "p", "q")}
@@ -216,7 +225,7 @@ class TestFormalProof:
     def test_solenoidal_records_match_concrete_path(self):
         report = verify_solenoidal_identity(2, 2, n=2, h_box=2)
         recs = {rec.h: rec for rec in report.records}
-        alg, (k, s, p, q) = enveloping._solenoidal_frame(2)
+        alg, (k, s, p, q) = solenoidal_frame(2)
         for hvec in STEPS:
             want = concrete_count(alg, 2, 2, k, s, p, q, (0, 0, 0, 0) + hvec)
             assert recs[hvec].residue_term_count == want == 0
@@ -232,7 +241,7 @@ class TestFormalProof:
 
     def test_specialisation_maps_formal_onto_solenoidal_tensor(self):
         formal = enveloping._identity_difference(FORMAL, 2, 2, *KSPQH)
-        alg, (k, s, p, q) = enveloping._solenoidal_frame(2)
+        alg, (k, s, p, q) = solenoidal_frame(2)
         for hvec in STEPS:
             point_map, values = solenoidal_map(alg, hvec)
             concrete = enveloping._identity_difference(
@@ -259,11 +268,20 @@ class TestFormalProof:
         for rec in grid.records + sol.records:
             out = rec.to_json()
             assert out["pass"] is False and out["residue_term_count"] > 0
-        # the failing counts are those of the concrete residues
-        rec = grid.records[0]
-        k, s, p, q = ((v,) for v in rec.tuple_values)
-        assert rec.residue_term_count == concrete_count(
-            WITT, 2, 2, k, s, p, q, (1,))
+        # the failing counts are those of the concrete residues: at the
+        # grid's first tuple and its collisions, and at every solenoidal step
+        recs = {rec.tuple_values: rec for rec in grid.records}
+        tuples = [grid.records[0].tuple_values] + [
+            t for t in COLLISIONS if all(-1 <= v <= 1 for v in t)]
+        assert len(tuples) == 4
+        for t in tuples:
+            k, s, p, q = ((v,) for v in t)
+            assert recs[t].residue_term_count == concrete_count(
+                WITT, 2, 2, k, s, p, q, (1,))
+        alg, (k, s, p, q) = solenoidal_frame(1)
+        for rec in sol.records:
+            assert rec.residue_term_count == concrete_count(
+                alg, 2, 2, k, s, p, q, (0, 0, 0, 0) + rec.h)
 
 
 # -- the normal-form kernel against the PolyScalar recursion ---------------
@@ -377,8 +395,8 @@ class TestKernelOracle:
         assert_kernel_matches(diff)
 
     def test_solenoidal_frame_words(self):
-        alg, (k, s, p, q) = enveloping._solenoidal_frame(2)
-        a1, a2 = alg.lattice.generator("a1"), alg.lattice.generator("a2")
+        alg, (k, s, p, q) = solenoidal_frame(2)
+        a1, a2 = alg.lattice.generator("mu1"), alg.lattice.generator("mu2")
         points = [add_points(x, y) for x in (k, s, p, q, alg.lattice.zero())
                   for y in (a1, a2, sub_points(a2, a1))]
         ctx = alg.phi_values[0].ctx
@@ -400,11 +418,8 @@ class TestKernelOracle:
     def test_wide_exponent_fields(self):
         # phi(k) = k^5: a word of length 3 whose merges all take the k^5
         # term, under the coefficient k^6, reaches k^16, the field bound.
-        base = symbolic_witt_algebra(("k", "s"))
-        ctx = base.phi_values[0].ctx
-        k, s = ctx.sym("k"), ctx.sym("s")
-        alg = Rank1Algebra(base.lattice,
-                           (k ** 5, k * s ** 3 + 1, ctx.const(1)))
+        k, s = _KS.sym("k"), _KS.sym("s")
+        alg = Rank1Algebra(KS1, (k ** 5, k * s ** 3 + 1, _KS.const(1)))
         gk = alg.lattice.generator("k")
         word = tuple(tuple(c * a for a in gk) for c in (3, 2, 1))
         x = UEAElement(alg, {word: k ** 6})

@@ -6,8 +6,9 @@ import and run at import), and each concept has one home: row echelon in
 `linalg`, constraint lines in `modules`, sparse-sum arithmetic in
 `scalars.Combination`, which the Lie, enveloping and module vectors and
 the label matrices of the module checkers inherit, W_1 in `modules`
-and `cover` as `WnAlgebra(1)`, and each Lie algebra's bracket and basis
-text in its own class. The coefficient types
+and `cover` as `WnAlgebra(1)`, each Lie algebra's bracket and basis
+text in its own class, and the identity's algebras in `lie`'s
+constructors, its records in one specialisation loop. The coefficient types
 answer their own zero test, text and inverse, so no layer re-dispatches on
 the scalar type through a helper, and `PolyScalar` has one path per ring
 operation and one constructor. Helpers whose job other code does stay
@@ -64,10 +65,7 @@ def test_scan_flags_unused_and_local_imports():
 
 def echelon_calls(source: str) -> list:
     """Lines of `source` that call `row_echelon`, by name or attribute."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and "row_echelon" in (getattr(node.func, "id", None),
-                                  getattr(node.func, "attr", None))]
+    return [line for line, _ in calls_to(source, {"row_echelon"})]
 
 
 @pytest.mark.parametrize("path", [p for p in FILES if p.stem != "linalg"],
@@ -114,6 +112,14 @@ def test_constraint_scan_flags_reads():
 def node_names(node) -> set:
     """The name, attribute or imported name that `node` spells."""
     return {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+
+def calls_to(source: str, names: set) -> list:
+    """(line, name) of each call in `source` to one of `names`, by name or
+    attribute, in source order."""
+    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  for name in node_names(node.func) & names)
 
 
 def isinstance_tests(node, classes: set) -> bool:
@@ -280,6 +286,51 @@ def test_second_spellings_stay_gone():
         "de_rham_d", "gamma_tensor_module"} == set()
     assert "re" not in absolute_imports(read("modules"))
     assert class_slots(read("modules"), "PolyWeightModule")
+    # the solenoidal records' algebra is `lie.symbolic_witt_algebra`, whose
+    # lattice is its symbols, and one loop specialises the identity's proof
+    assert top_level_names(read("enveloping")) & {
+        "_solenoidal_frame", "_specialised_count"} == set()
+    assert function_params(read("lie"), "symbolic_witt_algebra") == [
+        "symbols"]
+
+
+def function_params(source: str, name: str) -> list:
+    """The parameter names of the top-level function `name` in `source`."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
+            args = stmt.args
+            return [a.arg for a in (*args.posonlyargs, *args.args,
+                                    *args.kwonlyargs)]
+    raise LookupError(name)
+
+
+def test_identity_builds_no_algebra_and_two_records():
+    # the identity's algebras come from `lie`'s constructors, and its
+    # records from the symbolic record and the one specialisation loop
+    calls = calls_to((SRC / "enveloping.py").read_text(),
+                     {"Rank1Algebra", "IndexLattice", "IdentityRecord"})
+    assert [name for _, name in calls if name != "IdentityRecord"] == []
+    assert len(calls) <= 2
+
+
+def test_call_scan_flags_hand_built_frame_and_records():
+    # a hand-built rank-1 frame and three record calls are flagged; a
+    # reference to a constructor or a call to `lie`'s is not
+    source = ("def _solenoidal_frame(n: int):\n"
+              "    alg = Rank1Algebra(IndexLattice(names), phi)\n"
+              "    report.records.append(IdentityRecord(\n"
+              "        mode='symbolic', m=m, r=r, tuple_values=None))\n"
+              "    report.records.append(IdentityRecord(\n"
+              "        mode='grid', m=m, r=r, tuple_values=(kv, sv, pv, qv)))\n"
+              "    report.records.append(IdentityRecord(\n"
+              "        mode='solenoidal', m=m, r=r, tuple_values=None))\n"
+              "x = lie.IndexLattice\ny = symbolic_witt_algebra(names)\n")
+    assert calls_to(source, {"Rank1Algebra", "IndexLattice",
+                             "IdentityRecord"}) == [
+        (2, "IndexLattice"), (2, "Rank1Algebra"), (3, "IdentityRecord"),
+        (5, "IdentityRecord"), (7, "IdentityRecord")]
+    assert function_params("def f(symbols, with_unit=True):\n    pass\n",
+                           "f") == ["symbols", "with_unit"]
 
 
 def class_slots(source: str, name: str) -> tuple:

@@ -124,7 +124,7 @@ _TEXT_CASES = [
     (witt_algebra, (3,), "e[3]"),
     (lambda: solenoidal_algebra((Fraction(2), Fraction(3))), (1, -2),
      "e[1,-2]"),
-    (lambda: symbolic_witt_algebra(("k",)), (1, -1), "e[1,-1]"),
+    (lambda: symbolic_witt_algebra(("k", "s")), (1, -1), "e[1,-1]"),
     (lambda: WnAlgebra(1), ((-2,), 1), "e[-2]"),
     (lambda: WnAlgebra(2), ((1, -1), 2), "t[1,-1]d2"),
 ]
@@ -184,8 +184,7 @@ VALUES = [
     (lambda: IndexLattice(("k", "1")), {"generator_names": ("k", "1")}),
     (witt_algebra, {"lattice": IndexLattice(("1",)), "phi_values": (1,)}),
     (lambda: symbolic_witt_algebra(("k",)),
-     {"lattice": IndexLattice(("k", "1")),
-      "phi_values": (_SYMBOLIC.sym("k"), _SYMBOLIC.const(1))}),
+     {"lattice": IndexLattice(("k",)), "phi_values": (_SYMBOLIC.sym("k"),)}),
     (lambda: WnAlgebra(2), {"n": 2}),
     (lambda: LatticeAutomorphism([[1, 1], [0, 1]]),
      {"matrix": ((1, 1), (0, 1))}),
