@@ -157,11 +157,6 @@ class PsiGenerator(Frozen):
 
     __slots__ = ("k", "j", "label")
 
-    def __init__(self, k: int, j: int, label: str):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "label", label)
-
     @property
     def weight(self) -> int:
         return self.k + self.j
@@ -229,18 +224,13 @@ def expand_in_family(vectors: Sequence[QuasiPolyVector],
 # -- the cover ----------------------------------------------------------------
 
 
-class CoverWeightSpace:
+class CoverWeightSpace(Frozen):
     """A weight space of the cover and its frame over the vectors v it was
     spanned from: basis = transform (v), and row k of `inverse` holds the
     coordinates of v_k over the basis. For independent v, such as the
     translates t^w b of the reference basis, the two are inverse matrices."""
 
-    def __init__(self, weight: int, basis: list, transform: list,
-                 inverse: list):
-        self.weight = weight
-        self.basis = basis
-        self.transform = transform
-        self.inverse = inverse
+    __slots__ = ("weight", "basis", "transform", "inverse")
 
     @property
     def rank(self) -> int:
@@ -340,15 +330,11 @@ def pi_map(theta: QuasiPolyVector) -> ModuleVector:
     return theta.value(0)
 
 
-class ActionMatrices:
+class ActionMatrices(Frozen):
     """Induced action of e_p and t^p from weight w to weight w+p, columns
     over the weight-w basis, rows over the weight-(w+p) basis."""
 
-    def __init__(self, p: int, weight: int, lie_matrix: list, a_matrix: list):
-        self.p = p
-        self.weight = weight
-        self.lie_matrix = lie_matrix
-        self.a_matrix = a_matrix
+    __slots__ = ("p", "weight", "lie_matrix", "a_matrix")
 
 
 def induced_action(C: CoverModule, p: int, w: int) -> ActionMatrices:

@@ -22,7 +22,7 @@ from math import comb
 
 from .lie import (AlgebraError, Rank1Algebra, add_points, scale_point,
                   sub_points, symbolic_witt_algebra, witt_algebra)
-from .scalars import Combination, ContextMismatchError, PolyScalar
+from .scalars import Combination, ContextMismatchError, Frozen, PolyScalar
 
 Monomial = tuple  # tuple of lattice points (each a tuple of ints)
 
@@ -45,7 +45,7 @@ class UEAElement(Combination):
 
 
 def generator(algebra: Rank1Algebra, point) -> UEAElement:
-    return UEAElement(algebra, {(tuple(point),): 1})
+    return UEAElement(algebra, {(algebra.point(point),): 1})
 
 
 def one(algebra: Rank1Algebra) -> UEAElement:
@@ -180,7 +180,7 @@ def differentiator(algebra: Rank1Algebra, m: int, k, s, h) -> UEAElement:
     """
     if m < 0:
         raise AlgebraError("differentiator order must be nonnegative")
-    k, s, h = tuple(k), tuple(s), tuple(h)
+    k, s, h = map(algebra.point, (k, s, h))
     terms: dict = {}
     for i in range(m + 1):
         mono = (sub_points(k, scale_point(i, h)), add_points(s, scale_point(i, h)))
@@ -188,16 +188,9 @@ def differentiator(algebra: Rank1Algebra, m: int, k, s, h) -> UEAElement:
     return UEAElement(algebra, terms)
 
 
-class IdentityRecord:
-    def __init__(self, mode: str, m: int, r: int, tuple_values: tuple | None,
-                 h: tuple | None, residue_term_count: int, passed: bool):
-        self.mode = mode
-        self.m = m
-        self.r = r
-        self.tuple_values = tuple_values
-        self.h = h
-        self.residue_term_count = residue_term_count
-        self.passed = passed
+class IdentityRecord(Frozen):
+    __slots__ = ("mode", "m", "r", "tuple_values", "h", "residue_term_count",
+                 "passed")
 
     def to_json(self) -> dict:
         out = {"mode": self.mode, "m": self.m, "r": self.r,
@@ -209,9 +202,8 @@ class IdentityRecord:
         return out
 
 
-class IdentityReport:
-    def __init__(self, records: list | None = None):
-        self.records = [] if records is None else records
+class IdentityReport(Frozen):
+    __slots__ = ("records",)
 
     @property
     def passed(self) -> bool:
@@ -303,13 +295,12 @@ def _specialised_records(proof: UEAElement, mode: str, m: int, r: int,
     specialised at point = (k, s, p, q, step) of `algebra`. Its count is 0
     when the proof holds, otherwise that of the concrete PBW residue at the
     point, so that a failing record keeps a real witness."""
-    report = IdentityReport()
+    records = []
     for values, h, point in cases:
         count = 0 if proof.is_zero() else len(pbw_normal_form(
             _identity_difference(algebra, m, r, *point)).terms)
-        report.records.append(IdentityRecord(mode, m, r, values, h, count,
-                                             count == 0))
-    return report
+        records.append(IdentityRecord(mode, m, r, values, h, count, not count))
+    return IdentityReport(records)
 
 
 def verify_key_identity(m: int, r: int, mode: str = "symbolic",

@@ -96,11 +96,19 @@ class Rank1Algebra(Frozen):
             return 0 * self.phi_values[0] if self.phi_values else 0
         return total
 
+    def point(self, x) -> tuple:
+        """`x` as a tuple, refused unless it has the lattice's rank."""
+        x = tuple(x)
+        if len(x) != self.lattice.rank:
+            raise AlgebraError(f"lattice point {x} does not have the "
+                               f"lattice's rank {self.lattice.rank}")
+        return x
+
     def basis(self, point: tuple) -> "LieElement":
-        return LieElement(self, {point: 1})
+        return LieElement(self, {self.point(point): 1})
 
     def _bracket(self, x: tuple, y: tuple) -> list:
-        c = self.phi(sub_points(y, x))
+        c = self.phi(sub_points(self.point(y), self.point(x)))
         return [(add_points(x, y), c)] if c else []
 
     def _text(self, point: tuple) -> str:
@@ -189,10 +197,8 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(alg, terms)
 
 
-class JacobiReport:
-    def __init__(self, checked: int, failures: list):
-        self.checked = checked
-        self.failures = failures
+class JacobiReport(Frozen):
+    __slots__ = ("checked", "failures")
 
     @property
     def passed(self) -> bool:

@@ -42,11 +42,6 @@ class Constraint(Frozen):
 
     __slots__ = ("m_coeffs", "s_coeffs", "const")
 
-    def __init__(self, m_coeffs: tuple, s_coeffs: tuple, const: Fraction):
-        object.__setattr__(self, "m_coeffs", m_coeffs)
-        object.__setattr__(self, "s_coeffs", s_coeffs)
-        object.__setattr__(self, "const", const)
-
     def satisfied(self, mvals, svals) -> bool:
         return (self.m_coeffs[0] * mvals[0] + self.s_coeffs[0] * svals[0]
                 == self.const)
@@ -786,18 +781,9 @@ def action_polynomials(M: PolyWeightModule) -> dict:
 # -- checkers -----------------------------------------------------------------
 
 
-class CheckReport:
-    def __init__(self, kind: str, module: str,
-                 symbolic_failures: list | None = None,
-                 window_failures: list | None = None,
-                 symbolic_checked: int = 0, window_checked: int = 0):
-        self.kind = kind
-        self.module = module
-        self.symbolic_failures = ([] if symbolic_failures is None
-                                  else symbolic_failures)
-        self.window_failures = [] if window_failures is None else window_failures
-        self.symbolic_checked = symbolic_checked
-        self.window_checked = window_checked
+class CheckReport(Frozen):
+    __slots__ = ("kind", "module", "symbolic_failures", "window_failures",
+                 "symbolic_checked", "window_checked")
 
     @property
     def passed(self) -> bool:
@@ -896,7 +882,6 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     Failures are reported in (x, y), then cell, order.
     """
     _require_radius(window)
-    rep = CheckReport("module_axioms", M.name or repr(M))
     n = M.n
     _, base, syms = _symbolic_frame(
         M, [f"{g}{i+1}" for g in ("gm", "gp", "gw") for i in range(n)])
@@ -908,15 +893,15 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
     def A(direction, mvals, svals):
         return _generic_action_matrix(M, direction, base, mvals, svals)
 
+    symbolic_failures = []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             # [t^m d_a, t^p d_b] = p_a t^{m+p} d_b - m_b t^{m+p} d_a; at
             # n = 1 this is the Witt bracket (p - m) e_{m+p}
             lhs = A(b, mp, wv).scale(pv[a - 1]) - A(a, mp, wv).scale(mv[b - 1])
             rhs = A(a, mv, wp) @ A(b, pv, wv) - A(b, pv, wm) @ A(a, mv, wv)
-            for key, res in (lhs - rhs).entries():
-                rep.symbolic_failures.append((a, b) + key + (res,))
-            rep.symbolic_checked += 1
+            symbolic_failures += [(a, b) + key + (res,)
+                                  for key, res in (lhs - rhs).entries()]
 
     _, gens = _window_generators(M, window)
     cells = M.window(window)
@@ -934,9 +919,10 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
                               (str(x), str(y), off, lab, repr(diff))))
                 found.append((j * len(gens) + i, c,
                               (str(y), str(x), off, lab, repr(-diff))))
-    rep.window_checked = len(gens) ** 2 * len(cells)
-    rep.window_failures = [f for _, _, f in sorted(found, key=lambda f: f[:2])]
-    return rep
+    return CheckReport(
+        "module_axioms", M.name or repr(M), symbolic_failures,
+        [f for _, _, f in sorted(found, key=lambda f: f[:2])], n * n,
+        len(gens) ** 2 * len(cells))
 
 
 def _a_shift_into(out: dict, v: ModuleVector, r: tuple, c=1) -> dict:
@@ -960,32 +946,33 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
     reuses it for every shift r; it sums lhs - rhs in one dict through the
     cores `_act_into` and `_a_shift_into`."""
     _require_radius(window)
-    rep = CheckReport("aw_compat", M.name or repr(M))
+    name = M.name or repr(M)
     n = M.n
     _, base, syms = _symbolic_frame(
         M, [f"{g}{i+1}" for g in ("gm", "gw", "gr") for i in range(n)])
     mv, wv, rv = syms[:n], syms[n:2 * n], syms[2 * n:]
     wr = [a + b for a, b in zip(wv, rv)]
     labels = _generic_labels(M)
+    symbolic_failures = []
     if len(labels) != len(M.fiber) or M.punctures:
-        rep.symbolic_failures.append(
+        symbolic_failures.append(
             ("structure", "punctures or finitely-supported labels are "
                           "incompatible with an invertible t^r action"))
     for a in range(1, n + 1):
         shifted = _generic_action_matrix(M, a, base, mv, wr)
         plain = _generic_action_matrix(M, a, base, mv, wv)
         delta = LabelMatrix(None, {(lab, lab): rv[a - 1] for lab in labels})
-        for key, res in (shifted - plain - delta).entries():
-            rep.symbolic_failures.append((a,) + key + (res,))
-        rep.symbolic_checked += 1
-    if rep.symbolic_failures:
-        return rep
+        symbolic_failures += [(a,) + key + (res,) for key, res
+                              in (shifted - plain - delta).entries()]
+    if symbolic_failures:
+        return CheckReport("aw_compat", name, symbolic_failures, [], n, 0)
 
     # the structure check above leaves no puncture or finite support, so
     # the radius-0 window is the fiber at offset 0 and at each offset where
     # a constraint line fires for e_0
     shifts, gens = _window_generators(M, window)
     cells = M.window(0)
+    window_failures = []
     for x in gens:
         e, a = next(iter(x.terms))
         images = [act(x, v) for _, _, v in cells]
@@ -994,29 +981,20 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
             for (_, lab, v), xv in zip(cells, images):
                 diff = _a_shift_into(_a_shift_into(_act_into(
                     {}, x, _a_shift(v, r)), xv, r, -1), v, mr, -r[a - 1])
-                rep.window_checked += 1
                 if any(diff.values()):
-                    rep.window_failures.append(
+                    window_failures.append(
                         (str(x), r, lab, repr(ModuleVector(M, diff))))
-    return rep
+    return CheckReport("aw_compat", name, [], window_failures, n,
+                       len(gens) * len(shifts) * len(cells))
 
 
 # -- differentiator annihilation certificates ---------------------------------
 
 
-class AnnihilationCertificate:
-    def __init__(self, order: int, module: str, annihilates: bool,
-                 symbolic_residues: list, window_failures: list,
-                 witness: tuple | None, symbolic_checked: int = 0,
-                 window_checked: int = 0):
-        self.order = order
-        self.module = module
-        self.annihilates = annihilates
-        self.symbolic_residues = symbolic_residues
-        self.window_failures = window_failures
-        self.witness = witness
-        self.symbolic_checked = symbolic_checked
-        self.window_checked = window_checked
+class AnnihilationCertificate(Frozen):
+    __slots__ = ("order", "module", "annihilates", "symbolic_residues",
+                 "window_failures", "witness", "symbolic_checked",
+                 "window_checked")
 
     def to_json(self) -> dict:
         return {
@@ -1082,11 +1060,6 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
     symbolic_residues = [(src, tgt, str(wt + k + s), str(c))
                          for src in M.fiber for tgt in M.fiber
                          if (c := omega.terms.get((src, tgt))) is not None]
-    cert = AnnihilationCertificate(order, M.name or repr(M),
-                                   annihilates=not symbolic_residues,
-                                   symbolic_residues=symbolic_residues,
-                                   window_failures=[], witness=None,
-                                   symbolic_checked=len(M.fiber))
 
     gen = {x: M.algebra.basis((x,), 1)
            for x in range(-window - order, window + order + 1)}
@@ -1110,13 +1083,13 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
             total_v = ModuleVector(M, total)
             if not total_v.is_zero():
                 found.append((index, c, (kv, sv, off, lab, repr(total_v))))
-    cert.window_checked = len(points) * len(cells)
-    cert.window_failures = [f for _, _, f in sorted(found, key=lambda f: f[:2])]
-    if cert.window_failures:
-        kv, sv, off, lab, _ = cert.window_failures[0]
-        cert.witness = (kv, sv, off[0], lab)
-        cert.annihilates = False
-    return cert
+    window_failures = [f for _, _, f in sorted(found, key=lambda f: f[:2])]
+    witness = next(((kv, sv, off[0], lab)
+                    for kv, sv, off, lab, _ in window_failures), None)
+    return AnnihilationCertificate(
+        order, M.name or repr(M),
+        not symbolic_residues and not window_failures, symbolic_residues,
+        window_failures, witness, len(M.fiber), len(points) * len(cells))
 
 
 def weight_report(M: PolyWeightModule, radius: int = 4) -> dict:
@@ -1271,17 +1244,13 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
     Omega^k action slice per (m, direction)."""
     _require_radius(mbox)
     beta = tuple(Fraction(b) for b in (beta or (0,) * n))
-    rep = CheckReport("de_rham_chain", f"omega(beta {beta}) on T^{n}")
     mods = [omega_forms(n, k, beta) for k in range(n + 1)]
     ctx = PolyContext(mods[0].s_symbols)
     sv = [ctx.sym(x) for x in mods[0].s_symbols]
     d = [_de_rham_matrix(n, k, sv) for k in range(n)]
 
-    for k in range(n - 1):
-        for key, res in (d[k + 1] @ d[k]).entries():
-            rep.symbolic_failures.append(("d^2", k) + key + (res,))
-        rep.symbolic_checked += 1
-
+    failures = [("d^2", k) + key + (res,) for k in range(n - 1)
+                for key, res in (d[k + 1] @ d[k]).entries()]
     for mvec in itertools.product(range(-mbox, mbox + 1), repeat=n):
         mv = [ctx.const(Fraction(x)) for x in mvec]
         smv = [s + m for s, m in zip(sv, mv)]
@@ -1292,8 +1261,8 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
             for a in range(1, n + 1):
                 lhs = A[k + 1, a] @ d[k]
                 rhs = d_shifted @ A[k, a]
-                for key, res in (lhs - rhs).entries():
-                    rep.symbolic_failures.append((mvec, a, k) + key + (res,))
-                rep.symbolic_checked += 1
-    return rep
+                failures += [(mvec, a, k) + key + (res,)
+                             for key, res in (lhs - rhs).entries()]
+    return CheckReport("de_rham_chain", f"omega(beta {beta}) on T^{n}",
+                       failures, [], n - 1 + (2 * mbox + 1) ** n * n * n, 0)
 

@@ -45,14 +45,35 @@ class MissingSymbolError(ScalarError):
 
 
 class Frozen:
-    """Immutable value whose fields are its `__slots__`, in constructor
-    order; a subclass's constructor sets them with `object.__setattr__`,
-    and setting or deleting one afterwards raises AttributeError. Unless a
-    subclass says otherwise, values of one type are equal when their fields
-    are, the hash is that of the field tuple, and copy and pickle rebuild
-    through the constructor."""
+    """Immutable value whose fields are its `__slots__`. The constructor
+    takes each field once, by position in slot order or by name; a
+    subclass whose constructor checks, converts or defaults a field writes
+    its own, setting the fields with `object.__setattr__`. Setting or
+    deleting a field afterwards raises AttributeError. Unless a subclass
+    says otherwise, values of one type are equal when their fields are, the
+    hash is that of the field tuple, and copy and pickle rebuild through
+    the constructor."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # a slot's own setter is faster than object.__setattr__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = args
+        if kwargs:  # named fields follow the positional ones in slot order
+            values += tuple(kwargs[f] for f in fields[len(args):]
+                            if f in kwargs)
+        # no field is left unset and no name goes unused
+        if len(values) != len(fields) or len(args) + len(kwargs) > len(values):
+            raise TypeError(
+                f"{type(self).__name__} takes each of its fields "
+                f"({', '.join(fields)}) once; got {len(args)} by position "
+                f"and ({', '.join(kwargs)}) by name")
+        for setter, v in zip(self._setters, values):
+            setter(self, v)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -91,6 +112,7 @@ class QuadExtScalar(Frozen):
     """
 
     __slots__ = ("p", "q", "n", "d")
+    __init__ = object.__init__  # built in __new__, from (a, b, d)
 
     def __new__(cls, a, b=0, d: int = 19):
         if type(d) is not int or d < 2 or isqrt(d) ** 2 == d:
@@ -213,8 +235,7 @@ class QuadExtScalar(Frozen):
         return f"{self.a} {sign} {bpart}"
 
 
-_set_p, _set_q, _set_n, _set_d = (getattr(QuadExtScalar, f).__set__
-                                  for f in QuadExtScalar.__slots__)
+_set_p, _set_q, _set_n, _set_d = QuadExtScalar._setters
 
 
 def _quad(p: int, q: int, n: int, d: int) -> QuadExtScalar:

@@ -10,8 +10,9 @@ from wittforge.enveloping import (AlgebraError, UEAElement, differentiator,
                                   multiply, one, pbw_normal_form,
                                   verify_key_identity,
                                   verify_solenoidal_identity)
-from wittforge.lie import (IndexLattice, Rank1Algebra, add_points,
-                          scale_point, solenoidal_algebra, sub_points,
+from wittforge.lie import (IndexLattice, LieElement, Rank1Algebra,
+                          add_points, bracket, jacobi_check, scale_point,
+                          solenoidal_algebra, sub_points,
                           symbolic_witt_algebra, witt_algebra)
 from wittforge.scalars import (ContextMismatchError, PolyContext, PolyScalar,
                                QuadExtScalar)
@@ -131,6 +132,32 @@ class TestDifferentiator:
         d1 = differentiator(alg, 1, k, s, unit)
         # order 1 has exactly two tensor words: e_k e_s - e_{k-1} e_{s+1}
         assert len(d1.terms) == 2
+
+
+class TestLatticePointRank:
+    """A point of another rank than the lattice's is refused: `phi` and the
+    point sums would cut it to the lattice's rank and go on silently."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: bracket(WITT.basis((1, 5)), WITT.basis((2,))),
+        lambda: bracket(WITT.basis((1,)), LieElement(WITT, {(2, 4): 1})),
+        lambda: pbw_normal_form(multiply(generator(WITT, (2, 7)),
+                                         generator(WITT, (1,)))),
+        lambda: differentiator(WITT, 2, (1, 2), (0,), (1,)),
+        lambda: differentiator(WITT, 2, (1,), (0, 3), (1,)),
+        lambda: differentiator(WITT, 2, (1,), (0,), (1, 0)),
+        lambda: jacobi_check(WITT, [((1, 9), (2,), (3,))]),
+    ], ids=["basis", "bracket", "pbw_generator", "differentiator_k",
+            "differentiator_s", "differentiator_h", "jacobi"])
+    def test_wrong_rank_point_is_refused(self, call):
+        with pytest.raises(AlgebraError, match=r"lattice point \(\d+, \d+\) "
+                                               r"does not have the lattice's "
+                                               r"rank 1"):
+            call()
+
+    def test_points_of_the_rank_pass(self):
+        assert str(bracket(WITT.basis((1,)), WITT.basis((2,)))) == "e[3]"
+        assert jacobi_check(WITT, [((1,), (2,), (3,))]).passed
 
 
 class TestKeyIdentity:

@@ -8,7 +8,9 @@ import and run at import), and each concept has one home: row echelon in
 the label matrices of the module checkers inherit, W_1 in `modules`
 and `cover` as `WnAlgebra(1)`, each Lie algebra's bracket and basis
 text in its own class, and the identity's algebras in `lie`'s
-constructors, its records in one specialisation loop. The coefficient types
+constructors, its records in one specialisation loop, and the fields of
+each value and record type in its `__slots__`, which `scalars.Frozen`
+takes once each. The coefficient types
 answer their own zero test, text and inverse, so no layer re-dispatches on
 the scalar type through a helper, and `PolyScalar` has one path per ring
 operation and one constructor. Helpers whose job other code does stay
@@ -340,6 +342,108 @@ def class_slots(source: str, name: str) -> tuple:
                 getattr(t, "id", None) == "__slots__" for t in stmt.targets):
             return tuple(ast.literal_eval(stmt.value))
     return ()
+
+
+def field_only_constructors(source: str) -> list:
+    """The classes in `source` that derive from `Frozen` and define an
+    `__init__` that defaults no parameter and whose body, its docstring
+    aside, only stores its parameters with `object.__setattr__`, in source
+    order."""
+
+    def stores_a_parameter(stmt, params) -> bool:
+        call = getattr(stmt, "value", None)
+        return (isinstance(stmt, ast.Expr) and isinstance(call, ast.Call)
+                and getattr(call.func, "attr", None) == "__setattr__"
+                and getattr(call.func.value, "id", None) == "object"
+                and len(call.args) == 3
+                and getattr(call.args[2], "id", None) in params)
+
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                "Frozen" in node_names(b) for b in cls.bases):
+            continue
+        for fn in cls.body:
+            if (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                    and not fn.args.defaults and not any(
+                        fn.args.kw_defaults)):
+                params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+                body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+                if all(stores_a_parameter(stmt, params) for stmt in body):
+                    found.append(cls.name)
+    return found
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_frozen_types_write_no_field_only_constructor(path):
+    # `Frozen.__init__` takes each field once; a subclass writes its own
+    # constructor only to check, convert or default a field
+    assert field_only_constructors(path.read_text()) == []
+
+
+FROZEN_RECORDS = [("modules", "CheckReport"),
+                  ("modules", "AnnihilationCertificate"),
+                  ("modules", "Constraint"), ("enveloping", "IdentityRecord"),
+                  ("enveloping", "IdentityReport"), ("lie", "JacobiReport"),
+                  ("cover", "CoverWeightSpace"), ("cover", "ActionMatrices"),
+                  ("cover", "PsiGenerator")]
+
+
+@pytest.mark.parametrize("layer, name", FROZEN_RECORDS, ids=lambda x: x)
+def test_records_take_their_fields_from_frozen(layer, name):
+    # each record lists its fields once, as `__slots__`, and its producer
+    # builds it in one constructor call
+    source = (SRC / f"{layer}.py").read_text()
+    assert any("Frozen" in node_names(b)
+               for b in class_node(source, name).bases)
+    assert class_slots(source, name)
+    assert "__init__" not in class_attributes(source, name)
+
+
+def test_constructor_scan_flags_field_stores():
+    # the constructors of `Constraint` and `PsiGenerator` before `Frozen`
+    # took the fields are flagged; one that converts a field, one that
+    # checks it, one that defaults it and one outside `Frozen` are not
+    source = '''
+class Constraint(Frozen):
+    __slots__ = ("m_coeffs", "s_coeffs", "const")
+
+    def __init__(self, m_coeffs: tuple, s_coeffs: tuple, const: Fraction):
+        object.__setattr__(self, "m_coeffs", m_coeffs)
+        object.__setattr__(self, "s_coeffs", s_coeffs)
+        object.__setattr__(self, "const", const)
+
+class PsiGenerator(scalars.Frozen):
+    """Descriptor of psi(e_k, u_{j,t}); its cover weight is j + k."""
+
+    __slots__ = ("k", "j", "label")
+
+    def __init__(self, k: int, j: int, label: str):
+        """The generator psi(e_k, u_j)."""
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "label", label)
+
+class IndexLattice(Frozen):
+    def __init__(self, generator_names):
+        object.__setattr__(self, "generator_names", tuple(generator_names))
+
+class WnAlgebra(Frozen):
+    def __init__(self, n):
+        if n < 1:
+            raise AlgebraError(n)
+        object.__setattr__(self, "n", n)
+
+class ActionTerm(Frozen):
+    def __init__(self, direction, src, tgt, poly, constraint=None):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "constraint", constraint)
+
+class Plain:
+    def __init__(self, k):
+        object.__setattr__(self, "k", k)
+'''
+    assert field_only_constructors(source) == ["Constraint", "PsiGenerator"]
 
 
 def method_calls(source: str, name: str, method: str) -> set:

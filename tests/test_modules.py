@@ -10,7 +10,8 @@ from _values import assert_types_never_equal, assert_value_semantics
 from wittforge import linalg, modules
 from wittforge.cover import CoverModule, emit_induced_module
 from wittforge.lie import LatticeAutomorphism, LieElement, WnAlgebra, bracket
-from wittforge.modules import (ActionTerm, Constraint, JPlusRepData,
+from wittforge.modules import (ActionTerm, AnnihilationCertificate,
+                               CheckReport, Constraint, JPlusRepData,
                                ModuleError, ModuleVector, PolyWeightModule,
                                PRESET_NAMES, _a_shift,
                                _window_generators,
@@ -447,47 +448,51 @@ class TestNegativeRadius:
 
 # The concrete window loops of the three checkers as they were written
 # before each composite was computed once per sweep: every product is
-# recomputed, and failures are appended in sweep order. They fill the window
-# fields of a report whose symbolic part the checker under test computed.
+# recomputed, and failures are collected in sweep order. Each returns a new
+# report with the symbolic fields of the checker's report and the window
+# count, failures and witness of its own sweep.
 
 
 def _reference_axiom_sweep(M, window, rep):
     _, gens = _window_generators(M, window)
     cells = M.window(window)
+    checked, failures = 0, []
     for x, y in itertools.product(gens, repeat=2):
         z = bracket(x, y)
         for off, lab, v in cells:
             lhs_v = act(z, v)
             rhs_v = act(x, act(y, v)) - act(y, act(x, v))
-            rep.window_checked += 1
+            checked += 1
             if lhs_v != rhs_v:
-                rep.window_failures.append(
+                failures.append(
                     (str(x), str(y), off, lab, repr(lhs_v - rhs_v)))
-    return rep
+    return CheckReport(rep.kind, rep.module, rep.symbolic_failures, failures,
+                       rep.symbolic_checked, checked)
 
 
 def _reference_aw_sweep(M, window, rep):
-    if rep.symbolic_failures:
-        return rep
-    shifts, gens = _window_generators(M, window)
-    cells = M.window(0)
-    for x, r in itertools.product(gens, shifts):
-        e, a = next(iter(x.terms))
-        mr = tuple(me + re for me, re in zip(e, r))
-        for _, lab, v in cells:
-            lhs_v = act(x, _a_shift(v, r))
-            rhs_v = _a_shift(act(x, v), r) + _a_shift(v, mr).scale(
-                Fraction(r[a - 1]))
-            rep.window_checked += 1
-            if lhs_v != rhs_v:
-                rep.window_failures.append((str(x), r, lab,
-                                            repr(lhs_v - rhs_v)))
-    return rep
+    checked, failures = 0, []
+    if not rep.symbolic_failures:
+        shifts, gens = _window_generators(M, window)
+        cells = M.window(0)
+        for x, r in itertools.product(gens, shifts):
+            e, a = next(iter(x.terms))
+            mr = tuple(me + re for me, re in zip(e, r))
+            for _, lab, v in cells:
+                lhs_v = act(x, _a_shift(v, r))
+                rhs_v = _a_shift(act(x, v), r) + _a_shift(v, mr).scale(
+                    Fraction(r[a - 1]))
+                checked += 1
+                if lhs_v != rhs_v:
+                    failures.append((str(x), r, lab, repr(lhs_v - rhs_v)))
+    return CheckReport(rep.kind, rep.module, rep.symbolic_failures, failures,
+                       rep.symbolic_checked, checked)
 
 
 def _reference_annihilator_sweep(order, M, window, cert):
     witt = M.algebra
     cells = M.window(window)
+    checked, failures, witness = 0, [], None
     for kv, sv in itertools.product(range(-window, window + 1), repeat=2):
         for off, lab, v in cells:
             total = ModuleVector(M, {})
@@ -495,25 +500,15 @@ def _reference_annihilator_sweep(order, M, window, cert):
                 term = act(witt.basis((kv - i,), 1),
                            act(witt.basis((sv + i,), 1), v))
                 total = total + term.scale(Fraction((-1) ** i * comb(order, i)))
-            cert.window_checked += 1
+            checked += 1
             if not total.is_zero():
-                cert.window_failures.append((kv, sv, off, lab, repr(total)))
-                if cert.witness is None:
-                    cert.witness = (kv, sv, off[0], lab)
-    if cert.window_failures:
-        cert.annihilates = False
-    return cert
-
-
-def _without_window(report):
-    """A copy of `report` with its symbolic part only."""
-    out = copy.deepcopy(report)
-    out.window_checked = 0
-    out.window_failures = []
-    if hasattr(out, "witness"):
-        out.witness = None
-        out.annihilates = not out.symbolic_residues
-    return out
+                failures.append((kv, sv, off, lab, repr(total)))
+                if witness is None:
+                    witness = (kv, sv, off[0], lab)
+    return AnnihilationCertificate(
+        cert.order, cert.module, not cert.symbolic_residues and not failures,
+        cert.symbolic_residues, failures, witness, cert.symbolic_checked,
+        checked)
 
 
 def _corrupted(M, term, suffix):
@@ -553,7 +548,7 @@ class TestSweepEquivalence:
     def test_annihilates(self, order, make):
         M = make()
         cert = annihilates(order, M)
-        ref = _reference_annihilator_sweep(order, M, 3, _without_window(cert))
+        ref = _reference_annihilator_sweep(order, M, 3, cert)
         assert cert.window_failures and cert.witness
         assert cert.to_json() == ref.to_json()
 
@@ -565,7 +560,7 @@ class TestSweepEquivalence:
     def test_module_axioms(self, make, window, failures):
         M = make()
         rep = check_module_axioms(M, window=window)
-        ref = _reference_axiom_sweep(M, window, _without_window(rep))
+        ref = _reference_axiom_sweep(M, window, rep)
         assert rep.to_json() == ref.to_json()
         if failures is not None:
             assert len(rep.window_failures) == failures
@@ -577,7 +572,7 @@ class TestSweepEquivalence:
     def test_aw_compat(self, make, window):
         M = make()
         rep = check_aw_compat(M, window=window)
-        ref = _reference_aw_sweep(M, window, _without_window(rep))
+        ref = _reference_aw_sweep(M, window, rep)
         assert rep.to_json() == ref.to_json()
         assert rep.window_checked and not rep.symbolic_failures
 
@@ -1273,7 +1268,7 @@ class TestFusedSweepOracle:
     def test_module_axioms(self, make, window, count):
         M = make()
         rep = check_module_axioms(M, window=window)
-        ref = _reference_axiom_sweep(M, window, _without_window(rep))
+        ref = _reference_axiom_sweep(M, window, rep)
         assert rep.window_failures
         assert rep.window_failures == ref.window_failures
         if count is not None:

@@ -6,9 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittforge.scalars import (ContextMismatchError, MissingSymbolError,
-                               PolyContext, PolyScalar, QuadExtScalar,
-                               ScalarError, parse_poly, parse_scalar)
+from wittforge.scalars import (ContextMismatchError, Frozen,
+                               MissingSymbolError, PolyContext, PolyScalar,
+                               QuadExtScalar, ScalarError, parse_poly,
+                               parse_scalar)
 
 CTX = PolyContext(("a", "b", "c"))
 
@@ -398,7 +399,8 @@ class TestCopyAndPickle:
     @pytest.mark.parametrize("trip", _ROUND_TRIPS)
     @pytest.mark.parametrize("x", [
         QuadExtScalar(1, 2), QuadExtScalar(Fraction(-3, 4), Fraction(5, 6)),
-        QuadExtScalar(Fraction(7, 2)), PolyContext(("m", "s")),
+        QuadExtScalar(Fraction(7, 2)), QuadExtScalar(1, Fraction(2, 3), 7),
+        PolyContext(("m", "s")),
         parse_poly("(3/2 - 1/2*sqrt(19))*a^2*b - 1/3*c + 4", CTX),
         CTX.zero()])
     def test_round_trip(self, trip, x):
@@ -435,6 +437,85 @@ class TestFrozenSlots:
             with pytest.raises(AttributeError, match="is immutable"):
                 delattr(x, name)
         assert x == twin and str(x) == str(twin)
+
+
+class _Cell(Frozen):
+    __slots__ = ("offset", "label", "weight")
+
+
+class TestFrozenConstructor:
+    """`Frozen` builds a value from each of its fields given once, by
+    position in slot order, by name, or both."""
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, "u", 2), {}), ((), {"weight": 2, "offset": 1, "label": "u"}),
+        ((1,), {"weight": 2, "label": "u"}), ((1, "u"), {"weight": 2})],
+        ids=["position", "name", "mixed", "last_by_name"])
+    def test_each_field_once_builds(self, args, kwargs):
+        cell = _Cell(*args, **kwargs)
+        assert (cell.offset, cell.label, cell.weight) == (1, "u", 2)
+        assert cell == _Cell(1, "u", 2) and hash(cell) == hash((1, "u", 2))
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, "u"), {}), ((1,), {"weight": 2}), ((1, "u", 2, 3), {}),
+        ((1, "u", 2), {"label": "v"}), ((1, "u"), {"weight": 2, "offset": 1}),
+        ((1, "u", 2), {"colour": 0}), ((1, "u"), {"colour": 0})],
+        ids=["missing", "missing_between_names", "extra", "repeated",
+             "repeated_by_name", "unknown", "unknown_for_missing"])
+    def test_misfit_call_names_the_fields(self, args, kwargs):
+        with pytest.raises(TypeError, match=r"^_Cell takes each of its "
+                                            r"fields \(offset, label, "
+                                            r"weight\) once"):
+            _Cell(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One certificate of each record type, from its producer; the cover
+    weight space twice, as the reference and as the span of no vectors."""
+    from wittforge.cover import CoverModule, induced_action, span_basis
+    from wittforge.enveloping import verify_key_identity
+    from wittforge.lie import jacobi_check, witt_algebra
+    from wittforge.modules import annihilates, build_preset, check_aw_compat
+    M = build_preset("punctured_functions")
+    identity = verify_key_identity(2, 2)
+    cover = CoverModule(M)
+    return {"check": check_aw_compat(M, window=1),
+            "annihilation": annihilates(1, M, window=1),
+            "identity_record": identity.records[0], "identity": identity,
+            "jacobi": jacobi_check(witt_algebra(), [((1,), (2,), (3,))]),
+            "weight_space": cover.reference,
+            "empty_weight_space": span_basis(M, 0, []),
+            "action": induced_action(cover, 1, 0)}
+
+
+RECORDS = ["check", "annihilation", "identity_record", "identity", "jacobi",
+           "weight_space", "empty_weight_space", "action"]
+
+
+class TestRecordsAreFrozen:
+    """A certificate is built once, by its producer: its fields can be
+    neither set nor deleted, and copies and pickles of it are equal
+    values."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_can_be_neither_set_nor_deleted(self, records, name):
+        x = records[name]
+        assert isinstance(x, Frozen) and type(x).__slots__
+        for field in type(x).__slots__:
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(x, field, getattr(x, field))
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(x, field)
+
+    # the reference's cover vectors, like modules, compare by identity
+    @pytest.mark.parametrize("trip", _ROUND_TRIPS)
+    @pytest.mark.parametrize("name", [r for r in RECORDS
+                                      if r != "weight_space"])
+    def test_copies_and_pickles_are_equal(self, records, name, trip):
+        x = records[name]
+        y = trip(x)
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
 
 # values mapped onto CTX's symbols: a polynomial of another context
