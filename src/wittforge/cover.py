@@ -246,8 +246,8 @@ def span_basis(M: PolyWeightModule, w: int, vectors: Sequence[QuasiPolyVector]
     basis, transform, inverse, _ = linalg.span_frame(
         [_coordinates(v, degree, modes) for v in vectors])
     return CoverWeightSpace(
-        w, [_from_coordinates(M, w, r, degree, modes) for r in basis],
-        transform, inverse)
+        w, tuple(_from_coordinates(M, w, r, degree, modes) for r in basis),
+        tuple(map(tuple, transform)), tuple(map(tuple, inverse)))
 
 
 class CoverModule:

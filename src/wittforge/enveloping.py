@@ -8,10 +8,25 @@ nondecreasing lattice order via the rewriting rule
     e_y e_x  ->  e_x e_y + phi(x - y) e_{x+y}      (when y > x).
 
 Normal forms rewrite over packed coefficient tables, memoised for one call
-only. The identity is proved once per (m, r) over a formal lattice with a
-formal step h. Its grid records (h -> 1 on W_1) and solenoidal records
-(h -> (h1, ..., hn) on the symbolic algebra over k, s, p, q, mu1..mun) are
-specialisations of that proof, emitted by one loop over their cases.
+only. The identity holds for every m, r >= 2 by one normal form and two
+shift recurrences over the formal lattice (p, s, k, q, h) with step h. The
+shifts sigma1: (k, q) -> (k - h, q + h), sigma2: (k, s) -> (k - h, s + h),
+tau1: (q, p) -> (q - h, p + h) and tau2: (s, p) -> (s - h, p + h) are
+lattice maps with the same substitution on the phi-symbols, so each is a
+Lie endomorphism and maps zero in U to zero. By the binomial theorem
+lhs(m, r) = (1-sigma1)^m (1-sigma2)^m (1-tau1)^r (1-tau2)^r lhs(0, 0),
+where lhs(0, 0) = e_k e_s e_q e_p + e_q e_p e_k e_s - e_k e_q e_s e_p
+- e_s e_p e_k e_q. And rhs(m, r) = F_{m,r}(x, y, T) T^{-2r}
+(1 - T)^{2m+2r-1} e_a e_b with x = q - s, y = p - k, a = k + p, b = s + q,
+T: (a, b) -> (a - h, b + h) and F_{m,r} = x [(y + 2rh) - (y + 2mh) T]. On
+it, sigma1 and sigma2 act as T, tau2 and tau1 as 1/T, with x -> x + h and
+x -> x - h in that order and y -> y + h. So the two polynomial steps of
+`_shift_recurrences_hold` make lhs - rhs at (m, r) the image of lhs - rhs
+at (2, 2) under (1-sigma1)^{m-2} (1-sigma2)^{m-2} (1-tau1)^{r-2}
+(1-tau2)^{r-2}, and a zero residue at (2, 2) proves every m, r >= 2. The
+grid records (h -> 1 on W_1) and solenoidal records (h -> (h1, ..., hn) on
+the symbolic algebra over k, s, p, q, mu1..mun) specialise that proof,
+emitted by one loop over their cases.
 """
 
 from __future__ import annotations
@@ -22,7 +37,8 @@ from math import comb
 
 from .lie import (AlgebraError, Rank1Algebra, add_points, scale_point,
                   sub_points, symbolic_witt_algebra, witt_algebra)
-from .scalars import Combination, ContextMismatchError, Frozen, PolyScalar
+from .scalars import (Combination, ContextMismatchError, Frozen,
+                      PolyContext, PolyScalar)
 
 Monomial = tuple  # tuple of lattice points (each a tuple of ints)
 
@@ -113,7 +129,9 @@ def pbw_normal_form(x: UEAElement, strategy: str = "leftmost") -> UEAElement:
     PolyContext of the phi values and the coefficients are packed into one
     int (0 alone without a context), and integral values are ints. A word
     of length L takes at most L - 1 phi factors, so fields of `width` bits
-    never carry. The memos of words and phi values live for this call only.
+    never carry. The table of phi(d) is the sum of the d_i times the tables
+    of the generators' phi values. The memos of words and phi values live
+    for this call only.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise AlgebraError(f"unknown strategy {strategy!r}")
@@ -140,6 +158,7 @@ def pbw_normal_form(x: UEAElement, strategy: str = "leftmost") -> UEAElement:
                     for e, v in c.terms.items()}
         return {0: _narrow(c)} if c else {}
 
+    phi_tables = [table(v) for v in alg.phi_values]
     phis: dict = {}
     memo: dict = {}
 
@@ -153,8 +172,12 @@ def pbw_normal_form(x: UEAElement, strategy: str = "leftmost") -> UEAElement:
                 y, z = m[i], m[i + 1]
                 d = sub_points(z, y)
                 c = phis.get(d)
-                if c is None:
-                    c = phis[d] = table(alg.phi(d))
+                if c is None:  # phi and `table` are linear
+                    c = {}
+                    for di, t in zip(d, phi_tables):
+                        for e, v in t.items() if di else ():
+                            c[e] = c.get(e, 0) + di * v
+                    c = phis[d] = {e: _narrow(v) for e, v in c.items() if v}
                 res = dict(rec(m[:i] + (z, y) + m[i + 2:]))
                 if c:
                     _mac(res, c, rec(m[:i] + (add_points(z, y),) + m[i + 2:]),
@@ -265,23 +288,70 @@ def _identity_difference(algebra, m, r, k, s, p, q, h) -> UEAElement:
 # normal ordering takes 15,803 rewrites, against 26,797 in the order
 # k, s, p, q, h.
 _FORMAL_GENERATORS = ("p", "s", "k", "q", "h")
+_FORMAL = symbolic_witt_algebra(_FORMAL_GENERATORS)
+_KSPQH = tuple(_FORMAL.lattice.generator(x) for x in "kspqh")
 
 
 def formal_identity_residue(m: int, r: int) -> UEAElement:
-    """PBW residue of lhs - rhs over the formal lattice k, s, p, q, h, with
-    step h.
+    """PBW residue of lhs - rhs over the formal lattice, the direct proof at
+    (m, r). Sending k, s, p, q to lattice points and h to a step, and each
+    phi-symbol to the phi of its image, is a Lie algebra homomorphism; it
+    maps the formal lhs - rhs onto the concrete one, and PBW holds over the
+    polynomial coefficients. So a zero residue proves the identity at every
+    specialisation: W_1 tuples with h -> 1, and solenoidal steps
+    h -> (h1, ..., hn) with phi(h) -> mu . h."""
+    return pbw_normal_form(_identity_difference(_FORMAL, m, r, *_KSPQH))
 
-    Sending k, s, p, q to lattice points and h to a step, and each
-    phi-symbol to the phi of its image, is a Lie algebra homomorphism. It
-    extends to the enveloping algebras and maps the formal lhs - rhs onto
-    the concrete one, and PBW holds over the polynomial coefficients. So a
-    zero residue proves the identity at every specialisation: the W_1 grid
-    tuples with h -> 1, and the solenoidal steps h -> (h1, ..., hn) with
-    phi(h) -> mu . h.
+
+def _rhs_factor(m, r, x, y, h, t):
+    """F_{m,r}(x, y, T) = x [(y + 2rh) - (y + 2mh) T]."""
+    return x * ((y + 2 * r * h) - (y + 2 * m * h) * t)
+
+
+def _closed_rhs(m: int, r: int) -> UEAElement:
+    """rhs(m, r) over the formal lattice from its closed form, with T^j
+    e_a e_b = e_{a-jh} e_{b+jh}: F_{m,r} (1 - T)^{2m+2r-1} is expanded over
+    the phi context with T appended."""
+    k, s, p, q, h = _KSPQH
+    ctx = _FORMAL.phi_values[0].ctx
+    ks, ss, ps, qs, hs, t = map(PolyContext((*ctx.symbols, "T")).sym, "kspqhT")
+    poly = (_rhs_factor(m, r, qs - ss, ps - ks, hs, t)
+            * (1 - t) ** (2 * m + 2 * r - 1))
+    a, b = add_points(k, p), add_points(s, q)
+    terms: dict = {}
+    for e, c in poly.terms.items():
+        jh = scale_point(e[-1] - 2 * r, h)  # from T^{e[-1]} T^{-2r}
+        mono = (sub_points(a, jh), add_points(b, jh))
+        terms[mono] = terms.get(mono, 0) + PolyScalar(ctx, {e[:-1]: c})
+    return UEAElement(_FORMAL, terms)
+
+
+def _shift_recurrences_hold() -> bool:
+    """The m-step and the r-step of F = F_{m,r} as identities in
+    Q[x, y, h, m, r, T], where F' = F(x+h, y+h) + F(x-h, y+h):
+
+        F_{m+1,r} (1-T)^2 = F - F' T + F(x, y+2h) T^2
+        F_{m,r+1} (1-T)^2 = F T^2 - F' T + F(x, y+2h)
     """
-    alg = symbolic_witt_algebra(_FORMAL_GENERATORS)
-    k, s, p, q, h = (alg.lattice.generator(x) for x in "kspqh")
-    return pbw_normal_form(_identity_difference(alg, m, r, k, s, p, q, h))
+    ctx = PolyContext(("x", "y", "h", "m", "r", "T"))
+    x, y, h, m, r, t = map(ctx.sym, ctx.symbols)
+    f = _rhs_factor
+    f0, f2 = f(m, r, x, y, h, t), f(m, r, x, y + 2 * h, h, t)
+    f1 = f(m, r, x + h, y + h, h, t) + f(m, r, x - h, y + h, h, t)
+    square = (1 - t) * (1 - t)
+    return (f(m + 1, r, x, y, h, t) * square == f0 - f1 * t + f2 * t * t
+            and f(m, r + 1, x, y, h, t) * square == f0 * t * t - f1 * t + f2)
+
+
+def _identity_proof(m: int, r: int) -> UEAElement:
+    """The (2, 2) residue if the recurrences carry it to (m, r), else the
+    direct residue at (m, r), so that a failure keeps its own witness."""
+    base = formal_identity_residue(2, 2)
+    if (m, r) == (2, 2) or (
+            base.is_zero() and _shift_recurrences_hold()
+            and _identity_rhs(_FORMAL, 2, 2, *_KSPQH) == _closed_rhs(2, 2)):
+        return base
+    return formal_identity_residue(m, r)
 
 
 def _check_orders(m: int, r: int) -> None:
@@ -300,7 +370,7 @@ def _specialised_records(proof: UEAElement, mode: str, m: int, r: int,
         count = 0 if proof.is_zero() else len(pbw_normal_form(
             _identity_difference(algebra, m, r, *point)).terms)
         records.append(IdentityRecord(mode, m, r, values, h, count, not count))
-    return IdentityReport(records)
+    return IdentityReport(tuple(records))
 
 
 def verify_key_identity(m: int, r: int, mode: str = "symbolic",
@@ -308,17 +378,16 @@ def verify_key_identity(m: int, r: int, mode: str = "symbolic",
                         intro_form: bool = False) -> IdentityReport:
     """Check the quadratic differentiator identity in U(W_1), with step 1.
 
-    Both modes rest on one formal proof, `formal_identity_residue`, whose
-    step h is a free generator. symbolic mode emits that proof as one
-    record: the identity for formal k, s, p, q and step h, so for W_1 at
-    h = 1. grid mode emits one record per integer tuple (k, s, p, q) in
-    grid_range^4, each the specialisation of the proof at h -> 1; only when
-    the formal residue is nonzero does it normal-order each tuple
-    concretely. intro_form=True (requires m == r) asks for the single-term
-    form (q-s)(p-k+2mh) Omega^{(4m)}_{k+p+2mh, s+q-2mh}. At m == r both
-    terms of the right side share one coefficient, and Pascal's rule
-    Omega^{(n)}_{a,b} - Omega^{(n)}_{a-h,b+h} = Omega^{(n+1)}_{a,b} makes
-    the two right sides one tensor, so the same proof certifies it.
+    Both modes rest on one formal proof with a free step h: the (2, 2)
+    residue is zero, the shift recurrences carry lhs - rhs from (2, 2) to
+    any m, r >= 2, and `_identity_rhs` at (2, 2) is their closed form (see
+    the module docstring); if any part fails, the direct (m, r) residue
+    decides. symbolic mode emits that proof as one record. grid mode emits
+    one record per tuple (k, s, p, q) in grid_range^4, the proof at h -> 1,
+    and normal-orders each tuple only when the proof fails. intro_form=True
+    (m == r) asks for the single-term form (q-s)(p-k+2mh)
+    Omega^{(4m)}_{k+p+2mh, s+q-2mh}, which by Pascal's rule is the same
+    right side at m == r, so the same proof certifies it.
     """
     _check_orders(m, r)
     if intro_form and m != r:
@@ -328,10 +397,10 @@ def verify_key_identity(m: int, r: int, mode: str = "symbolic",
     lo, hi = grid_range
     if mode == "grid" and lo > hi:
         raise AlgebraError(f"empty grid range {lo}..{hi}")
-    proof = formal_identity_residue(m, r)
+    proof = _identity_proof(m, r)
     if mode == "symbolic":
-        return IdentityReport([IdentityRecord(
-            "symbolic", m, r, None, None, len(proof.terms), proof.is_zero())])
+        return IdentityReport((IdentityRecord(
+            "symbolic", m, r, None, None, len(proof.terms), proof.is_zero()),))
     return _specialised_records(proof, "grid", m, r, witt_algebra(), (
         (t, None, tuple((v,) for v in t) + ((1,),))
         for t in itertools.product(range(lo, hi + 1), repeat=4)))
@@ -350,7 +419,7 @@ def verify_solenoidal_identity(m: int, r: int, n: int = 2,
         raise AlgebraError("the solenoidal rank n must be positive")
     if h_box < 0:
         raise AlgebraError("the step box h_box must be nonnegative")
-    proof = formal_identity_residue(m, r)
+    proof = _identity_proof(m, r)
     alg = symbolic_witt_algebra([*"kspq", *(f"mu{i+1}" for i in range(n))])
     points = tuple(alg.lattice.generator(x) for x in "kspq")
     return _specialised_records(proof, "solenoidal", m, r, alg, (

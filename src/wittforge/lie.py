@@ -219,7 +219,7 @@ def jacobi_check(algebra, triples) -> JacobiReport:
         count += 1
         if not residue.is_zero():
             failures.append((triple, residue))
-    return JacobiReport(checked=count, failures=failures)
+    return JacobiReport(checked=count, failures=tuple(failures))
 
 
 def solenoidal_embed(x: LieElement, target: WnAlgebra) -> LieElement:

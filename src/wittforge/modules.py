@@ -920,8 +920,8 @@ def check_module_axioms(M: PolyWeightModule, window: int = 2) -> CheckReport:
                 found.append((j * len(gens) + i, c,
                               (str(y), str(x), off, lab, repr(-diff))))
     return CheckReport(
-        "module_axioms", M.name or repr(M), symbolic_failures,
-        [f for _, _, f in sorted(found, key=lambda f: f[:2])], n * n,
+        "module_axioms", M.name or repr(M), tuple(symbolic_failures),
+        tuple(f for _, _, f in sorted(found, key=lambda f: f[:2])), n * n,
         len(gens) ** 2 * len(cells))
 
 
@@ -965,7 +965,7 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
         symbolic_failures += [(a,) + key + (res,) for key, res
                               in (shifted - plain - delta).entries()]
     if symbolic_failures:
-        return CheckReport("aw_compat", name, symbolic_failures, [], n, 0)
+        return CheckReport("aw_compat", name, tuple(symbolic_failures), (), n, 0)
 
     # the structure check above leaves no puncture or finite support, so
     # the radius-0 window is the fiber at offset 0 and at each offset where
@@ -984,7 +984,7 @@ def check_aw_compat(M: PolyWeightModule, window: int = 2) -> CheckReport:
                 if any(diff.values()):
                     window_failures.append(
                         (str(x), r, lab, repr(ModuleVector(M, diff))))
-    return CheckReport("aw_compat", name, [], window_failures, n,
+    return CheckReport("aw_compat", name, (), tuple(window_failures), n,
                        len(gens) * len(shifts) * len(cells))
 
 
@@ -1057,9 +1057,9 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
             omega += LabelMatrix(None, {
                 key: c.substitute({"i": j}) if isinstance(c, PolyScalar) else c
                 for key, c in composite.terms.items()}).scale(coeff)
-    symbolic_residues = [(src, tgt, str(wt + k + s), str(c))
-                         for src in M.fiber for tgt in M.fiber
-                         if (c := omega.terms.get((src, tgt))) is not None]
+    symbolic_residues = tuple(
+        (src, tgt, str(wt + k + s), str(c)) for src in M.fiber
+        for tgt in M.fiber if (c := omega.terms.get((src, tgt))) is not None)
 
     gen = {x: M.algebra.basis((x,), 1)
            for x in range(-window - order, window + order + 1)}
@@ -1083,7 +1083,7 @@ def annihilates(order: int, M: PolyWeightModule, window: int = 3
             total_v = ModuleVector(M, total)
             if not total_v.is_zero():
                 found.append((index, c, (kv, sv, off, lab, repr(total_v))))
-    window_failures = [f for _, _, f in sorted(found, key=lambda f: f[:2])]
+    window_failures = tuple(f[2] for f in sorted(found, key=lambda f: f[:2]))
     witness = next(((kv, sv, off[0], lab)
                     for kv, sv, off, lab, _ in window_failures), None)
     return AnnihilationCertificate(
@@ -1264,5 +1264,6 @@ def check_de_rham_chain(n: int, beta=None, mbox: int = 1) -> CheckReport:
                 failures += [(mvec, a, k) + key + (res,)
                              for key, res in (lhs - rhs).entries()]
     return CheckReport("de_rham_chain", f"omega(beta {beta}) on T^{n}",
-                       failures, [], n - 1 + (2 * mbox + 1) ** n * n * n, 0)
+                       tuple(failures), (),
+                       n - 1 + (2 * mbox + 1) ** n * n * n, 0)
 

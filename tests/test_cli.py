@@ -81,6 +81,20 @@ class TestVerifyIdentity:
         assert res.exit_code == 2, res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("args", [
+        (), ("--intro",), ("--mode", "grid", "--range", "0..0"),
+        ("--solenoidal", "--h-box", "0")],
+        ids=["symbolic", "intro", "grid", "solenoidal"])
+    def test_high_order_records_match_the_base_order(self, args):
+        # order 24 rests on the (2, 2) proof and gives the same records
+        base = json_lines(invoke("verify-identity", "--m", "2", "--r", "2",
+                                 *args).stdout)
+        res = invoke("verify-identity", "--m", "24", "--r", "24", *args)
+        assert res.exit_code == 0, res.output
+        recs = json_lines(res.stdout)
+        assert recs and all(r["residue_term_count"] == 0 for r in recs)
+        assert [sorted(r) for r in recs] == [sorted(r) for r in base]
+
     def test_solenoidal_summary_names_its_mode(self):
         res = invoke("verify-identity", "--m", "2", "--r", "2",
                      "--solenoidal", "--n", "1", "--h-box", "1")

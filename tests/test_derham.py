@@ -139,14 +139,14 @@ class TestChainNegativeControl:
     def test_sign_flipped_d_fails_in_sweep_order(self, monkeypatch, n, mbox):
         monkeypatch.setattr(modules, "_de_rham_matrix", _unsigned_d)
         rep = check_de_rham_chain(n, mbox=mbox)
-        assert not rep.passed and rep.window_failures == []
+        assert not rep.passed and rep.window_failures == ()
         assert rep.symbolic_checked == n - 1 + (2 * mbox + 1) ** n * n * n
         fails = rep.symbolic_failures
-        squares = [f for f in fails if f[0] == "d^2"]
+        squares = tuple(f for f in fails if f[0] == "d^2")
         assert squares and fails[:len(squares)] == squares
         # after d^2, the sweep runs over m, then the degree k, then the
         # direction a
         exps = list(itertools.product(range(-mbox, mbox + 1), repeat=n))
         order = [(exps.index(f[0]), f[2], f[1]) for f in fails[len(squares):]]
         assert order and order == sorted(order)
-        assert fails == _reference_failures(n, mbox, _unsigned_d)
+        assert fails == tuple(_reference_failures(n, mbox, _unsigned_d))

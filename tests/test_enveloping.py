@@ -311,6 +311,146 @@ class TestFormalProof:
                 alg, 2, 2, k, s, p, q, (0, 0, 0, 0) + rec.h)
 
 
+# -- every order from the (2, 2) proof and two shift recurrences -----------
+
+# The shifts of the argument: each moves one step h from its first
+# generator to its second, (first, second) -> (first - h, second + h), on
+# lattice points and on the phi-symbols alike.
+SIGMA1, SIGMA2, TAU1, TAU2 = ("k", "q"), ("k", "s"), ("q", "p"), ("s", "p")
+_FCTX = FORMAL.phi_values[0].ctx
+
+
+def shift(x, first, second):
+    """The image of a formal tensor under one shift."""
+    h = _FCTX.sym("h")
+    values = {g: _FCTX.sym(g) for g in _FCTX.symbols}
+    values[first] -= h
+    values[second] += h
+    images = {g: FORMAL.lattice.generator(g) for g in _FCTX.symbols}
+    images[first] = sub_points(images[first], KSPQH[4])
+    images[second] = add_points(images[second], KSPQH[4])
+    return specialise(x, FORMAL, lattice_map(images, FORMAL.lattice.rank),
+                      values)
+
+
+def differences(x, m, r):
+    """(1 - sigma1)^m (1 - sigma2)^m (1 - tau1)^r (1 - tau2)^r x."""
+    for pair, times in ((SIGMA1, m), (SIGMA2, m), (TAU1, r), (TAU2, r)):
+        for _ in range(times):
+            x = x - shift(x, *pair)
+    return x
+
+
+def lhs_closed_form(m, r):
+    k, s, p, q, _ = KSPQH
+    return differences(UEAElement(FORMAL, {
+        (k, s, q, p): 1, (q, p, k, s): 1, (k, q, s, p): -1,
+        (s, p, k, q): -1}), m, r)
+
+
+def swapped_factor(m, r, x, y, h, t):
+    """The closed form's factor with 2mh and 2rh swapped."""
+    return x * ((y + 2 * m * h) - (y + 2 * r * h) * t)
+
+
+def count_normal_forms(monkeypatch):
+    """A list that grows by one entry, the number of terms normal-ordered,
+    per `pbw_normal_form` call from now on."""
+    calls = []
+    original = enveloping.pbw_normal_form
+
+    def spy(x, *args):
+        calls.append(len(x.terms))
+        return original(x, *args)
+
+    monkeypatch.setattr(enveloping, "pbw_normal_form", spy)
+    return calls
+
+
+IDENTITY_CALLS = {
+    "symbolic": lambda m: verify_key_identity(m, m),
+    "grid": lambda m: verify_key_identity(m, m, mode="grid"),
+    "intro": lambda m: verify_key_identity(m, m, intro_form=True),
+    "solenoidal": lambda m: verify_solenoidal_identity(m, m),
+}
+
+
+class TestShiftRecurrences:
+    """Every identity record rests on the (2, 2) residue and two shift
+    recurrences: lhs - rhs at (m, r) is a sum of shifted copies of lhs -
+    rhs at (2, 2), and each shift is a Lie endomorphism of the formal
+    algebra."""
+
+    @pytest.mark.parametrize("m, r", itertools.product((2, 3, 4), repeat=2))
+    def test_direct_residue_is_zero(self, m, r):
+        # the direct normal form, an oracle independent of the recurrences
+        assert formal_identity_residue(m, r).is_zero()
+
+    def test_closed_forms_are_the_identity_tensors(self):
+        for m, r in itertools.product(range(5), repeat=2):
+            assert lhs_closed_form(m, r) == enveloping._identity_lhs(
+                FORMAL, m, r, *KSPQH), (m, r)
+            if m + r:  # the right side has order 2m + 2r - 1
+                assert (enveloping._closed_rhs(m, r)
+                        == enveloping._identity_rhs(FORMAL, m, r, *KSPQH))
+
+    @pytest.mark.parametrize("m, r", [(2, 3), (3, 2), (4, 4)])
+    def test_tensor_recurrence(self, m, r):
+        base = enveloping._identity_difference(FORMAL, 2, 2, *KSPQH)
+        assert differences(base, m - 2, r - 2) == \
+            enveloping._identity_difference(FORMAL, m, r, *KSPQH)
+
+    def test_recurrences_hold(self):
+        assert enveloping._shift_recurrences_hold()
+
+    def test_swapped_factor_takes_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(enveloping, "_rhs_factor", swapped_factor)
+        # the swap is a wrong closed form off the diagonal only
+        assert enveloping._closed_rhs(2, 2) == \
+            enveloping._identity_rhs(FORMAL, 2, 2, *KSPQH)
+        assert enveloping._closed_rhs(2, 3) != \
+            enveloping._identity_rhs(FORMAL, 2, 3, *KSPQH)
+        assert not enveloping._shift_recurrences_hold()
+        calls = count_normal_forms(monkeypatch)
+        report = verify_key_identity(2, 3)
+        # the (2, 2) base, then the direct residue at (2, 3)
+        assert len(calls) == 2 and report.passed
+        assert report.records[0].residue_term_count == 0
+
+    @pytest.mark.parametrize("mode", IDENTITY_CALLS)
+    @pytest.mark.parametrize("m", [4, 24])
+    def test_one_normal_form_at_any_order(self, monkeypatch, mode, m):
+        calls = count_normal_forms(monkeypatch)
+        report = IDENTITY_CALLS[mode](m)
+        assert report.passed and len(calls) == 1
+        assert all(rec.residue_term_count == 0 for rec in report.records)
+
+    def test_rhs_off_its_closed_form_takes_the_fallback(self, monkeypatch):
+        right = enveloping._identity_rhs
+
+        def plus_zero(alg, m, r, k, s, p, q, h):
+            # e_s e_k - e_k e_s - phi(k - s) e_{k+s} is a nonzero tensor
+            # that is zero in U
+            es, ek = generator(alg, s), generator(alg, k)
+            zero = (multiply(es, ek) - multiply(ek, es) - generator(
+                alg, add_points(k, s)).scale(alg.phi(sub_points(k, s))))
+            return right(alg, m, r, k, s, p, q, h) + zero
+
+        monkeypatch.setattr(enveloping, "_identity_rhs", plus_zero)
+        assert formal_identity_residue(2, 2).is_zero()
+        assert enveloping._closed_rhs(2, 2) != plus_zero(FORMAL, 2, 2, *KSPQH)
+        calls = count_normal_forms(monkeypatch)
+        assert verify_key_identity(2, 3).passed and len(calls) == 2
+
+    def test_failing_recurrence_makes_two_normal_forms(self, monkeypatch):
+        monkeypatch.setattr(enveloping, "_shift_recurrences_hold",
+                            lambda: False)
+        calls = count_normal_forms(monkeypatch)
+        assert verify_key_identity(3, 2, mode="grid",
+                                   grid_range=(0, 0)).passed
+        assert len(calls) == 2
+
+
 # -- the normal-form kernel against the PolyScalar recursion ---------------
 
 # The normal-form recursion as it stood before the packed-table kernel: it

@@ -98,8 +98,8 @@ class TestJacobi:
         alg = Squared(WITT.lattice, (1,))
         report = jacobi_check(alg, [((0,), (1,), (2,))])
         assert not report.passed and report.checked == 1
-        assert report.failures == [(((0,), (1,), (2,)),
-                                    alg.basis((3,)).scale(14))]
+        assert report.failures == ((((0,), (1,), (2,)),
+                                    alg.basis((3,)).scale(14)),)
 
 
 class TestSolenoidalEmbed:

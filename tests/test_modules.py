@@ -133,8 +133,8 @@ class TestAnnihilation:
     def test_symbolic_residue_is_at_step_one(self, make, order, point,
                                              residue):
         cert = annihilates(order, make(), window=0)
-        assert cert.symbolic_residues == [residue[:2] + ("k + s + wt",
-                                                         residue[2])]
+        assert cert.symbolic_residues == (residue[:2] + ("k + s + wt",
+                                                         residue[2]),)
 
     @pytest.mark.parametrize("make, order, point, residue", STEP_ONE,
                              ids=STEP_ONE_IDS)
@@ -466,8 +466,8 @@ def _reference_axiom_sweep(M, window, rep):
             if lhs_v != rhs_v:
                 failures.append(
                     (str(x), str(y), off, lab, repr(lhs_v - rhs_v)))
-    return CheckReport(rep.kind, rep.module, rep.symbolic_failures, failures,
-                       rep.symbolic_checked, checked)
+    return CheckReport(rep.kind, rep.module, rep.symbolic_failures,
+                       tuple(failures), rep.symbolic_checked, checked)
 
 
 def _reference_aw_sweep(M, window, rep):
@@ -485,8 +485,8 @@ def _reference_aw_sweep(M, window, rep):
                 checked += 1
                 if lhs_v != rhs_v:
                     failures.append((str(x), r, lab, repr(lhs_v - rhs_v)))
-    return CheckReport(rep.kind, rep.module, rep.symbolic_failures, failures,
-                       rep.symbolic_checked, checked)
+    return CheckReport(rep.kind, rep.module, rep.symbolic_failures,
+                       tuple(failures), rep.symbolic_checked, checked)
 
 
 def _reference_annihilator_sweep(order, M, window, cert):
@@ -507,8 +507,8 @@ def _reference_annihilator_sweep(order, M, window, cert):
                     witness = (kv, sv, off[0], lab)
     return AnnihilationCertificate(
         cert.order, cert.module, not cert.symbolic_residues and not failures,
-        cert.symbolic_residues, failures, witness, cert.symbolic_checked,
-        checked)
+        cert.symbolic_residues, tuple(failures), witness,
+        cert.symbolic_checked, checked)
 
 
 def _corrupted(M, term, suffix):
@@ -607,9 +607,9 @@ def _reference_differentiator(order, M):
                 if row == mid:
                     omega[(src, tgt)] = (omega.get((src, tgt), 0)
                                          + (-1) ** i * comb(order, i) * b * a)
-    return [(src, tgt, str(wt + k + s), str(c))
-            for src in M.fiber for tgt in M.fiber
-            if (c := omega.get((src, tgt), 0))]
+    return tuple((src, tgt, str(wt + k + s), str(c))
+                 for src in M.fiber for tgt in M.fiber
+                 if (c := omega.get((src, tgt), 0)))
 
 
 def _counting(monkeypatch, name):
@@ -691,7 +691,7 @@ class TestOneRelationOnce:
         # swept: what remains is the symbolic part and the coefficients
         cert = annihilates(16000, build_preset("punctured_functions"),
                            window=0)
-        assert cert.annihilates and cert.symbolic_residues == []
+        assert cert.annihilates and cert.symbolic_residues == ()
 
     @pytest.mark.parametrize("make, window", SWEEPS, ids=["rank1", "w2"])
     def test_one_bracket_per_unordered_pair(self, monkeypatch, make, window):
@@ -1278,7 +1278,7 @@ class TestFusedSweepOracle:
         M = _constraint_module("m^2", 1, 1)
         rep = check_aw_compat(M, window=2)
         assert not rep.symbolic_failures
-        assert rep.window_failures == _oracle_aw_failures(M, 2)
+        assert rep.window_failures == tuple(_oracle_aw_failures(M, 2))
         assert len(rep.window_failures) == 9
 
 

@@ -517,6 +517,26 @@ class TestRecordsAreFrozen:
         y = trip(x)
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
+    # the induced action keeps its matrices as lists of rows, which
+    # acceptance criterion 6 compares with list literals
+    @pytest.mark.parametrize("name", [r for r in RECORDS if r != "action"])
+    def test_hashes(self, records, name):
+        x = records[name]
+        assert hash(x) == hash(x._fields())
+
+    @pytest.mark.parametrize("name, fields", [
+        ("check", ("symbolic_failures", "window_failures")),
+        ("annihilation", ("symbolic_residues", "window_failures")),
+        ("jacobi", ("failures",)), ("identity", ("records",))],
+        ids=["check", "annihilation", "jacobi", "identity"])
+    def test_failure_fields_cannot_be_appended_to(self, records, name,
+                                                  fields):
+        x = records[name]
+        for field in fields:
+            assert type(getattr(x, field)) is tuple
+            with pytest.raises(AttributeError):
+                getattr(x, field).append("x")
+
 
 # values mapped onto CTX's symbols: a polynomial of another context
 _VALUE_CTX = PolyContext(("x", "y"))

@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-from wittforge import linalg  # noqa: E402
+from wittforge import enveloping, linalg  # noqa: E402
 from wittforge.modules import de_rham_homology  # noqa: E402
 from wittforge.scalars import PolyContext, PolyScalar, QuadExtScalar  # noqa: E402
 
@@ -123,3 +123,41 @@ def test_de_rham_homology_matches_rank(case):
     assert de_rham_homology(len(beta), beta, w) == sympy_de_rham_ranks(
         len(beta), s)
 
+
+
+def test_shift_recurrences_match_expand():
+    """The m-step and the r-step of the identity's closed form, re-derived
+    in sympy with m and r symbolic: F_{m,r} = x[(y + 2rh) - (y + 2mh)T],
+    and `enveloping._rhs_factor` on sympy symbols is that F."""
+    x, y, h, m, r, T = sympy.symbols("x y h m r T")
+
+    def F(m, r, x=x, y=y):
+        return x * ((y + 2 * r * h) - (y + 2 * m * h) * T)
+
+    assert sympy.expand(enveloping._rhs_factor(m, r, x, y, h, T)
+                        - F(m, r)) == 0
+    shifted = F(m, r, x + h, y + h) + F(m, r, x - h, y + h)
+    m_step = (F(m + 1, r) * (1 - T) ** 2
+              - (F(m, r) - shifted * T + F(m, r, y=y + 2 * h) * T ** 2))
+    r_step = (F(m, r + 1) * (1 - T) ** 2
+              - (F(m, r) * T ** 2 - shifted * T + F(m, r, y=y + 2 * h)))
+    assert sympy.expand(m_step) == 0 and sympy.expand(r_step) == 0
+
+    # at concrete orders, the steps are the shifts acting on the whole
+    # closed form G = F T^(-2r) (1 - T)^(2m+2r-1): sigma1 and tau2 move
+    # x -> x + h, sigma2 and tau1 x -> x - h, each y -> y + h, and the
+    # sigmas multiply by T, the taus by 1/T
+    def G(m, r):
+        return F(m, r) * T ** (-2 * r) * (1 - T) ** (2 * m + 2 * r - 1)
+
+    def shift(g, dx, power):
+        return g.subs({x: x + dx, y: y + h}, simultaneous=True) * T ** power
+
+    for mi, ri in itertools.product((1, 2, 3), repeat=2):
+        g = G(mi, ri)
+        sigma = g - shift(g, h, 1)
+        sigma = sigma - shift(sigma, -h, 1)
+        tau = g - shift(g, -h, -1)
+        tau = tau - shift(tau, h, -1)
+        assert sympy.expand(G(mi + 1, ri) - sigma) == 0
+        assert sympy.expand(G(mi, ri + 1) - tau) == 0
